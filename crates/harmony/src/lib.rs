@@ -13,8 +13,9 @@
 //!   divide-and-diverge sampling, ClassyTune's comparison-based
 //!   classification, and TUNA's noise-robust replicated confirmation;
 //! * [`registry`] — constructor-by-name lookup backing the `--tuner` flag;
-//! * [`tuner`]/[`server`]/[`history`] — the ask–tell protocol, the tuning
-//!   server, and trace recording;
+//! * [`tuner`]/[`server`] — the ask–tell protocol and the tuning server
+//!   (the per-iteration trace is the caller's: the orchestrator's
+//!   iteration records);
 //! * [`strategy`]/[`workline`] — the §III.B cluster-scaling methods
 //!   (parameter duplication and work-line partitioning);
 //! * [`monitor`]/[`reconfig`] — the §IV automatic cluster reconfiguration
@@ -23,11 +24,13 @@
 //!   circuit breaker, the outlier re-measurement gate) now live in the
 //!   `resilience` crate and are re-exported here for compatibility.
 //!
-//! Tuning state is crash-safe: [`SimplexTuner`], [`HarmonyServer`],
-//! [`TuningHistory`], and [`CircuitBreaker`] implement the `persist`
-//! crate's `Checkpointable` trait, exporting their full search state
-//! (simplex geometry, phase, pending proposals, best-seen records,
-//! failure counters) so an interrupted session resumes byte-identically.
+//! Tuning state is crash-safe: [`SimplexTuner`], [`HarmonyServer`] and
+//! [`CircuitBreaker`] implement the `persist` crate's `Checkpointable`
+//! trait, exporting their full search state (simplex geometry, phase,
+//! pending proposals, best-seen records, failure counters) so an
+//! interrupted session resumes byte-identically. The server keeps no
+//! per-iteration log of its own, so its part of a snapshot does not grow
+//! with the session.
 //!
 //! This crate is application-agnostic: nothing here knows about web
 //! clusters. The orchestrator crate wires it to the simulated testbed.
@@ -62,7 +65,6 @@ pub mod annealing;
 pub mod baseline;
 pub mod bestconfig;
 pub mod classytune;
-pub mod history;
 pub mod monitor;
 pub mod param;
 pub mod reconfig;
@@ -80,7 +82,6 @@ pub use annealing::SimulatedAnnealing;
 pub use baseline::{CoordinateDescent, RandomSearch};
 pub use bestconfig::BestConfigTuner;
 pub use classytune::ClassyTuneTuner;
-pub use history::{HistoryEntry, TuningHistory};
 pub use monitor::{Resource, UtilizationMonitor, UtilizationSnapshot};
 pub use param::ParamDef;
 pub use reconfig::{CostModel, NodeCostInputs, NodeReport, ReconfigDecision, Thresholds};

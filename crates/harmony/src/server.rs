@@ -1,4 +1,4 @@
-//! The Harmony tuning server: a tuner plus its trace.
+//! The Harmony tuning server: a tuner plus the protocol state around it.
 //!
 //! One server owns one parameter subset. The "default method" of the
 //! paper uses a single server for every parameter of every node; the
@@ -7,7 +7,6 @@
 
 use std::collections::VecDeque;
 
-use crate::history::TuningHistory;
 use crate::space::{Configuration, ParamSpace};
 use crate::tuner::{Measurement, Trial, Tuner};
 use persist::{Checkpointable, PersistError, State};
@@ -16,7 +15,6 @@ use persist::{Checkpointable, PersistError, State};
 pub struct HarmonyServer {
     name: String,
     tuner: Box<dyn Tuner + Send>,
-    history: TuningHistory,
     pending: Option<Configuration>,
     /// Drive the tuner through the ask/tell v2 batch protocol
     /// ([`Tuner::propose_batch`] / [`Tuner::observe_trial`]) instead of
@@ -37,7 +35,6 @@ impl HarmonyServer {
         HarmonyServer {
             name: name.into(),
             tuner,
-            history: TuningHistory::new(),
             pending: None,
             batch_mode: false,
             queued: VecDeque::new(),
@@ -100,14 +97,12 @@ impl HarmonyServer {
     /// ([`Tuner::observe_trial`]).
     pub fn report_measurement(&mut self, m: Measurement) {
         if let Some(trial) = self.pending_trial.take() {
-            self.history.record(trial.config, m.mean);
             self.tuner.observe_trial(trial.id, m);
             return;
         }
-        let Some(config) = self.pending.take() else {
+        if self.pending.take().is_none() {
             panic!("report() without next_config()");
-        };
-        self.history.record(config, m.mean);
+        }
         self.tuner.observe_measurement(m);
     }
 
@@ -127,17 +122,9 @@ impl HarmonyServer {
         self.tuner.best()
     }
 
-    pub fn history(&self) -> &TuningHistory {
-        &self.history
-    }
-
-    pub fn iterations(&self) -> usize {
-        self.history.len()
-    }
-
     /// Reset the underlying tuner's search state (see [`Tuner::reset`]).
-    /// History and the best-seen record are kept; any pending proposal is
-    /// dropped so the next `next_config` starts the fresh search.
+    /// The best-seen record is kept; any pending proposal is dropped so
+    /// the next `next_config` starts the fresh search.
     pub fn reset(&mut self) {
         self.pending = None;
         self.pending_trial = None;
@@ -184,13 +171,13 @@ fn trial_from_state(state: &State) -> Result<Trial, PersistError> {
 
 impl Checkpointable for HarmonyServer {
     /// Server identity plus the tuner's search state, the pending
-    /// proposal (or batch trial), the queued batch remainder, and the
-    /// full tuning history.
+    /// proposal (or batch trial) and the queued batch remainder. Nothing
+    /// here grows with the number of iterations: the per-iteration trace
+    /// belongs to the caller.
     fn save_state(&self) -> State {
         State::map()
             .with("name", State::Str(self.name.clone()))
             .with("tuner", self.tuner.save_state())
-            .with("history", self.history.save_state())
             .with(
                 "pending",
                 match &self.pending {
@@ -220,7 +207,9 @@ impl Checkpointable for HarmonyServer {
             )));
         }
         self.tuner.restore_state(state.require("tuner")?)?;
-        self.history.restore_state(state.require("history")?)?;
+        // Snapshots written while the server still logged every report
+        // carry a `history` list; nothing reads it any more, so it is
+        // skipped and those snapshots keep resuming.
         self.pending = match state.require("pending")? {
             State::Null => None,
             values => Some(Configuration::from_values(values.to_i64_vec()?)),
@@ -249,7 +238,6 @@ impl std::fmt::Debug for HarmonyServer {
         f.debug_struct("HarmonyServer")
             .field("name", &self.name)
             .field("algorithm", &self.tuner.name())
-            .field("iterations", &self.history.len())
             .finish()
     }
 }
@@ -269,31 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn drives_tuner_and_records_history() {
+    fn drives_tuner_and_keeps_the_best_report() {
         let mut s = server();
+        let mut reported = Vec::new();
         for _ in 0..20 {
             let c = s.next_config();
             let perf = -(c.get(0) as f64 - 80.0).abs();
             s.report(perf);
+            reported.push((c, perf));
         }
-        assert_eq!(s.iterations(), 20);
-        assert_eq!(s.history().len(), 20);
-        assert!(s.best().is_some());
+        let (best, best_perf) = s.best().expect("a best after 20 reports");
+        assert!(reported.iter().all(|(_, p)| *p <= best_perf));
+        assert!(reported.contains(&(best.clone(), best_perf)));
         assert_eq!(s.name(), "test");
         assert_eq!(s.algorithm(), "simplex");
-    }
-
-    #[test]
-    fn history_matches_reported_performances() {
-        let mut s = server();
-        let mut perfs = Vec::new();
-        for i in 0..5 {
-            s.next_config();
-            let p = i as f64 * 2.0;
-            perfs.push(p);
-            s.report(p);
-        }
-        assert_eq!(s.history().performances(), perfs);
     }
 
     #[test]
@@ -321,21 +298,21 @@ mod tests {
             vec![|s| Box::new(SimplexTuner::new(s)), |s| {
                 Box::new(crate::bestconfig::BestConfigTuner::new(s, 7))
             }];
+        let perf = |c: &Configuration| -(c.get(0) as f64 - 80.0).abs();
         for build in builds {
             let mut alternating = HarmonyServer::new("test", build(space.clone()));
             let mut batched = batch_server(build(space.clone()));
+            let (mut alternating_perfs, mut batched_perfs) = (Vec::new(), Vec::new());
             for _ in 0..25 {
                 let a = alternating.next_config();
                 let b = batched.next_config();
                 assert_eq!(a, b, "protocols diverged");
-                let perf = -(a.get(0) as f64 - 80.0).abs();
-                alternating.report(perf);
-                batched.report(perf);
+                alternating_perfs.push(perf(&a));
+                batched_perfs.push(perf(&b));
+                alternating.report(perf(&a));
+                batched.report(perf(&b));
             }
-            assert_eq!(
-                alternating.history().performances(),
-                batched.history().performances()
-            );
+            assert_eq!(alternating_perfs, batched_perfs);
         }
     }
 
@@ -417,7 +394,36 @@ mod tests {
         ]);
         let mut restored = batch_server(Box::new(SimplexTuner::new(space)));
         Checkpointable::restore_state(&mut restored, &legacy).expect("legacy restore");
-        assert_eq!(restored.iterations(), 1);
+        assert_eq!(restored.best(), old.best());
+        assert_eq!(restored.next_config(), old.next_config());
+    }
+
+    #[test]
+    fn restore_ignores_a_legacy_history_list() {
+        // Snapshots written while the server still logged every report
+        // carry a `history` list of {values, performance} maps. It must
+        // not stop them from resuming, and must not change what the
+        // restored server proposes.
+        let perf = |c: &Configuration| -(c.get(1) as f64 - 30.0).abs();
+        let mut live = server();
+        for _ in 0..7 {
+            let c = live.next_config();
+            live.report(perf(&c));
+        }
+        let saved = Checkpointable::save_state(&live);
+        assert!(saved.get("history").is_none(), "no history is written");
+        let entry = State::map()
+            .with("values", State::i64_list(&[50, 50]))
+            .with("performance", State::F64(-20.0));
+        let legacy = saved.with("history", State::List(vec![entry; 7]));
+        let mut restored = server();
+        Checkpointable::restore_state(&mut restored, &legacy).expect("legacy restore");
+        for _ in 0..15 {
+            let c = live.next_config();
+            assert_eq!(restored.next_config(), c, "restored server diverged");
+            live.report(perf(&c));
+            restored.report(perf(&c));
+        }
     }
 
     #[test]

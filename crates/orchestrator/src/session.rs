@@ -2087,6 +2087,35 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_tuner_state_does_not_grow_with_iterations() {
+        // Records and the eval cache grow with the session by design;
+        // the engine (servers plus tuner) must not, or every snapshot
+        // re-encodes a log of the whole session. Random search keeps a
+        // fixed-size state, so any growth comes from the server; the
+        // simplex is not used here because its initial simplex grows by
+        // one vertex per iteration until it has n + 1.
+        let engine_len = |iterations: u32, snapshot: &str| {
+            let dir = std::env::temp_dir().join(format!(
+                "session-engine-size-{}-{iterations}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = quick_cfg(Workload::Shopping)
+                .tuner("random")
+                .checkpoint(CheckpointPolicy::new(&dir).every(1));
+            tune_default_method(&cfg, iterations).expect("tuning");
+            let state = persist::snapshot::load(&dir.join(snapshot)).expect("snapshot");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+            state.require("engine").expect("engine").encoded_len()
+        };
+        // A session never snapshots its final iteration, and only the
+        // newest two snapshots are kept, so each size needs its own run.
+        let at_5 = engine_len(6, "snap-00000005.ckpt");
+        let at_10 = engine_len(11, "snap-00000010.ckpt");
+        assert_eq!(at_5, at_10, "engine state grew between iterations 5 and 10");
+    }
+
+    #[test]
     fn parallel_replications_match_sequential_bit_for_bit() {
         // The unit of parallelism is the full independent replication:
         // fanning a measurement sweep over the shared pool must change

@@ -23,13 +23,25 @@ use std::path::Path;
 /// Snapshot file magic: format name + version byte.
 pub const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
 
+/// Bytes before the body: the magic, then the body's CRC.
+const HEADER_LEN: usize = MAGIC.len() + 4;
+
+/// The whole file image for `state`, built in one exactly sized buffer:
+/// the body is encoded straight after a zeroed CRC slot, which is then
+/// patched in place.
+fn image(state: &State) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN + state.encoded_len());
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&[0; 4]);
+    state.encode_into(&mut bytes);
+    let crc = crc32(&bytes[HEADER_LEN..]);
+    bytes[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
 /// Write `state` to `path` atomically (temp + fsync + rename).
 pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
-    let body = state.encode();
-    let mut bytes = Vec::with_capacity(MAGIC.len() + 4 + body.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+    let bytes = image(state);
 
     let tmp = path.with_extension("tmp");
     {
@@ -51,7 +63,7 @@ pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
 /// Load and verify a snapshot.
 pub fn load(path: &Path) -> Result<State, PersistError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < MAGIC.len() + 4 {
+    if bytes.len() < HEADER_LEN {
         return Err(PersistError::Corrupt("snapshot file too short".into()));
     }
     let (magic, rest) = bytes.split_at(MAGIC.len());
@@ -89,6 +101,23 @@ mod tests {
             !path.with_extension("tmp").exists(),
             "tmp cleaned up by rename"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_layout_is_magic_then_body_crc_then_body() {
+        let path = temp_path("layout.ckpt");
+        let state = State::map()
+            .with("kind", State::Str("tune".into()))
+            .with("values", State::i64_list(&[3, -1, 4, 1, 5, 9, 2, 6]))
+            .with("wips", State::F64(98.5))
+            .with("pending", State::Null);
+        write(&path, &state).unwrap();
+        let body = state.encode();
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&crc32(&body).to_le_bytes());
+        expected.extend_from_slice(&body);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_file(&path).unwrap();
     }
 

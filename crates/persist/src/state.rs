@@ -231,9 +231,26 @@ impl State {
         }
     }
 
-    /// Encode to a fresh byte vector.
+    /// Exact number of bytes [`State::encode_into`] appends for this
+    /// value, so a caller can size its buffer once.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            State::Null | State::Bool(_) => 0,
+            State::I64(_) | State::U64(_) | State::F64(_) => 8,
+            State::Str(s) => 4 + s.len(),
+            State::List(items) => 4 + items.iter().map(State::encoded_len).sum::<usize>(),
+            State::Map(pairs) => {
+                4 + pairs
+                    .iter()
+                    .map(|(k, v)| 4 + k.len() + v.encoded_len())
+                    .sum::<usize>()
+            }
+        }
+    }
+
+    /// Encode to a fresh, exactly sized byte vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
@@ -387,6 +404,34 @@ mod tests {
                 ]),
             );
         roundtrip(value);
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let nested = State::map()
+            .with("empty_list", State::List(Vec::new()))
+            .with("empty_map", State::map())
+            .with("text", State::Str("héllo ✓".into()))
+            .with(
+                "servers",
+                State::List(vec![
+                    State::map()
+                        .with("values", State::i64_list(&[1, -2, 3]))
+                        .with("pending", State::Null)
+                        .with("ok", State::Bool(true)),
+                    State::f64_list(&[0.5, f64::NAN]),
+                    State::List(vec![State::map().with("", State::U64(u64::MAX))]),
+                ]),
+            );
+        for value in [
+            State::Null,
+            State::Bool(false),
+            State::I64(-1),
+            State::Str(String::new()),
+            nested,
+        ] {
+            assert_eq!(value.encoded_len(), value.encode().len(), "{value:?}");
+        }
     }
 
     #[test]
