@@ -161,8 +161,9 @@ fn report_overhead() {
 /// journal frame per iteration + one snapshot per cadence) resolves a
 /// ~1% delta that end-to-end differencing would bury in scheduler noise.
 fn report_checkpoint_overhead() {
+    use harmony::strategy::TuningMethod;
     use orchestrator::checkpoint::{session_fingerprint, CheckpointPolicy, Checkpointer};
-    use orchestrator::session::tune;
+    use orchestrator::session::{tune_observed, SessionObserver};
     use persist::State;
 
     let topology = Topology::single();
@@ -174,7 +175,8 @@ fn report_checkpoint_overhead() {
     let min_time = Duration::from_millis(700);
     let plain = measure(
         || {
-            let run = tune(&cfg, harmony::strategy::TuningMethod::Default, iters).expect("tune");
+            let none = &mut SessionObserver::none();
+            let run = tune_observed(&cfg, TuningMethod::Default, iters, none).expect("tune");
             black_box(run.best_wips)
         },
         min_time,
@@ -249,32 +251,41 @@ fn report_checkpoint_overhead() {
 fn report_eval_speedup() {
     use harmony::strategy::TuningMethod;
     use orchestrator::eval::EvalSettings;
-    use orchestrator::session::tune;
+    use orchestrator::session::{tune_observed, SessionObserver};
     use std::time::Instant;
 
     let topology = Topology::single();
     let cfg = SessionConfig::new(topology, Workload::Shopping, 400).plan(IntervalPlan::tiny());
     let iters = 30u32;
 
+    let tune = |cfg: &SessionConfig, what: &str| {
+        tune_observed(
+            cfg,
+            TuningMethod::Default,
+            iters,
+            &mut SessionObserver::none(),
+        )
+        .expect(what)
+    };
     let t0 = Instant::now();
-    let plain = tune(&cfg, TuningMethod::Default, iters).expect("sequential tune");
+    let plain = tune(&cfg, "sequential tune");
     let sequential = t0.elapsed();
 
     let spec_cfg = cfg
         .clone()
         .eval_settings(EvalSettings::default().cache(true).threads(0));
     let t1 = Instant::now();
-    let speculated = tune(&spec_cfg, TuningMethod::Default, iters).expect("speculative tune");
+    let speculated = tune(&spec_cfg, "speculative tune");
     let speculative = t1.elapsed();
     let spec_counters = spec_cfg.eval.counters();
 
     let warm_cfg = cfg
         .clone()
         .eval_settings(EvalSettings::default().cache(true));
-    let _ = tune(&warm_cfg, TuningMethod::Default, iters).expect("cache warm-up");
+    let _ = tune(&warm_cfg, "cache warm-up");
     let before = warm_cfg.eval.counters();
     let t2 = Instant::now();
-    let replayed = tune(&warm_cfg, TuningMethod::Default, iters).expect("warm replay");
+    let replayed = tune(&warm_cfg, "warm replay");
     let warm = t2.elapsed();
     let warm_counters = warm_cfg.eval.counters().since(&before);
 

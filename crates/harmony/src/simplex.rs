@@ -760,8 +760,9 @@ mod tests {
         let mut t = SimplexTuner::new(space2d());
         for _ in 0..30 {
             let c = t.ask();
-            #[allow(deprecated)]
-            t.tell(-(c.get(0) as f64 - 120.0).abs());
+            t.tell_measurement(crate::tuner::Measurement::point(
+                -(c.get(0) as f64 - 120.0).abs(),
+            ));
         }
         assert_eq!(t.evaluations(), 30);
         assert!(t.best().is_some());

@@ -148,13 +148,6 @@ pub trait Tuner {
         self.observe_measurement(m);
     }
 
-    /// Tell the tuner the observed performance — kept as a shim over the
-    /// typed [`Tuner::tell_measurement`] for pre-v2 callers.
-    #[deprecated(note = "use `tell_measurement` (typed) or `observe`")]
-    fn tell(&mut self, performance: f64) {
-        self.tell_measurement(Measurement::point(performance));
-    }
-
     /// Forget search state (simplex geometry, step sizes, cursor
     /// position) but keep the parameter space, so the tuner can restart
     /// cleanly after a workload change instead of being rebuilt by hand.
@@ -395,11 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_tell_routes_through_the_typed_path() {
+    fn tell_measurement_routes_through_the_typed_path() {
         let mut t = probe();
         let _ = t.ask();
-        #[allow(deprecated)]
-        t.tell(3.5);
+        t.tell_measurement(Measurement::point(3.5));
         assert_eq!(t.last_observed, Some(3.5));
         let _ = t.ask();
         t.tell_measurement(Measurement::point(4.5).with_replications(2));

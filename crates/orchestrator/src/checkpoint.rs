@@ -17,7 +17,7 @@
 
 use crate::reconfigure::ReconfigEvent;
 use crate::resilient::{DetectionEvent, RecoveryAction};
-use crate::session::{IterationRecord, SessionConfig, SessionError};
+use crate::session::{ckerr, node_values, IterationRecord, SessionConfig, SessionError};
 use cluster::config::{ClusterConfig, NodeParams, Role, Topology};
 use cluster::params::{DbParams, ProxyParams, WebParams};
 use persist::{CheckpointStore, PersistError, State};
@@ -138,10 +138,6 @@ pub struct Checkpointer {
     fingerprint: u64,
 }
 
-fn ck(e: PersistError) -> SessionError {
-    SessionError::Checkpoint(e.to_string())
-}
-
 fn header(fingerprint: u64) -> State {
     State::map()
         .with("header", State::Bool(true))
@@ -161,46 +157,43 @@ impl Checkpointer {
         policy: &CheckpointPolicy,
         fingerprint: u64,
     ) -> Result<(Checkpointer, Option<Resumed>), SessionError> {
-        let mut store = CheckpointStore::open(&policy.dir).map_err(ck)?;
+        let mut store = CheckpointStore::open(&policy.dir).map_err(ckerr)?;
         let every = policy.every.max(1);
         if !policy.resume {
-            store.start_fresh().map_err(ck)?;
+            store.start_fresh().map_err(ckerr)?;
             let mut me = Checkpointer {
                 store,
                 every,
                 fingerprint,
             };
-            me.store.append(&header(fingerprint)).map_err(ck)?;
+            me.store.append(&header(fingerprint)).map_err(ckerr)?;
             return Ok((me, None));
         }
 
-        let rec = store.recover().map_err(ck)?;
-        let mut from_iteration = 0u64;
-        if let Some((iteration, state)) = &rec.snapshot {
-            let found = state.field_u64("fingerprint").map_err(ck)?;
+        let rec = store.recover().map_err(ckerr)?;
+        let check = |what: &str, state: &State| {
+            let found = state.field_u64("fingerprint").map_err(ckerr)?;
             if found != fingerprint {
                 return Err(SessionError::Checkpoint(format!(
-                    "snapshot fingerprint {found:#018x} does not match this \
+                    "{what} fingerprint {found:#018x} does not match this \
                      session ({fingerprint:#018x}) — same seeds, plan, \
                      topology, and method are required to resume"
                 )));
             }
+            Ok(())
+        };
+        let mut from_iteration = 0u64;
+        if let Some((iteration, state)) = &rec.snapshot {
+            check("snapshot", state)?;
             from_iteration = *iteration;
         }
         let mut deltas = Vec::new();
         for record in &rec.journal {
             if is_header(record) {
-                let found = record.field_u64("fingerprint").map_err(ck)?;
-                if found != fingerprint {
-                    return Err(SessionError::Checkpoint(format!(
-                        "journal fingerprint {found:#018x} does not match this \
-                         session ({fingerprint:#018x}) — same seeds, plan, \
-                         topology, and method are required to resume"
-                    )));
-                }
+                check("journal", record)?;
                 continue;
             }
-            if record.field_u64("iteration").map_err(ck)? >= from_iteration {
+            if record.field_u64("iteration").map_err(ckerr)? >= from_iteration {
                 deltas.push(record.clone());
             }
         }
@@ -212,7 +205,7 @@ impl Checkpointer {
         if rec.journal.is_empty() {
             // Nothing to resume (or the journal was lost): start the new
             // stream with a header so later resumes can still validate.
-            me.store.append(&header(fingerprint)).map_err(ck)?;
+            me.store.append(&header(fingerprint)).map_err(ckerr)?;
         }
         Ok((
             me,
@@ -227,7 +220,7 @@ impl Checkpointer {
 
     /// Append one per-iteration delta to the journal.
     pub fn append(&mut self, delta: State) -> Result<(), SessionError> {
-        self.store.append(&delta).map_err(ck)
+        self.store.append(&delta).map_err(ckerr)
     }
 
     /// Snapshot if `next_iteration` hits the cadence. A completed session
@@ -252,7 +245,7 @@ impl Checkpointer {
             .with("iteration", State::U64(next_iteration as u64));
         self.store
             .write_snapshot(next_iteration as u64, &snapshot)
-            .map_err(ck)
+            .map_err(ckerr)
     }
 }
 
@@ -319,18 +312,9 @@ pub(crate) fn config_state(config: &ClusterConfig) -> State {
             .nodes()
             .iter()
             .map(|n| {
-                let values = if let Some(p) = n.as_proxy() {
-                    p.to_values().to_vec()
-                } else if let Some(w) = n.as_app() {
-                    w.to_values().to_vec()
-                } else if let Some(d) = n.as_db() {
-                    d.to_values().to_vec()
-                } else {
-                    Vec::new()
-                };
                 State::map()
                     .with("role", State::Str(n.role().name().to_string()))
-                    .with("values", State::i64_list(&values))
+                    .with("values", State::i64_list(&node_values(n)))
             })
             .collect(),
     )

@@ -182,7 +182,9 @@ pub fn scenario_fingerprint(scenario: &ClusterScenario) -> u64 {
     crate::checkpoint::fnv1a(format!("{scenario:?}").as_bytes())
 }
 
-fn run_raw(scenario: &ClusterScenario, registry: Option<&Registry>) -> IterationOutcome {
+/// Run one scenario without the cache, through the metrics-publishing
+/// runner when a registry is attached.
+pub fn run_raw(scenario: &ClusterScenario, registry: Option<&Registry>) -> IterationOutcome {
     match registry {
         Some(r) => run_iteration_observed(scenario, r),
         None => run_iteration(scenario),

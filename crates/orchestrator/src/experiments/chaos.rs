@@ -14,8 +14,8 @@
 
 use super::{scale_pop, Effort};
 use crate::par::parallel_map;
-use crate::resilient::{run_resilient_session, ResilienceSettings};
-use crate::session::{SessionConfig, SessionError};
+use crate::resilient::{run_resilient_session_observed, ResilienceSettings};
+use crate::session::{SessionConfig, SessionError, SessionObserver};
 use cluster::config::Topology;
 use resilience::Bulkhead;
 use tpcw::mix::Workload;
@@ -128,7 +128,13 @@ pub fn run(effort: &Effort, seed: u64) -> Result<ChaosResult, SessionError> {
             .base_seed(seed)
             .tuner(tuner)
             .fault_plan(chaos.plan.clone());
-        run_resilient_session(&cfg, &settings, effort.iterations).map(|run| {
+        run_resilient_session_observed(
+            &cfg,
+            &settings,
+            effort.iterations,
+            &mut SessionObserver::none(),
+        )
+        .map(|run| {
             let count = |a: &str| run.recoveries.iter().filter(|r| r.action == a).count();
             let usable = run.records.iter().filter(|r| r.wips > 0.0).count();
             let mean = if run.records.is_empty() {

@@ -22,8 +22,8 @@
 use super::{scale_pop, Effort};
 use crate::experiments::chaos;
 use crate::par::parallel_map;
-use crate::resilient::{run_resilient_session, ResilienceSettings, ResilientRun};
-use crate::session::{SessionConfig, SessionError};
+use crate::resilient::{run_resilient_session_observed, ResilienceSettings, ResilientRun};
+use crate::session::{SessionConfig, SessionError, SessionObserver};
 use detect::DetectorConfig;
 use faults::{library, FaultKind, FaultPlan};
 use resilience::Bulkhead;
@@ -210,22 +210,26 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
         .collect();
     let threads = Bulkhead::new(chaos::settings(effort).bulkhead).clamp_threads(0);
     let outs = parallel_map(&grid, threads, |&(phi, &(name, ref plan))| {
-        run_resilient_session(&cfg_for(plan), &settings(effort, phi), effort.iterations).map(
-            |run| DetectCell {
-                phi_threshold: phi,
-                plan: name,
-                true_positives: run
-                    .detections
-                    .iter()
-                    .filter(|d| d.is_down() && d.truth_crashed)
-                    .count(),
-                false_positives: run.detection_false_positives(),
-                missed_crashes: missed_hard_crashes(&run, DETECTION_HORIZON_S, span_s),
-                mean_latency_s: run.mean_detection_latency_s().unwrap_or(-1.0),
-                reconfigs: run.reconfigs.len(),
-                best_wips: run.best_wips,
-            },
+        run_resilient_session_observed(
+            &cfg_for(plan),
+            &settings(effort, phi),
+            effort.iterations,
+            &mut SessionObserver::none(),
         )
+        .map(|run| DetectCell {
+            phi_threshold: phi,
+            plan: name,
+            true_positives: run
+                .detections
+                .iter()
+                .filter(|d| d.is_down() && d.truth_crashed)
+                .count(),
+            false_positives: run.detection_false_positives(),
+            missed_crashes: missed_hard_crashes(&run, DETECTION_HORIZON_S, span_s),
+            mean_latency_s: run.mean_detection_latency_s().unwrap_or(-1.0),
+            reconfigs: run.reconfigs.len(),
+            best_wips: run.best_wips,
+        })
     });
     let cells = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
 
@@ -233,16 +237,18 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
     // recovery fraction is deliberately modest: the storm keeps wounding
     // the cluster, so full recovery inside the run is not guaranteed.
     let storm = library::crash_storm(window_s, topology.len());
-    let oracle = run_resilient_session(
+    let oracle = run_resilient_session_observed(
         &cfg_for(&storm),
         &chaos::settings(effort),
         effort.iterations,
+        &mut SessionObserver::none(),
     )?;
     let default_phi = DetectorConfig::default().phi_threshold;
-    let detector = run_resilient_session(
+    let detector = run_resilient_session_observed(
         &cfg_for(&storm),
         &settings(effort, default_phi),
         effort.iterations,
+        &mut SessionObserver::none(),
     )?;
     let frac = 0.5;
     let comparison = RecoveryComparison {

@@ -5,8 +5,8 @@
 //! only a few iterations are needed to adapt after each change.
 
 use super::{fig5_population, Effort};
-use crate::schedule::{recovery_iterations, tune_with_schedule, WorkloadSchedule};
-use crate::session::SessionConfig;
+use crate::schedule::{recovery_iterations, tune_with_schedule_observed, WorkloadSchedule};
+use crate::session::{SessionConfig, SessionObserver};
 use cluster::config::Topology;
 use tpcw::mix::Workload;
 
@@ -50,7 +50,7 @@ pub fn run(effort: &Effort, seed: u64) -> Fig5Result {
     )
     .plan(effort.plan)
     .base_seed(seed);
-    let run = tune_with_schedule(&cfg, &schedule)
+    let run = tune_with_schedule_observed(&cfg, &schedule, &mut SessionObserver::none())
         .unwrap_or_else(|e| panic!("figure 5 session failed: {e}"));
     let recovery = recovery_iterations(&run, &schedule, 0.9);
     Fig5Result {

@@ -13,8 +13,8 @@
 //! the workload switch and the check.
 
 use super::{scale_pop, Effort};
-use crate::reconfigure::{run_reconfig_session, ReconfigRun, ReconfigSettings};
-use crate::session::SessionConfig;
+use crate::reconfigure::{run_reconfig_session_observed, ReconfigRun, ReconfigSettings};
+use crate::session::{SessionConfig, SessionObserver};
 use cluster::config::{Role, Topology};
 use harmony::reconfig::Thresholds;
 use tpcw::mix::Workload;
@@ -116,8 +116,10 @@ pub fn run(variant: Fig7Variant, effort: &Effort, seed: u64) -> Fig7Result {
         }
         Fig7Variant::AppToProxy => Workload::Browsing,
     };
-    let run: ReconfigRun = run_reconfig_session(&base, &settings, total, workload_at)
-        .unwrap_or_else(|e| panic!("figure 7 session failed: {e}"));
+    let mut observer = SessionObserver::none();
+    let run: ReconfigRun =
+        run_reconfig_session_observed(&base, &settings, total, workload_at, &mut observer)
+            .unwrap_or_else(|e| panic!("figure 7 session failed: {e}"));
 
     let event = run.events.first();
     let before_start = match variant {

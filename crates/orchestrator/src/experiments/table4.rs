@@ -8,7 +8,7 @@
 
 use super::{table4_population, Effort};
 use crate::par::shared_pool;
-use crate::session::{tune, SessionConfig};
+use crate::session::{tune_observed, SessionConfig, SessionObserver};
 use cluster::config::Topology;
 use harmony::strategy::TuningMethod;
 use tpcw::mix::Workload;
@@ -66,8 +66,13 @@ pub fn run(methods: &[TuningMethod], effort: &Effort, seed: u64) -> Table4Result
         let cfg = session
             .clone()
             .base_seed(seed ^ (method as u64).wrapping_mul(0x9E37_79B9));
-        let run = tune(&cfg, method, effort.iterations)
-            .unwrap_or_else(|e| panic!("table 4 tuning session failed: {e}"));
+        let run = tune_observed(
+            &cfg,
+            method,
+            effort.iterations,
+            &mut SessionObserver::none(),
+        )
+        .unwrap_or_else(|e| panic!("table 4 tuning session failed: {e}"));
         let half = (effort.iterations / 2) as usize;
         let (_, std2) = run.window_stats(half, effort.iterations as usize);
         Table4Row {

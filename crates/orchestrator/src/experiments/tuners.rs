@@ -22,7 +22,7 @@
 
 use super::{population_for, Effort};
 use crate::binding;
-use crate::session::{tune, tuner_seed, SessionConfig, SessionError};
+use crate::session::{tune_observed, tuner_seed, SessionConfig, SessionError, SessionObserver};
 use cluster::config::Topology;
 use faults::FaultPlan;
 use harmony::strategy::TuningMethod;
@@ -119,10 +119,21 @@ fn cell(
 ) -> Result<Cell, SessionError> {
     let clean_cfg = session(effort, seed, workload, tuner);
     let (default_wips, _) = clean_cfg.measure_default(effort.reps);
-    let clean = tune(&clean_cfg, TuningMethod::Default, effort.iterations)?;
+    let mut observer = SessionObserver::none();
+    let clean = tune_observed(
+        &clean_cfg,
+        TuningMethod::Default,
+        effort.iterations,
+        &mut observer,
+    )?;
 
     let noisy_cfg = clean_cfg.clone().fault_plan(noise_plan(effort));
-    let noisy = tune(&noisy_cfg, TuningMethod::Default, effort.iterations)?;
+    let noisy = tune_observed(
+        &noisy_cfg,
+        TuningMethod::Default,
+        effort.iterations,
+        &mut observer,
+    )?;
     let half = effort.iterations as usize / 2;
     let (_, second_half_sd) = clean.window_stats(half, effort.iterations as usize);
     let (noisy_mean, noisy_sd) = noisy.window_stats(half, effort.iterations as usize);

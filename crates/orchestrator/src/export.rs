@@ -87,7 +87,7 @@ pub fn write_csv(path: impl AsRef<Path>, csv: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{tune, SessionConfig};
+    use crate::session::{tune_observed, SessionConfig, SessionObserver};
     use cluster::config::Topology;
     use harmony::strategy::TuningMethod;
     use tpcw::metrics::IntervalPlan;
@@ -96,7 +96,7 @@ mod tests {
     fn tiny_run() -> TuningRun {
         let cfg = SessionConfig::new(Topology::single(), Workload::Shopping, 150)
             .plan(IntervalPlan::tiny());
-        tune(&cfg, TuningMethod::None, 3).expect("tiny run")
+        tune_observed(&cfg, TuningMethod::None, 3, &mut SessionObserver::none()).expect("tiny run")
     }
 
     #[test]

@@ -5,26 +5,35 @@
 //! * [`binding`] — maps cluster tunables ↔ Harmony search spaces for the
 //!   three §III tuning layouts (full per-node, per-tier duplication,
 //!   per-work-line partitioning);
-//! * [`session`] — tuning sessions: propose → simulate one
-//!   warm-up/measure/cool-down cycle → observe WIPS;
+//! * [`session`] — the one tuning loop: propose → simulate one
+//!   warm-up/measure/cool-down cycle → report WIPS → journal, for every
+//!   method and mode;
 //! * [`schedule`] — changing-workload sessions (Figure 5);
 //! * [`reconfigure`] — tuning plus the §IV automatic reconfiguration
 //!   controller (Figure 7);
 //! * [`resilient`] — fault-tolerant sessions: retry/backoff,
-//!   re-measurement, circuit breaking, failure-driven reconfiguration;
+//!   re-measurement, circuit breaking, failure detection and
+//!   failure-driven reconfiguration;
 //! * [`checkpoint`] — crash-safe session persistence: write-ahead
 //!   journal, periodic snapshots, and deterministic resume;
 //! * [`eval`] — the evaluation engine: memoized measurements and
 //!   speculative parallel candidate evaluation;
+//! * [`export`] — CSV export; [`report`] — text tables and sparklines
+//!   for the regenerators;
 //! * [`experiments`] — one typed runner per paper table/figure;
-//! * [`par`] — crossbeam-based parallel fan-out of independent runs;
-//! * [`report`] — text tables and sparklines for the regenerators.
-
+//! * [`par`] — the shared worker pool (index-keyed merge, bit-identical
+//!   at any width) and scoped fan-out of independent runs.
+//!
+//! Each mode has one entry point, and each takes a [`SessionObserver`]
+//! ([`SessionObserver::none`] observes nothing): [`tune_observed`],
+//! [`schedule::tune_with_schedule_observed`],
+//! [`reconfigure::run_reconfig_session_observed`] and
+//! [`run_resilient_session_observed`].
 //!
 //! ## A complete tuning session
 //!
 //! ```
-//! use orchestrator::session::{tune, SessionConfig};
+//! use orchestrator::session::{tune_observed, SessionConfig, SessionObserver};
 //! use harmony::strategy::TuningMethod;
 //! use cluster::config::Topology;
 //! use tpcw::metrics::IntervalPlan;
@@ -32,7 +41,8 @@
 //!
 //! let cfg = SessionConfig::new(Topology::single(), Workload::Shopping, 200)
 //!     .plan(IntervalPlan::tiny());
-//! let run = tune(&cfg, TuningMethod::Default, 5).expect("session");
+//! let run = tune_observed(&cfg, TuningMethod::Default, 5, &mut SessionObserver::none())
+//!     .expect("session");
 //! assert_eq!(run.records.len(), 5);
 //! assert!(run.best_wips > 0.0);
 //! ```
@@ -57,5 +67,5 @@ pub mod session;
 pub use checkpoint::CheckpointPolicy;
 pub use eval::{EvalEngine, EvalSettings};
 pub use experiments::Effort;
-pub use resilient::{run_resilient_session, ResilienceSettings, ResilientRun};
-pub use session::{tune, SessionConfig, SessionError, TuningRun};
+pub use resilient::{run_resilient_session_observed, ResilienceSettings, ResilientRun};
+pub use session::{tune_observed, SessionConfig, SessionError, SessionObserver, TuningRun};

@@ -6,18 +6,20 @@
 //! EMA-smoothed per-node utilizations, and may move one node to another
 //! tier. A moved node restarts with the destination tier's current
 //! configuration (cold caches — handled naturally because every iteration
-//! rebuilds and rewarms the world).
+//! rebuilds and rewarms the world). The session is the one tuning loop
+//! (`session::drive_tuning`) with the `Reconfigurer` part.
 
-use crate::binding;
-use crate::session::{IterationRecord, SessionConfig, SessionError, SessionObserver};
+use crate::session::{
+    drive_tuning, IterationRecord, Parts, SessionConfig, SessionError, SessionObserver,
+};
 use cluster::config::{Role, Topology};
 use cluster::node::NodeUtilization;
+use cluster::runner::IterationOutcome;
 use harmony::monitor::{UtilizationMonitor, UtilizationSnapshot};
 use harmony::reconfig::{
     decide, CostModel, NodeCostInputs, NodeReport, ReconfigDecision, Thresholds,
 };
-use harmony::server::HarmonyServer;
-use harmony::simplex::SimplexTuner;
+use harmony::strategy::TuningMethod;
 use tpcw::mix::Workload;
 
 /// Reconfiguration-session settings.
@@ -86,34 +88,76 @@ impl ReconfigRun {
     }
 }
 
-fn to_snapshot(u: &NodeUtilization) -> UtilizationSnapshot {
-    UtilizationSnapshot {
-        cpu: u.cpu,
-        disk: u.disk,
-        net: u.net,
-        mem: u.mem,
+/// The §IV controller as a part of the one tuning loop
+/// ([`crate::session::drive_tuning`]): after every iteration the EMA
+/// monitor observes node utilisation, and when a check is due
+/// `decide()` may move one node.
+pub(crate) struct Reconfigurer {
+    settings: ReconfigSettings,
+    monitor: UtilizationMonitor,
+    events: Vec<ReconfigEvent>,
+}
+
+impl Reconfigurer {
+    /// Observe iteration `i`'s outcome and, when a check is due, move a
+    /// node by changing `topology` in place.
+    pub(crate) fn after(
+        &mut self,
+        topology: &mut Topology,
+        i: u32,
+        out: &IterationOutcome,
+        observer: &mut SessionObserver,
+    ) {
+        let snapshots: Vec<UtilizationSnapshot> =
+            out.node_utilization.iter().map(utilization).collect();
+        self.monitor.observe(&snapshots);
+        let due = self
+            .settings
+            .check_every
+            .is_some_and(|p| p > 0 && (i + 1).is_multiple_of(p))
+            || self.settings.force_check_at == Some(i);
+        if !due {
+            return;
+        }
+        let Some(decision) = check(
+            topology,
+            &self.monitor,
+            &self.settings,
+            &out.node_utilization,
+        ) else {
+            return;
+        };
+        let from = topology.role(decision.node);
+        if let Ok(next) = topology.reassign(decision.node, decision.to_tier) {
+            observer.record_reconfig(
+                i,
+                decision.node,
+                from.name(),
+                decision.to_tier.name(),
+                decision.immediate,
+                decision.cost_value,
+            );
+            self.events.push(ReconfigEvent {
+                iteration: i,
+                node: decision.node,
+                from_tier: from,
+                to_tier: decision.to_tier,
+                immediate: decision.immediate,
+                cost_value: decision.cost_value,
+            });
+            *topology = next;
+            self.monitor.reset(topology.len());
+        }
     }
 }
 
-/// Run tuning + reconfiguration against a per-iteration workload function.
-pub fn run_reconfig_session(
-    base: &SessionConfig,
-    settings: &ReconfigSettings,
-    iterations: u32,
-    workload_at: impl Fn(u32) -> Workload,
-) -> Result<ReconfigRun, SessionError> {
-    run_reconfig_session_observed(
-        base,
-        settings,
-        iterations,
-        workload_at,
-        &mut SessionObserver::none(),
-    )
-}
-
-/// [`run_reconfig_session`] with per-iteration trace/metrics observation.
-/// Besides the usual `iteration` records, every accepted node move emits a
-/// `reconfig` record.
+/// Run tuning + reconfiguration against a per-iteration workload
+/// function. Parameter tuning is duplication (or none when
+/// [`ReconfigSettings::tune_during`] is off); besides the usual
+/// `iteration` and `tuner` records, every accepted node move emits a
+/// `reconfig` record. A session with a checkpoint policy is refused with
+/// [`SessionError::Checkpoint`]: reconfiguration sessions are not
+/// checkpointed.
 pub fn run_reconfig_session_observed(
     base: &SessionConfig,
     settings: &ReconfigSettings,
@@ -121,110 +165,26 @@ pub fn run_reconfig_session_observed(
     workload_at: impl Fn(u32) -> Workload,
     observer: &mut SessionObserver,
 ) -> Result<ReconfigRun, SessionError> {
-    base.validate_faults()?;
-    let mut topology = base.topology.clone();
-    let mut servers = [
-        HarmonyServer::new(
-            "proxy-tier",
-            Box::new(SimplexTuner::new(binding::role_space(Role::Proxy))),
-        ),
-        HarmonyServer::new(
-            "web-tier",
-            Box::new(SimplexTuner::new(binding::role_space(Role::App))),
-        ),
-        HarmonyServer::new(
-            "db-tier",
-            Box::new(SimplexTuner::new(binding::role_space(Role::Db))),
-        ),
-    ];
-    let mut monitor = UtilizationMonitor::new(topology.len(), settings.monitor_alpha);
-    let mut records = Vec::with_capacity(iterations as usize);
-    let mut events = Vec::new();
-    let mut best_wips = f64::NEG_INFINITY;
-    let mut best_iter = 0;
-
-    for i in 0..iterations {
-        let t0 = std::time::Instant::now();
-        let workload = workload_at(i);
-        let config = if settings.tune_during {
-            let pc = servers[0].next_config();
-            let wc = servers[1].next_config();
-            let dc = servers[2].next_config();
-            binding::config_from_roles(&topology, &pc, &wc, &dc)
-        } else {
-            cluster::config::ClusterConfig::defaults(&topology)
-        };
-
-        let cfg = base.clone().topology(topology.clone()).workload(workload);
-        let out = cfg.evaluate_observed(config.clone(), i, observer.registry());
-        let wips = out.metrics.wips;
-        if settings.tune_during {
-            for s in &mut servers {
-                s.report(wips);
-            }
-        }
-        if wips > best_wips {
-            best_wips = wips;
-            best_iter = i;
-        }
-        let snapshots: Vec<UtilizationSnapshot> =
-            out.node_utilization.iter().map(to_snapshot).collect();
-        monitor.observe(&snapshots);
-        observer.record_iteration(
-            &cfg,
-            "reconfig",
-            i,
-            &config,
-            &out,
-            best_wips,
-            best_iter,
-            &servers[0].diagnostics(),
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
-        records.push(IterationRecord {
-            iteration: i,
-            wips,
-            line_wips: out.line_wips,
-            workload,
-            failed: out.total_failed,
-        });
-
-        let due = settings
-            .check_every
-            .map(|p| p > 0 && (i + 1) % p == 0)
-            .unwrap_or(false)
-            || settings.force_check_at == Some(i);
-        if due {
-            if let Some(decision) = check(&topology, &monitor, settings, &out.node_utilization) {
-                let from = topology.role(decision.node);
-                if let Ok(next) = topology.reassign(decision.node, decision.to_tier) {
-                    observer.record_reconfig(
-                        i,
-                        decision.node,
-                        from.name(),
-                        decision.to_tier.name(),
-                        decision.immediate,
-                        decision.cost_value,
-                    );
-                    events.push(ReconfigEvent {
-                        iteration: i,
-                        node: decision.node,
-                        from_tier: from,
-                        to_tier: decision.to_tier,
-                        immediate: decision.immediate,
-                        cost_value: decision.cost_value,
-                    });
-                    topology = next;
-                    monitor.reset(topology.len());
-                }
-            }
-        }
-    }
-    observer.flush();
+    let mut reconfig = Reconfigurer {
+        settings: settings.clone(),
+        monitor: UtilizationMonitor::new(base.topology.len(), settings.monitor_alpha),
+        events: Vec::new(),
+    };
+    let method = if settings.tune_during {
+        TuningMethod::Duplication
+    } else {
+        TuningMethod::None
+    };
+    let parts = Parts {
+        workload_at: Some(&workload_at),
+        reconfig: Some(&mut reconfig),
+        ..Parts::default()
+    };
+    let (run, final_topology) = drive_tuning(base, method, iterations, parts, observer)?;
     Ok(ReconfigRun {
-        records,
-        events,
-        final_topology: topology,
+        records: run.records,
+        events: reconfig.events,
+        final_topology,
     })
 }
 
@@ -234,30 +194,47 @@ fn check(
     settings: &ReconfigSettings,
     latest: &[NodeUtilization],
 ) -> Option<ReconfigDecision<Role>> {
-    let smoothed = monitor.smoothed();
-    let reports: Vec<NodeReport<Role>> = smoothed
+    let reports: Vec<NodeReport<Role>> = monitor
+        .smoothed()
         .iter()
         .enumerate()
-        .map(|(node, util)| NodeReport {
-            node,
-            tier: topology.role(node),
-            util: *util,
-            cost: cost_inputs(&latest[node]),
-        })
+        .map(|(node, util)| node_report(topology, node, *util, &latest[node]))
         .collect();
     decide(&reports, &settings.thresholds, &settings.cost_model, |t| {
         topology.count(t)
     })
 }
 
-/// Cost-model inputs estimated from the node's latest utilization: busier
+/// A node's utilisation as the monitor and `decide()` see it.
+pub(crate) fn utilization(u: &NodeUtilization) -> UtilizationSnapshot {
+    UtilizationSnapshot {
+        cpu: u.cpu,
+        disk: u.disk,
+        net: u.net,
+        mem: u.mem,
+    }
+}
+
+/// The §IV report on `node`: `util` is what `decide()` weighs (the EMA
+/// for a periodic check, the last window after a crash). The cost-model
+/// inputs are estimated from the node's latest utilisation: busier
 /// nodes hold more jobs; per-job move and process times are fixed
 /// calibration constants (documented in DESIGN.md §4).
-fn cost_inputs(u: &NodeUtilization) -> NodeCostInputs {
-    NodeCostInputs {
-        jobs: 2.0 + 30.0 * u.cpu.max(u.disk),
-        move_cost: 0.2,
-        avg_process_time: 0.8,
+pub(crate) fn node_report(
+    topology: &Topology,
+    node: usize,
+    util: UtilizationSnapshot,
+    latest: &NodeUtilization,
+) -> NodeReport<Role> {
+    NodeReport {
+        node,
+        tier: topology.role(node),
+        util,
+        cost: NodeCostInputs {
+            jobs: 2.0 + 30.0 * latest.cpu.max(latest.disk),
+            move_cost: 0.2,
+            avg_process_time: 0.8,
+        },
     }
 }
 
@@ -270,6 +247,17 @@ mod tests {
         SessionConfig::new(topology, Workload::Browsing, pop).plan(IntervalPlan::tiny())
     }
 
+    fn reconfig(
+        cfg: &SessionConfig,
+        settings: &ReconfigSettings,
+        iterations: u32,
+        workload_at: impl Fn(u32) -> Workload,
+    ) -> ReconfigRun {
+        let mut observer = SessionObserver::none();
+        run_reconfig_session_observed(cfg, settings, iterations, workload_at, &mut observer)
+            .expect("session")
+    }
+
     #[test]
     fn session_without_pressure_never_reconfigures() {
         let cfg = base(Topology::tiers(2, 2, 1).unwrap(), 100);
@@ -277,8 +265,7 @@ mod tests {
             check_every: Some(2),
             ..Default::default()
         };
-        let run =
-            run_reconfig_session(&cfg, &settings, 6, |_| Workload::Shopping).expect("session");
+        let run = reconfig(&cfg, &settings, 6, |_| Workload::Shopping);
         assert!(run.events.is_empty(), "events: {:?}", run.events);
         assert_eq!(run.final_topology, cfg.topology);
         assert_eq!(run.records.len(), 6);
@@ -292,12 +279,39 @@ mod tests {
             force_check_at: Some(3),
             ..Default::default()
         };
-        let run =
-            run_reconfig_session(&cfg, &settings, 6, |_| Workload::Browsing).expect("session");
+        let run = reconfig(&cfg, &settings, 6, |_| Workload::Browsing);
         // May or may not move (low load => probably not), but must not
         // crash and must keep all iterations.
         assert_eq!(run.records.len(), 6);
         assert!(run.events.len() <= 1);
+    }
+
+    #[test]
+    fn without_a_check_the_session_is_plain_tuning() {
+        // No check due: duplication tuning bit for bit; tuning frozen:
+        // the untuned baseline bit for bit.
+        let cfg = base(Topology::tiers(2, 2, 1).unwrap(), 300).pin_seed(true);
+        let bits = |series: Vec<f64>| series.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        for (tune_during, method) in [
+            (true, TuningMethod::Duplication),
+            (false, TuningMethod::None),
+        ] {
+            let settings = ReconfigSettings {
+                check_every: None,
+                tune_during,
+                ..Default::default()
+            };
+            let run = reconfig(&cfg, &settings, 5, |_| Workload::Browsing);
+            let tuned =
+                crate::session::tune_observed(&cfg, method, 5, &mut SessionObserver::none())
+                    .expect("tuning");
+            assert_eq!(
+                bits(run.wips_series()),
+                bits(tuned.wips_series()),
+                "{method:?}"
+            );
+            assert!(run.events.is_empty());
+        }
     }
 
     #[test]
@@ -314,8 +328,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let run =
-            run_reconfig_session(&cfg, &settings, 4, |_| Workload::Browsing).expect("session");
+        let run = reconfig(&cfg, &settings, 4, |_| Workload::Browsing);
         assert_eq!(run.events.len(), 1, "expected one move: {:?}", run.events);
         let e = &run.events[0];
         assert_eq!(e.to_tier, Role::Proxy);

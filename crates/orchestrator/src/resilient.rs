@@ -2,8 +2,10 @@
 //! (fallback ∘ breaker ∘ retry ∘ timeout ∘ bulkhead) plus
 //! failure-driven reconfiguration.
 //!
-//! A resilient session is the §III duplication loop hardened against the
-//! faults a [`faults::FaultPlan`] injects. Iteration `i` covers simulated
+//! A resilient session is the one tuning loop
+//! (`session::drive_tuning`) running §III duplication, with the
+//! `Resilience` part hardening it against the faults a
+//! [`faults::FaultPlan`] injects. Iteration `i` covers simulated
 //! time `[i·plan.total(), (i+1)·plan.total())` of the fault schedule
 //! ([`faults::FaultClock::window_of`]). Each iteration's evaluation runs
 //! through a [`resilience::Stack`]:
@@ -22,8 +24,9 @@
 //!    exceeds the optional [`resilience::Timeout`] budget is invalidated
 //!    and retried like any other bad sample;
 //! 5. a configuration that exhausts its retry budget is reported to
-//!    Harmony as worthless (0.0 — the proposal is always answered) and
-//!    counted against the per-configuration [`CircuitBreaker`] layer; a
+//!    Harmony as worthless (0.0 — the proposal is always answered; a
+//!    valid sample is reported with its Poisson CI, as in every session)
+//!    and counted against the per-configuration [`CircuitBreaker`] layer; a
 //!    blacklisted configuration is rejected without re-measuring (and,
 //!    when `breaker_half_open_after` is set, periodically probed);
 //! 6. with `degrade_to_best`, an iteration that would otherwise fail
@@ -37,22 +40,23 @@
 //! seed); they are reported in `recovery` trace records but do not shift
 //! the window mapping, which stays iteration-indexed. The whole policy
 //! stack checkpoints bit-exactly (per-delta `policy` state), so a killed
-//! session resumes mid-policy without re-burning RNG draws.
+//! session resumes mid-policy without re-burning RNG draws. Its snapshot
+//! is the plain session's plus the resilient subtrees.
 
-use crate::binding;
-use crate::checkpoint::{self, Checkpointer};
-use crate::reconfigure::ReconfigEvent;
+use crate::checkpoint;
+use crate::reconfigure::{node_report, utilization, ReconfigEvent};
 use crate::session::{
-    ckerr, config_summary, tuner_seed, IterationRecord, SessionConfig, SessionError,
-    SessionObserver,
+    ckerr, config_summary, drive_tuning, scale_wips, IterationRecord, Parts, Sampled,
+    SessionConfig, SessionError, SessionObserver,
 };
 use cluster::config::{ClusterConfig, Role, Topology};
+use cluster::model::ClusterScenario;
 use cluster::runner::IterationOutcome;
 use detect::{Detector, DetectorConfig, NodeState, WindowReport};
 use faults::{FaultClock, FaultEvent, FaultInjector, FaultPlan, HealthTimeline, WindowFaults};
-use harmony::monitor::UtilizationSnapshot;
-use harmony::reconfig::{decide, CostModel, NodeCostInputs, NodeReport, Thresholds};
-use harmony::server::HarmonyServer;
+use harmony::reconfig::{decide, CostModel, NodeReport, Thresholds};
+use harmony::strategy::TuningMethod;
+use harmony::tuner::Measurement;
 use obs::Registry;
 use persist::{Checkpointable, PersistError, State};
 use resilience::{
@@ -265,593 +269,443 @@ impl StateCodec for EvalSample {
     }
 }
 
-/// The session's policy composition, outermost first: fallback ∘ breaker
-/// ∘ retry ∘ timeout ∘ bulkhead. The retry jitter stream is seeded from
-/// the fault seed exactly as before, so fault-plan sessions keep their
-/// historical delay sequences.
-fn build_policy_stack(base: &SessionConfig, settings: &ResilienceSettings) -> Stack<EvalSample> {
-    Stack::new()
-        .layer(Fallback::new(settings.degrade_to_best))
-        .layer(Breaker::new(
-            CircuitBreaker::new(settings.breaker_threshold)
-                .half_open_after(settings.breaker_half_open_after),
-        ))
-        .layer(Retry::new(settings.retry, base.fault_seed ^ 0xBACC_0FF5))
-        .layer(Timeout::new(
-            settings.timeout_s.map(SimDuration::from_secs_f64),
-        ))
-        .layer(Bulkhead::new(settings.bulkhead))
-}
-
-/// Run a resilient duplication-tuning session under a fault plan.
-pub fn run_resilient_session(
-    base: &SessionConfig,
-    settings: &ResilienceSettings,
-    iterations: u32,
-) -> Result<ResilientRun, SessionError> {
-    run_resilient_session_observed(base, settings, iterations, &mut SessionObserver::none())
-}
-
-/// [`run_resilient_session`] with trace/metrics observation: `iteration`
-/// records as usual, plus `fault`, `recovery`, and `degraded` records and
-/// the `faults.injected` / `resilience.*` counters.
+/// Run a resilient duplication-tuning session under a fault plan, with
+/// trace/metrics observation: `iteration` and `tuner` records as usual,
+/// plus `fault`, `recovery`, `degraded`, `reconfig` and (in detector
+/// mode) `suspicion` and `membership` records, and the
+/// `faults.injected` / `resilience.*` / `detector.*` counters.
 pub fn run_resilient_session_observed(
     base: &SessionConfig,
     settings: &ResilienceSettings,
     iterations: u32,
     observer: &mut SessionObserver,
 ) -> Result<ResilientRun, SessionError> {
-    base.validate_faults()?;
-    // One injector for the whole session: the fault schedule is a pure
-    // function of (plan, seed), so rebuilding it per iteration was pure
-    // waste. Node count never changes across reassigns.
-    let injector = base
-        .fault_plan
-        .as_ref()
-        .map(|p| FaultInjector::new(p, base.fault_seed));
-    // Detector mode without a fault plan still observes heartbeats (all
-    // healthy, jitter only): monitor an injector over the empty plan.
-    let clean_injector = FaultInjector::new(&FaultPlan::new(), base.fault_seed);
-    let mut detector = settings
-        .detector
-        .map(|dc| Detector::new(dc, base.topology.len(), base.fault_seed));
-    let mut detections: Vec<DetectionEvent> = Vec::new();
-    let mut topology = base.topology.clone();
-    // Tier servers run the session's configured tuning algorithm,
-    // resolved through the harmony registry exactly like plain tuning.
-    let tier_tuner = |space, index| {
-        harmony::registry::make_tuner_seeded(&base.tuner, space, None, tuner_seed(base, index))
-            .map_err(|e| SessionError::UnknownTuner(e.to_string()))
+    let mut resilience = Resilience::new(base, settings);
+    let parts = Parts {
+        resilience: Some(&mut resilience),
+        ..Parts::default()
     };
-    // Batch protocol (ask/tell v2): tuners propose whole rounds up front so
-    // the queued remainder can feed speculative prefetch, exactly like the
-    // plain tuning session's tier servers.
-    let mut servers = [
-        HarmonyServer::new(
-            "proxy-tier",
-            tier_tuner(binding::role_space(Role::Proxy), 0)?,
-        )
-        .batch_protocol(true),
-        HarmonyServer::new("web-tier", tier_tuner(binding::role_space(Role::App), 1)?)
-            .batch_protocol(true),
-        HarmonyServer::new("db-tier", tier_tuner(binding::role_space(Role::Db), 2)?)
-            .batch_protocol(true),
-    ];
-    let mut stack = build_policy_stack(base, settings);
-    let mut records = Vec::with_capacity(iterations as usize);
-    let mut fault_log = Vec::new();
-    let mut recoveries = Vec::new();
-    let mut reconfigs = Vec::new();
-    let mut best_wips = f64::NEG_INFINITY;
-    let mut best_iter = 0;
-    let mut start = 0u32;
+    let (run, final_topology) =
+        drive_tuning(base, TuningMethod::Duplication, iterations, parts, observer)?;
+    Ok(ResilientRun {
+        records: run.records,
+        faults: resilience.faults,
+        recoveries: resilience.recoveries,
+        reconfigs: resilience.reconfigs,
+        detections: resilience.detections,
+        final_topology,
+        best_wips: run.best_wips.max(0.0),
+    })
+}
 
-    let mut ckpt = match base.checkpoint.as_ref() {
-        None => None,
-        Some(policy) => {
-            let fp = checkpoint::session_fingerprint(
-                base,
-                &format!("resilient/{settings:?}"),
-                iterations,
-                iterations,
-            );
-            let (ck, resumed) = Checkpointer::open(policy, fp)?;
-            if let Some(resumed) = resumed {
-                let mut snapshot_iteration: i64 = -1;
-                if let Some((snap_iter, state)) = resumed.snapshot.as_ref() {
-                    snapshot_iteration = *snap_iter as i64;
-                    start = *snap_iter as u32;
-                    topology =
-                        checkpoint::topology_from_state(state.require("topology").map_err(ckerr)?)
-                            .map_err(ckerr)?;
-                    let saved = state.field_list("servers").map_err(ckerr)?;
-                    if saved.len() != servers.len() {
-                        return Err(SessionError::Checkpoint(format!(
-                            "resilient snapshot expects {} server states, found {}",
-                            servers.len(),
-                            saved.len()
-                        )));
-                    }
-                    for (server, st) in servers.iter_mut().zip(saved) {
-                        server.restore_state(st).map_err(ckerr)?;
-                    }
-                    stack
-                        .restore_state(state.require("policy").map_err(ckerr)?)
-                        .map_err(ckerr)?;
-                    best_wips = state.field_f64("best_wips").map_err(ckerr)?;
-                    best_iter = state.field_u64("best_iteration").map_err(ckerr)? as u32;
-                    records =
-                        checkpoint::records_from_state(state.require("records").map_err(ckerr)?)
-                            .map_err(ckerr)?;
-                    recoveries = checkpoint::recoveries_from_state(
-                        state.require("recoveries").map_err(ckerr)?,
-                    )
-                    .map_err(ckerr)?;
-                    reconfigs = checkpoint::reconfigs_from_state(
-                        state.require("reconfigs").map_err(ckerr)?,
-                    )
-                    .map_err(ckerr)?;
-                    // Warm the evaluation cache from the snapshot (older
-                    // snapshots — or cache-off sessions — lack the field).
-                    if let Some(cached) = state.get("eval_cache") {
-                        base.eval.restore_cache(cached).map_err(ckerr)?;
-                    }
-                    // Detector mode is part of the fingerprint, so a
-                    // detector-mode snapshot always carries these fields.
-                    if let Some(det) = detector.as_mut() {
-                        det.restore_state(state.require("detector").map_err(ckerr)?)
-                            .map_err(ckerr)?;
-                        detections = checkpoint::detections_from_state(
-                            state.require("detections").map_err(ckerr)?,
-                        )
-                        .map_err(ckerr)?;
-                    }
-                }
-                // Replay the journal past the snapshot. Proposals are
-                // re-derived deterministically; measured outcomes,
-                // recoveries and node moves come from the journal, and the
-                // policy stack (breaker counts, retry RNG position, the
-                // fallback's best sample, the simulated clock) restores
-                // bit-exactly from the journaled state — nothing is
-                // re-simulated, nothing is re-traced, and no RNG draw is
-                // ever re-burned.
-                let mut replayed = 0u32;
-                for delta in &resumed.deltas {
-                    let i = delta.field_u64("iteration").map_err(ckerr)? as u32;
-                    if i != start {
-                        return Err(SessionError::Checkpoint(format!(
-                            "journal gap: expected iteration {start}, found {i}"
-                        )));
-                    }
-                    let pc = servers[0].next_config();
-                    let wc = servers[1].next_config();
-                    let dc = servers[2].next_config();
-                    let config = binding::config_from_roles(&topology, &pc, &wc, &dc);
-                    let _ = config_summary(&config);
-                    let valid = delta.field_bool("valid").map_err(ckerr)?;
-                    let wips = delta.field_f64("wips").map_err(ckerr)?;
-                    let line_wips = delta
-                        .require("line_wips")
-                        .and_then(State::to_f64_vec)
-                        .map_err(ckerr)?;
-                    let failed = delta.field_u64("failed").map_err(ckerr)?;
-                    // The tuner was fed the measured value only when the
-                    // sample was valid (degraded iterations journal the
-                    // substituted WIPS but reported 0.0 to the tuner).
-                    let reported = if valid { wips } else { 0.0 };
-                    for s in &mut servers {
-                        s.report(reported);
-                    }
-                    if valid && wips > best_wips {
-                        best_wips = wips;
-                        best_iter = i;
-                    }
-                    stack
-                        .restore_state(delta.require("policy").map_err(ckerr)?)
-                        .map_err(ckerr)?;
-                    recoveries.extend(
-                        checkpoint::recoveries_from_state(
-                            delta.require("recoveries").map_err(ckerr)?,
-                        )
-                        .map_err(ckerr)?,
-                    );
-                    match delta.require("reconfig").map_err(ckerr)? {
-                        State::Null => {}
-                        event_state => {
-                            let event =
-                                checkpoint::reconfig_from_state(event_state).map_err(ckerr)?;
-                            topology =
-                                topology.reassign(event.node, event.to_tier).map_err(|e| {
-                                    SessionError::Checkpoint(format!(
-                                        "journaled reconfiguration does not apply: {e}"
-                                    ))
-                                })?;
-                            reconfigs.push(event);
-                        }
-                    }
-                    if let Some(det) = detector.as_mut() {
-                        det.restore_state(delta.require("detector").map_err(ckerr)?)
-                            .map_err(ckerr)?;
-                        detections.extend(
-                            checkpoint::detections_from_state(
-                                delta.require("detections").map_err(ckerr)?,
-                            )
-                            .map_err(ckerr)?,
-                        );
-                    }
-                    records.push(IterationRecord {
-                        iteration: i,
-                        wips,
-                        line_wips,
-                        workload: base.workload,
-                        failed,
-                    });
-                    start += 1;
-                    replayed += 1;
-                }
-                // The fault schedule is a pure function of the plan and
-                // seed, so the log of already-covered windows rebuilds
-                // statelessly (node count never changes across reassigns).
-                if let Some(inj) = injector.as_ref() {
-                    for i in 0..start {
-                        let (ws, we) = FaultClock::window_of(base.plan.total(), i);
-                        for e in &inj.window(ws, we, topology.len()).events {
-                            fault_log.push((i, *e));
-                        }
-                    }
-                }
-                observer.record_resume(
-                    "resilient",
-                    start,
-                    snapshot_iteration,
-                    replayed,
-                    best_wips.max(0.0),
-                );
-            }
-            Some(ck)
+/// The resilience part of the one tuning loop
+/// ([`crate::session::drive_tuning`]): the policy stack, the fault
+/// injector and the failure detector, with the logs of what they did.
+/// The loop calls it before proposing ([`Resilience::before`]), as the
+/// evaluation ([`Resilience::evaluate`]), after the iteration
+/// ([`Resilience::after`]), and when it journals, snapshots, restores
+/// and replays.
+pub(crate) struct Resilience {
+    settings: ResilienceSettings,
+    stack: Stack<EvalSample>,
+    /// One injector for the whole session: the fault schedule is a pure
+    /// function of (plan, seed). Node count never changes across
+    /// reassigns. Without a fault plan it injects the empty plan, so
+    /// detector mode still observes heartbeats (all healthy, jitter only).
+    injector: FaultInjector,
+    detector: Option<Detector>,
+    faults: Vec<(u32, FaultEvent)>,
+    recoveries: Vec<RecoveryAction>,
+    reconfigs: Vec<ReconfigEvent>,
+    detections: Vec<DetectionEvent>,
+    /// The current iteration's fault window, its end, and the detector's
+    /// report on it.
+    window: WindowFaults,
+    window_end: SimTime,
+    report: Option<WindowReport>,
+    /// Where the current iteration's entries start in `recoveries`,
+    /// `reconfigs` and `detections` (its journal delta carries them).
+    marks: [usize; 3],
+}
+
+impl Resilience {
+    fn new(base: &SessionConfig, settings: &ResilienceSettings) -> Resilience {
+        // The policy composition, outermost first: fallback ∘ breaker ∘
+        // retry ∘ timeout ∘ bulkhead. The retry jitter stream is seeded
+        // from the fault seed, so fault-plan sessions keep their
+        // historical delay sequences.
+        let stack = Stack::new()
+            .layer(Fallback::new(settings.degrade_to_best))
+            .layer(Breaker::new(
+                CircuitBreaker::new(settings.breaker_threshold)
+                    .half_open_after(settings.breaker_half_open_after),
+            ))
+            .layer(Retry::new(settings.retry, base.fault_seed ^ 0xBACC_0FF5))
+            .layer(Timeout::new(
+                settings.timeout_s.map(SimDuration::from_secs_f64),
+            ))
+            .layer(Bulkhead::new(settings.bulkhead));
+        let injector = FaultInjector::new(
+            base.fault_plan.as_ref().unwrap_or(&FaultPlan::new()),
+            base.fault_seed,
+        );
+        Resilience {
+            settings: settings.clone(),
+            stack,
+            window: injector.window(SimTime::ZERO, SimTime::ZERO, base.topology.len()),
+            injector,
+            detector: settings
+                .detector
+                .map(|dc| Detector::new(dc, base.topology.len(), base.fault_seed)),
+            faults: Vec::new(),
+            recoveries: Vec::new(),
+            reconfigs: Vec::new(),
+            detections: Vec::new(),
+            window_end: SimTime::ZERO,
+            report: None,
+            marks: [0; 3],
         }
-    };
+    }
 
-    for i in start..iterations {
-        let t0 = std::time::Instant::now();
-        let cfg = base.clone().topology(topology.clone());
-        let (win_start, win_end) = FaultClock::window_of(base.plan.total(), i);
-        let wf = injector
-            .as_ref()
-            .map(|inj| inj.window(win_start, win_end, topology.len()));
+    /// Kind string of the session fingerprint. Journal deltas carry
+    /// `completed` and snapshots are the plain snapshot plus the
+    /// resilient subtrees; the `tune+` prefix makes the fingerprint
+    /// check refuse checkpoints written in the older format.
+    pub(crate) fn fingerprint_kind(&self) -> String {
+        format!("tune+resilient/{:?}", self.settings)
+    }
 
-        // Trace every fault landing in this window.
-        if let Some(wf) = &wf {
-            for e in &wf.events {
-                fault_log.push((i, *e));
-                observer.record_fault(
-                    i,
-                    e.at.as_secs_f64(),
-                    e.node.map(|n| n as i64).unwrap_or(-1),
-                    e.kind.name(),
-                    e.kind.factor(),
-                );
-                if let Some(reg) = observer.registry() {
-                    reg.counter("faults.injected").inc();
-                }
-            }
-        }
-
-        // Detector mode: observe the window's heartbeats *before*
-        // evaluating, so the reconfiguration below acts on detected
-        // membership, never the oracle. Every transition is scored
-        // against the injector's ground truth as it happens.
-        let det_mark = detections.len();
-        let report = detector.as_mut().map(|det| {
-            let inj = injector.as_ref().unwrap_or(&clean_injector);
-            let report = det.observe_window(inj, win_start, win_end);
-            if let Some(reg) = observer.registry() {
-                reg.counter("detector.heartbeats").add(report.delivered);
-                reg.counter("detector.missed").add(report.missed);
-            }
-            for (n, (&phi, state)) in report.peak_phi.iter().zip(&report.states).enumerate() {
-                observer.record_suspicion(i, n, phi, state.name());
-            }
-            for t in &report.transitions {
-                observer.record_membership(
-                    i,
-                    t.at.as_secs_f64(),
-                    t.node,
-                    t.from.name(),
-                    t.to.name(),
-                    t.phi,
-                );
-                let truth_crashed = injector.as_ref().is_some_and(|inj| {
-                    inj.status_at(t.at, topology.len())
-                        .get(t.node)
-                        .map(|s| s.crashed)
-                        .unwrap_or(false)
-                });
-                let latency_s = if t.to == NodeState::Down && truth_crashed {
-                    fault_log
-                        .iter()
-                        .filter(|(_, e)| {
-                            matches!(e.kind, faults::FaultKind::Crash)
-                                && e.node == Some(t.node)
-                                && e.at <= t.at
-                        })
-                        .map(|(_, e)| t.at.since(e.at).as_secs_f64())
-                        .fold(f64::INFINITY, f64::min)
-                } else {
-                    f64::INFINITY
-                };
-                if let Some(reg) = observer.registry() {
-                    reg.counter("detector.transitions").inc();
-                    if t.to == NodeState::Down {
-                        reg.counter(if truth_crashed {
-                            "detector.true_positives"
-                        } else {
-                            "detector.false_positives"
-                        })
-                        .inc();
-                    }
-                }
-                detections.push(DetectionEvent {
-                    iteration: i,
-                    node: t.node,
-                    at_s: t.at.as_secs_f64(),
-                    from: t.from.name(),
-                    to: t.to.name(),
-                    phi: t.phi,
-                    truth_crashed,
-                    latency_s: if latency_s.is_finite() {
-                        latency_s
-                    } else {
-                        -1.0
-                    },
-                });
-            }
-            report
-        });
-
-        let pc = servers[0].next_config();
-        let wc = servers[1].next_config();
-        let dc = servers[2].next_config();
-        let config = binding::config_from_roles(&topology, &pc, &wc, &dc);
-        let key = config_summary(&config);
-        let recov_mark = recoveries.len();
-        let reconfig_mark = reconfigs.len();
-
-        let registry = observer.registry();
-        let outcome = stack.call(&key, i, &mut |ctx| {
-            evaluate_attempt(
-                &cfg,
-                settings,
-                &config,
+    /// Before proposing: trace every fault landing in iteration `i`'s
+    /// window and, in detector mode, observe the window's heartbeats —
+    /// so the crash healing after the evaluation acts on detected
+    /// membership, never the oracle. Every transition is scored against
+    /// the injector's ground truth as it happens.
+    pub(crate) fn before(&mut self, cfg: &SessionConfig, i: u32, observer: &mut SessionObserver) {
+        let nodes = cfg.topology.len();
+        let (win_start, win_end) = FaultClock::window_of(cfg.plan.total(), i);
+        self.window_end = win_end;
+        self.window = self.injector.window(win_start, win_end, nodes);
+        self.marks = [
+            self.recoveries.len(),
+            self.reconfigs.len(),
+            self.detections.len(),
+        ];
+        for e in &self.window.events {
+            self.faults.push((i, *e));
+            observer.record_fault(
                 i,
-                wf.as_ref(),
-                injector.as_ref(),
+                e.at.as_secs_f64(),
+                e.node.map(|n| n as i64).unwrap_or(-1),
+                e.kind.name(),
+                e.kind.factor(),
+            );
+            if let Some(reg) = observer.registry() {
+                reg.counter("faults.injected").inc();
+            }
+        }
+        self.report = None;
+        let Some(det) = self.detector.as_mut() else {
+            return;
+        };
+        let report = det.observe_window(&self.injector, win_start, win_end);
+        if let Some(reg) = observer.registry() {
+            reg.counter("detector.heartbeats").add(report.delivered);
+            reg.counter("detector.missed").add(report.missed);
+        }
+        for (n, (&phi, state)) in report.peak_phi.iter().zip(&report.states).enumerate() {
+            observer.record_suspicion(i, n, phi, state.name());
+        }
+        for t in &report.transitions {
+            observer.record_membership(
+                i,
+                t.at.as_secs_f64(),
+                t.node,
+                t.from.name(),
+                t.to.name(),
+                t.phi,
+            );
+            let truth_crashed = self
+                .injector
+                .status_at(t.at, nodes)
+                .get(t.node)
+                .is_some_and(|s| s.crashed);
+            let latency_s = if t.to == NodeState::Down && truth_crashed {
+                self.faults
+                    .iter()
+                    .filter(|(_, e)| {
+                        matches!(e.kind, faults::FaultKind::Crash)
+                            && e.node == Some(t.node)
+                            && e.at <= t.at
+                    })
+                    .map(|(_, e)| t.at.since(e.at).as_secs_f64())
+                    .fold(f64::INFINITY, f64::min)
+            } else {
+                f64::INFINITY
+            };
+            if let Some(reg) = observer.registry() {
+                reg.counter("detector.transitions").inc();
+                if t.to == NodeState::Down {
+                    reg.counter(if truth_crashed {
+                        "detector.true_positives"
+                    } else {
+                        "detector.false_positives"
+                    })
+                    .inc();
+                }
+            }
+            self.detections.push(DetectionEvent {
+                iteration: i,
+                node: t.node,
+                at_s: t.at.as_secs_f64(),
+                from: t.from.name(),
+                to: t.to.name(),
+                phi: t.phi,
+                truth_crashed,
+                latency_s: if latency_s.is_finite() {
+                    latency_s
+                } else {
+                    -1.0
+                },
+            });
+        }
+        self.report = Some(report);
+    }
+
+    /// The evaluation: one call through the policy stack. Valid samples
+    /// report their measurement with its Poisson CI, as every session
+    /// does; an invalid, rejected or degraded sample tells the tuner the
+    /// proposal was worthless (0.0 — the proposal is always answered).
+    /// A degraded iteration records the substituted best-known WIPS.
+    pub(crate) fn evaluate(
+        &mut self,
+        cfg: &SessionConfig,
+        config: &ClusterConfig,
+        scenario: &ClusterScenario,
+        i: u32,
+        observer: &mut SessionObserver,
+    ) -> Sampled {
+        let key = config_summary(config);
+        let registry = observer.registry();
+        let outcome = self.stack.call(&key, i, &mut |ctx| {
+            evaluate_attempt(
+                cfg,
+                &self.settings,
+                config,
+                scenario,
+                i,
+                &self.window,
+                &self.injector,
                 registry,
                 ctx,
             )
         });
-        let events = stack.take_events();
-        apply_events(&events, i, &key, observer, &mut recoveries);
-
-        let skip = matches!(outcome, Outcome::Rejected(_));
-        let (wips, line_wips, failed, valid);
+        let events = self.stack.take_events();
+        apply_events(&events, i, &key, observer, &mut self.recoveries);
+        let worthless = Measurement::point(0.0);
         match outcome {
-            Outcome::Rejected(_) => {
-                // Blacklisted configuration (or no bulkhead permit):
-                // answer the proposal without re-measuring.
-                for s in &mut servers {
-                    s.report(0.0);
-                }
-                records.push(IterationRecord {
-                    iteration: i,
-                    wips: 0.0,
-                    line_wips: Vec::new(),
-                    workload: cfg.workload,
-                    failed: 0,
-                });
-                wips = 0.0;
-                line_wips = Vec::new();
-                failed = 0;
-                valid = false;
-            }
+            // Blacklisted configuration (or no bulkhead permit): answer
+            // the proposal without re-measuring.
+            Outcome::Rejected(_) => Sampled {
+                out: None,
+                wips: 0.0,
+                measurement: worthless,
+                valid: false,
+            },
             Outcome::Ok(sample) | Outcome::Invalid(sample) => {
-                valid = sample.valid;
                 let out = sample.value.out;
-                wips = if valid { out.metrics.wips } else { 0.0 };
-                for s in &mut servers {
-                    s.report(wips);
-                }
-                if valid && wips > best_wips {
-                    best_wips = wips;
-                    best_iter = i;
-                }
-                observer.record_iteration(
-                    &cfg,
-                    "resilient",
-                    i,
-                    &config,
-                    &out,
-                    best_wips.max(0.0),
-                    best_iter,
-                    &servers[0].diagnostics(),
-                    t0.elapsed().as_secs_f64() * 1e3,
-                );
-                records.push(IterationRecord {
-                    iteration: i,
+                let (wips, measurement) = if sample.valid {
+                    let wips = out.metrics.wips;
+                    (wips, cfg.measurement_from(wips, out.metrics.completed))
+                } else {
+                    (0.0, worthless)
+                };
+                Sampled {
+                    out: Some(out),
                     wips,
-                    line_wips: out.line_wips.clone(),
-                    workload: cfg.workload,
-                    failed: out.total_failed,
-                });
-                reconfigure_if_crashed(
-                    settings,
-                    wf.as_ref(),
-                    report.as_ref(),
-                    injector.as_ref(),
-                    win_end,
-                    i,
-                    &out,
-                    wips,
-                    &mut topology,
-                    &mut recoveries,
-                    &mut reconfigs,
-                    observer,
-                )?;
-                line_wips = out.line_wips;
-                failed = out.total_failed;
-            }
-            Outcome::Degraded(d) => {
-                // Graceful degradation: the tuner still learns the
-                // proposal was worthless, but downstream consumers see
-                // the substituted best-known WIPS and the running best
-                // is left untouched.
-                for s in &mut servers {
-                    s.report(0.0);
-                }
-                wips = d.sample.score;
-                valid = false;
-                match d.measured {
-                    Some(m) => {
-                        let out = m.value.out;
-                        observer.record_iteration(
-                            &cfg,
-                            "resilient",
-                            i,
-                            &config,
-                            &out,
-                            best_wips.max(0.0),
-                            best_iter,
-                            &servers[0].diagnostics(),
-                            t0.elapsed().as_secs_f64() * 1e3,
-                        );
-                        records.push(IterationRecord {
-                            iteration: i,
-                            wips,
-                            line_wips: out.line_wips.clone(),
-                            workload: cfg.workload,
-                            failed: out.total_failed,
-                        });
-                        reconfigure_if_crashed(
-                            settings,
-                            wf.as_ref(),
-                            report.as_ref(),
-                            injector.as_ref(),
-                            win_end,
-                            i,
-                            &out,
-                            wips,
-                            &mut topology,
-                            &mut recoveries,
-                            &mut reconfigs,
-                            observer,
-                        )?;
-                        line_wips = out.line_wips;
-                        failed = out.total_failed;
-                    }
-                    None => {
-                        // Nothing was measured (rejection): no iteration
-                        // record, no reconfiguration evidence.
-                        records.push(IterationRecord {
-                            iteration: i,
-                            wips,
-                            line_wips: Vec::new(),
-                            workload: cfg.workload,
-                            failed: 0,
-                        });
-                        line_wips = Vec::new();
-                        failed = 0;
-                    }
+                    measurement,
+                    valid: sample.valid,
                 }
             }
-        }
-
-        if let Some(ck) = ckpt.as_mut() {
-            let reconfig = reconfigs
-                .get(reconfig_mark)
-                .map(checkpoint::reconfig_state)
-                .unwrap_or(State::Null);
-            let mut delta = State::map()
-                .with("iteration", State::U64(i as u64))
-                .with("skip", State::Bool(skip))
-                .with("valid", State::Bool(valid))
-                .with("wips", State::F64(wips))
-                .with("line_wips", State::f64_list(&line_wips))
-                .with("failed", State::U64(failed))
-                .with("policy", stack.save_state())
-                .with(
-                    "recoveries",
-                    checkpoint::recoveries_state(&recoveries[recov_mark..]),
-                )
-                .with("reconfig", reconfig);
-            if let Some(det) = detector.as_ref() {
-                delta.set("detector", det.save_state());
-                delta.set(
-                    "detections",
-                    checkpoint::detections_state(&detections[det_mark..]),
-                );
-            }
-            ck.append(delta)?;
-            ck.maybe_snapshot(i + 1, iterations, || {
-                let mut snap = resilient_snapshot(
-                    &topology,
-                    &servers,
-                    &stack,
-                    best_wips,
-                    best_iter,
-                    &records,
-                    &recoveries,
-                    &reconfigs,
-                );
-                if base.eval.cache_enabled() {
-                    snap.set("eval_cache", base.eval.save_cache_state());
-                }
-                if let Some(det) = detector.as_ref() {
-                    snap.set("detector", det.save_state());
-                    snap.set("detections", checkpoint::detections_state(&detections));
-                }
-                snap
-            })?;
+            // Graceful degradation: the tuner still learns the proposal
+            // was worthless, but downstream consumers see the substituted
+            // best-known WIPS and the running best is left untouched.
+            Outcome::Degraded(d) => Sampled {
+                out: d.measured.map(|m| m.value.out),
+                wips: d.sample.score,
+                measurement: worthless,
+                valid: false,
+            },
         }
     }
-    observer.flush();
-    Ok(ResilientRun {
-        records,
-        faults: fault_log,
-        recoveries,
-        reconfigs,
-        detections,
-        final_topology: topology,
-        best_wips: best_wips.max(0.0),
-    })
-}
 
-/// Full mutable state of a resilient session, snapshot-ready. The whole
-/// policy stack (breaker, retry RNG, clock, fallback best) travels as one
-/// `policy` subtree.
-#[allow(clippy::too_many_arguments)]
-fn resilient_snapshot(
-    topology: &Topology,
-    servers: &[HarmonyServer; 3],
-    stack: &Stack<EvalSample>,
-    best_wips: f64,
-    best_iter: u32,
-    records: &[IterationRecord],
-    recoveries: &[RecoveryAction],
-    reconfigs: &[ReconfigEvent],
-) -> State {
-    State::map()
-        .with("kind", State::Str("resilient".into()))
-        .with("topology", checkpoint::topology_state(topology))
-        .with(
-            "servers",
-            State::List(servers.iter().map(Checkpointable::save_state).collect()),
-        )
-        .with("policy", stack.save_state())
-        .with("best_wips", State::F64(best_wips))
-        .with("best_iteration", State::U64(best_iter as u64))
-        .with("records", checkpoint::records_state(records))
-        .with("recoveries", checkpoint::recoveries_state(recoveries))
-        .with("reconfigs", checkpoint::reconfigs_state(reconfigs))
+    /// After a measured iteration: failure-driven reconfiguration. A
+    /// crashed node wounds a tier; try to backfill it from the healthiest
+    /// other tier.
+    ///
+    /// In detector mode the trigger is a *freshly confirmed* `Down`
+    /// transition and liveness is the detector's membership view — the
+    /// oracle is never consulted. Otherwise the trigger is the
+    /// injector's crash record for the window.
+    pub(crate) fn after(
+        &mut self,
+        topology: &mut Topology,
+        i: u32,
+        out: &IterationOutcome,
+        wips: f64,
+        observer: &mut SessionObserver,
+    ) {
+        if !self.settings.reconfigure_on_crash {
+            return;
+        }
+        let (crashed, live) = match &self.report {
+            Some(report) => (
+                report.confirmed_down(),
+                report
+                    .states
+                    .iter()
+                    .map(|s| *s != NodeState::Down)
+                    .collect::<Vec<bool>>(),
+            ),
+            None => {
+                let crashed = self.window.crashes();
+                if crashed.is_empty() {
+                    return;
+                }
+                let live = self
+                    .injector
+                    .health_at(self.window_end, topology.len())
+                    .iter()
+                    .map(|h| !h.is_down())
+                    .collect();
+                (crashed, live)
+            }
+        };
+        if crashed.is_empty() {
+            return;
+        }
+        let Some(event) =
+            heal_after_crash(&self.settings, topology, &crashed, i, out, &live, observer)
+        else {
+            return;
+        };
+        if let Ok(next) = topology.reassign(event.node, event.to_tier) {
+            *topology = next;
+            self.recoveries.push(RecoveryAction {
+                iteration: i,
+                action: "reconfig",
+                attempt: 0,
+                delay_s: 0.0,
+                wips,
+            });
+            self.reconfigs.push(event);
+        }
+    }
+
+    /// Add the current iteration's resilient fields to its journal
+    /// delta: whether the tuner saw the sample, the whole policy stack
+    /// (breaker counts, retry RNG position, the fallback's best sample,
+    /// the simulated clock), the iteration's recoveries, node move and
+    /// detections, and the detector.
+    pub(crate) fn journal_into(&self, delta: &mut State, valid: bool) {
+        let [recoveries, reconfigs, detections] = self.marks;
+        delta.set("valid", State::Bool(valid));
+        delta.set("policy", self.stack.save_state());
+        delta.set(
+            "recoveries",
+            checkpoint::recoveries_state(&self.recoveries[recoveries..]),
+        );
+        delta.set(
+            "reconfig",
+            self.reconfigs
+                .get(reconfigs)
+                .map(checkpoint::reconfig_state)
+                .unwrap_or(State::Null),
+        );
+        if let Some(det) = &self.detector {
+            delta.set("detector", det.save_state());
+            delta.set(
+                "detections",
+                checkpoint::detections_state(&self.detections[detections..]),
+            );
+        }
+    }
+
+    /// Add the resilient subtrees to a snapshot: the topology, the
+    /// policy stack, the logs and (in detector mode) the detector.
+    pub(crate) fn save_into(&self, snap: &mut State, topology: &Topology) {
+        snap.set("topology", checkpoint::topology_state(topology));
+        snap.set("policy", self.stack.save_state());
+        snap.set("recoveries", checkpoint::recoveries_state(&self.recoveries));
+        snap.set("reconfigs", checkpoint::reconfigs_state(&self.reconfigs));
+        if let Some(det) = &self.detector {
+            snap.set("detector", det.save_state());
+            snap.set("detections", checkpoint::detections_state(&self.detections));
+        }
+    }
+
+    /// Restore the resilient subtrees of a snapshot; returns the
+    /// snapshot's topology.
+    pub(crate) fn restore(&mut self, snap: &State) -> Result<Topology, PersistError> {
+        self.stack.restore_state(snap.require("policy")?)?;
+        self.recoveries = checkpoint::recoveries_from_state(snap.require("recoveries")?)?;
+        self.reconfigs = checkpoint::reconfigs_from_state(snap.require("reconfigs")?)?;
+        // Detector mode is part of the fingerprint, so a detector-mode
+        // snapshot always carries these fields.
+        if let Some(det) = self.detector.as_mut() {
+            det.restore_state(snap.require("detector")?)?;
+            self.detections = checkpoint::detections_from_state(snap.require("detections")?)?;
+        }
+        checkpoint::topology_from_state(snap.require("topology")?)
+    }
+
+    /// Replay one journal delta's resilient fields: the policy stack
+    /// restores bit-exactly from the journaled state, and recoveries,
+    /// node moves and detections come from the journal — nothing is
+    /// re-simulated, nothing is re-traced, and no RNG draw is ever
+    /// re-burned. Returns whether the tuner saw the sample.
+    pub(crate) fn replay(
+        &mut self,
+        delta: &State,
+        topology: &mut Topology,
+    ) -> Result<bool, SessionError> {
+        let valid = delta.field_bool("valid").map_err(ckerr)?;
+        self.stack
+            .restore_state(delta.require("policy").map_err(ckerr)?)
+            .map_err(ckerr)?;
+        self.recoveries.extend(
+            checkpoint::recoveries_from_state(delta.require("recoveries").map_err(ckerr)?)
+                .map_err(ckerr)?,
+        );
+        let event_state = delta.require("reconfig").map_err(ckerr)?;
+        if !matches!(event_state, State::Null) {
+            let event = checkpoint::reconfig_from_state(event_state).map_err(ckerr)?;
+            *topology = topology.reassign(event.node, event.to_tier).map_err(|e| {
+                SessionError::Checkpoint(format!("journaled reconfiguration does not apply: {e}"))
+            })?;
+            self.reconfigs.push(event);
+        }
+        if let Some(det) = self.detector.as_mut() {
+            det.restore_state(delta.require("detector").map_err(ckerr)?)
+                .map_err(ckerr)?;
+            self.detections.extend(
+                checkpoint::detections_from_state(delta.require("detections").map_err(ckerr)?)
+                    .map_err(ckerr)?,
+            );
+        }
+        Ok(valid)
+    }
+
+    /// Rebuild the fault log of the `iterations` windows a resumed
+    /// session already covered. The fault schedule is a pure function of
+    /// the plan and seed, so this needs no checkpointed state.
+    pub(crate) fn rebuild_fault_log(&mut self, cfg: &SessionConfig, iterations: u32) {
+        for i in 0..iterations {
+            let (ws, we) = FaultClock::window_of(cfg.plan.total(), i);
+            for e in &self.injector.window(ws, we, cfg.topology.len()).events {
+                self.faults.push((i, *e));
+            }
+        }
+    }
 }
 
 /// Map one stack call's event log onto `recovery`/`degraded` trace
@@ -864,54 +718,35 @@ fn apply_events(
     observer: &mut SessionObserver,
     recoveries: &mut Vec<RecoveryAction>,
 ) {
-    let count = |observer: &SessionObserver, name: &str| {
-        if let Some(reg) = observer.registry() {
-            reg.counter(name).inc();
-        }
-    };
     for e in events {
-        let (action, attempt, delay_s, wips) = match *e {
+        let (action, counter, attempt, delay_s, wips) = match *e {
             Event::Retry {
                 attempt,
                 delay,
                 score,
-            } => ("retry", attempt, delay.as_secs_f64(), score),
-            Event::Remeasure { attempt, score } => ("remeasure", attempt, 0.0, score),
+            } => ("retry", "retries", attempt, delay.as_secs_f64(), score),
+            Event::Remeasure { attempt, score } => ("remeasure", "remeasures", attempt, 0.0, score),
             Event::Timeout {
                 attempt,
                 elapsed,
                 score,
                 ..
-            } => ("timeout", attempt, elapsed.as_secs_f64(), score),
-            Event::BreakerOpen { attempts } => ("breaker_open", attempts, 0.0, 0.0),
-            Event::BreakerSkip => ("breaker_skip", 0, 0.0, 0.0),
-            Event::BreakerProbe => ("breaker_probe", 0, 0.0, 0.0),
-            Event::BulkheadFull => ("bulkhead_skip", 0, 0.0, 0.0),
-            Event::Degraded { score, reason } => {
-                observer.record_degraded(iteration, reason.name(), key, score);
-                count(observer, "resilience.degraded");
-                recoveries.push(RecoveryAction {
-                    iteration,
-                    action: "degraded",
-                    attempt: 0,
-                    delay_s: 0.0,
-                    wips: score,
-                });
-                continue;
+            } => ("timeout", "timeouts", attempt, elapsed.as_secs_f64(), score),
+            Event::BreakerOpen { attempts } => ("breaker_open", "breaker_open", attempts, 0.0, 0.0),
+            Event::BreakerSkip => ("breaker_skip", "breaker_skips", 0, 0.0, 0.0),
+            Event::BreakerProbe => ("breaker_probe", "breaker_probes", 0, 0.0, 0.0),
+            Event::BulkheadFull => ("bulkhead_skip", "bulkhead_skips", 0, 0.0, 0.0),
+            Event::Degraded { score, .. } => ("degraded", "degraded", 0, 0.0, score),
+        };
+        match *e {
+            Event::Degraded { reason, .. } => {
+                observer.record_degraded(iteration, reason.name(), key, wips)
             }
-        };
-        observer.record_recovery(iteration, action, attempt, delay_s, key, wips);
-        let counter = match *e {
-            Event::Retry { .. } => "resilience.retries",
-            Event::Remeasure { .. } => "resilience.remeasures",
-            Event::Timeout { .. } => "resilience.timeouts",
-            Event::BreakerOpen { .. } => "resilience.breaker_open",
-            Event::BreakerSkip => "resilience.breaker_skips",
-            Event::BreakerProbe => "resilience.breaker_probes",
-            Event::BulkheadFull => "resilience.bulkhead_skips",
-            Event::Degraded { .. } => unreachable!("handled above"),
-        };
-        count(observer, counter);
+            _ => observer.record_recovery(iteration, action, attempt, delay_s, key, wips),
+        }
+        if let Some(reg) = observer.registry() {
+            reg.counter(&format!("resilience.{counter}")).inc();
+        }
         recoveries.push(RecoveryAction {
             iteration,
             action,
@@ -933,83 +768,64 @@ fn evaluate_attempt(
     cfg: &SessionConfig,
     settings: &ResilienceSettings,
     config: &ClusterConfig,
+    scenario: &ClusterScenario,
     iteration: u32,
-    wf: Option<&WindowFaults>,
-    injector: Option<&FaultInjector>,
+    wf: &WindowFaults,
+    injector: &FaultInjector,
     registry: Option<&Registry>,
     ctx: &mut Ctx<'_>,
 ) -> Sample<EvalSample> {
-    if ctx.attempt <= 1 {
-        let mut out = cfg.evaluate_observed(config.clone(), iteration, registry);
+    let (out, valid) = if ctx.attempt <= 1 {
+        let mut out = cfg.measure(scenario, iteration, registry);
 
         // A crash inside the measurement phase invalidates the sample (the
         // paper's fixed-interval measurement assumes a stable cluster).
         let crashed_mid_measure = wf
-            .map(|w| {
-                w.crash_in(cfg.plan.warmup, cfg.plan.warmup + cfg.plan.measure)
-                    .is_some()
-            })
-            .unwrap_or(false);
+            .crash_in(cfg.plan.warmup, cfg.plan.warmup + cfg.plan.measure)
+            .is_some();
         let mut valid = !crashed_mid_measure && out.metrics.wips > 0.0;
 
         // Noise-spike re-measurement: the sample passes only if measured
         // WIPS is consistent with its own completion count.
-        if valid {
-            if let Some(w) = wf.filter(|w| w.noise > 1.0) {
-                let measure_secs = cfg.plan.measure.as_secs_f64();
-                if measure_secs > 0.0 {
-                    let (start, _) = FaultClock::window_of(cfg.plan.total(), iteration);
-                    let mut remeasures = 0;
-                    while remeasures < settings.gate.max_remeasures {
-                        let predicted = out.metrics.completed as f64 / measure_secs;
-                        let deviation = (out.metrics.wips - predicted).abs();
-                        if settings.gate.accepts(predicted, deviation) {
-                            break;
-                        }
-                        remeasures += 1;
-                        ctx.push(Event::Remeasure {
-                            attempt: remeasures,
-                            score: out.metrics.wips,
-                        });
-                        // Re-run the window and draw the next noise value (a
-                        // re-measurement happens at a later session time).
-                        let retry_cfg = cfg
-                            .clone()
-                            .base_seed(cfg.base_seed ^ remeasure_salt(remeasures));
-                        out = retry_cfg
-                            .eval
-                            .run(&retry_cfg.scenario(config.clone(), iteration), registry);
-                        if let Some(injector) = injector {
-                            let shifted = start + SimDuration::from_micros(remeasures as u64);
-                            let factor = injector.wips_noise(shifted, w.noise);
-                            out.metrics.wips *= factor;
-                            for lw in &mut out.line_wips {
-                                *lw *= factor;
-                            }
-                        }
+        if valid && wf.noise > 1.0 {
+            let measure_secs = cfg.plan.measure.as_secs_f64();
+            if measure_secs > 0.0 {
+                let (start, _) = FaultClock::window_of(cfg.plan.total(), iteration);
+                let mut remeasures = 0;
+                while remeasures < settings.gate.max_remeasures {
+                    let predicted = out.metrics.completed as f64 / measure_secs;
+                    let deviation = (out.metrics.wips - predicted).abs();
+                    if settings.gate.accepts(predicted, deviation) {
+                        break;
                     }
-                    valid = out.metrics.wips > 0.0;
+                    remeasures += 1;
+                    ctx.push(Event::Remeasure {
+                        attempt: remeasures,
+                        score: out.metrics.wips,
+                    });
+                    // Re-run the window and draw the next noise value (a
+                    // re-measurement happens at a later session time).
+                    let retry_cfg = cfg
+                        .clone()
+                        .base_seed(cfg.base_seed ^ remeasure_salt(remeasures));
+                    out = retry_cfg
+                        .eval
+                        .run(&retry_cfg.scenario(config.clone(), iteration), registry);
+                    let shifted = start + SimDuration::from_micros(remeasures as u64);
+                    scale_wips(&mut out, injector.wips_noise(shifted, wf.noise));
                 }
+                valid = out.metrics.wips > 0.0;
             }
         }
 
         // The primary attempt holds the cluster for the full window, plus
         // any stalled seconds the fault plan injected into it.
-        let stall_s = wf.map(|w| w.stall_s).unwrap_or(0.0);
         ctx.advance(
             cfg.plan
                 .total()
-                .saturating_add(SimDuration::from_secs_f64(stall_s)),
+                .saturating_add(SimDuration::from_secs_f64(wf.stall_s)),
         );
-        let score = out.metrics.wips;
-        Sample {
-            value: EvalSample {
-                config: config.clone(),
-                out,
-            },
-            valid,
-            score,
-        }
+        (out, valid)
     } else {
         let retry_cfg = cfg
             .clone()
@@ -1017,100 +833,21 @@ fn evaluate_attempt(
         let mut scenario = retry_cfg.scenario(config.clone(), iteration);
         scenario.faults = steady_state_timeline(injector, cfg, iteration);
         let out = cfg.eval.run(&scenario, registry);
-        let valid = out.metrics.wips > 0.0;
         // A retry re-measures in the post-crash steady state; it holds the
         // cluster for one more window but sees no further stalls.
         ctx.advance(cfg.plan.total());
-        let score = out.metrics.wips;
-        Sample {
-            value: EvalSample {
-                config: config.clone(),
-                out,
-            },
-            valid,
-            score,
-        }
-    }
-}
-
-/// Failure-driven reconfiguration: a failed node wounds a tier; try to
-/// backfill it from the healthiest other tier.
-///
-/// In detector mode (`detected` is `Some`) the trigger is a *freshly
-/// confirmed* `Down` transition and liveness is the detector's membership
-/// view — the oracle is never consulted. Otherwise the trigger is the
-/// injector's crash record for the window, and a session that observed a
-/// crash without a resolvable injector is a [`SessionError::FaultPlan`]
-/// (it used to silently assume every node healthy).
-#[allow(clippy::too_many_arguments)]
-fn reconfigure_if_crashed(
-    settings: &ResilienceSettings,
-    wf: Option<&WindowFaults>,
-    detected: Option<&WindowReport>,
-    injector: Option<&FaultInjector>,
-    window_end: SimTime,
-    iteration: u32,
-    out: &IterationOutcome,
-    wips: f64,
-    topology: &mut Topology,
-    recoveries: &mut Vec<RecoveryAction>,
-    reconfigs: &mut Vec<ReconfigEvent>,
-    observer: &mut SessionObserver,
-) -> Result<(), SessionError> {
-    if !settings.reconfigure_on_crash {
-        return Ok(());
-    }
-    let (crashed, live) = match detected {
-        Some(report) => (
-            report.confirmed_down(),
-            report
-                .states
-                .iter()
-                .map(|s| *s != NodeState::Down)
-                .collect::<Vec<bool>>(),
-        ),
-        None => {
-            let Some(wf) = wf else {
-                return Ok(());
-            };
-            let crashed = wf.crashes();
-            if crashed.is_empty() {
-                return Ok(());
-            }
-            let injector = injector.ok_or_else(|| {
-                SessionError::FaultPlan(
-                    "a crash was observed but the session has no resolvable fault plan to \
-                     derive node health from"
-                        .into(),
-                )
-            })?;
-            let live = injector
-                .health_at(window_end, topology.len())
-                .iter()
-                .map(|h| !h.is_down())
-                .collect();
-            (crashed, live)
-        }
+        let valid = out.metrics.wips > 0.0;
+        (out, valid)
     };
-    if crashed.is_empty() {
-        return Ok(());
+    let score = out.metrics.wips;
+    Sample {
+        value: EvalSample {
+            config: config.clone(),
+            out,
+        },
+        valid,
+        score,
     }
-    if let Some(event) = heal_after_crash(
-        settings, topology, &crashed, iteration, out, &live, observer,
-    ) {
-        if let Ok(next) = topology.reassign(event.node, event.to_tier) {
-            *topology = next;
-            recoveries.push(RecoveryAction {
-                iteration,
-                action: "reconfig",
-                attempt: 0,
-                delay_s: 0.0,
-                wips,
-            });
-            reconfigs.push(event);
-        }
-    }
-    Ok(())
 }
 
 /// Decorrelate retry/re-measurement seeds from the primary sample.
@@ -1121,11 +858,10 @@ fn remeasure_salt(attempt: u32) -> u64 {
 /// Node healths once every fault up to the end of iteration `i`'s window
 /// has applied — what a re-measurement after the crash would see.
 fn steady_state_timeline(
-    injector: Option<&FaultInjector>,
+    injector: &FaultInjector,
     cfg: &SessionConfig,
     iteration: u32,
 ) -> Option<HealthTimeline> {
-    let injector = injector?;
     let (_, end) = FaultClock::window_of(cfg.plan.total(), iteration);
     let timeline = HealthTimeline {
         initial: injector.health_at(end, cfg.topology.len()),
@@ -1161,21 +897,7 @@ fn heal_after_crash(
         .filter(|&n| live(n))
         .map(|n| {
             let u = &out.node_utilization[n];
-            NodeReport {
-                node: n,
-                tier: topology.role(n),
-                util: UtilizationSnapshot {
-                    cpu: u.cpu,
-                    disk: u.disk,
-                    net: u.net,
-                    mem: u.mem,
-                },
-                cost: NodeCostInputs {
-                    jobs: 2.0 + 30.0 * u.cpu.max(u.disk),
-                    move_cost: 0.2,
-                    avg_process_time: 0.8,
-                },
-            }
+            node_report(topology, n, utilization(u), u)
         })
         .collect();
     let decision = decide(
@@ -1236,15 +958,121 @@ mod tests {
         SessionConfig::new(topology, Workload::Shopping, pop).plan(IntervalPlan::tiny())
     }
 
+    fn run_resilient_session(
+        cfg: &SessionConfig,
+        settings: &ResilienceSettings,
+        iterations: u32,
+    ) -> Result<ResilientRun, SessionError> {
+        run_resilient_session_observed(cfg, settings, iterations, &mut SessionObserver::none())
+    }
+
+    fn bits(series: &[f64]) -> Vec<u64> {
+        series.iter().map(|w| w.to_bits()).collect()
+    }
+
     #[test]
     fn fault_free_resilient_session_behaves_like_tuning() {
+        // With no faults and the default (identity) policies, a resilient
+        // session is duplication tuning bit for bit — for the simplex, a
+        // batch-native tuner, and the one tuner that weighs CIs.
         let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
-        let run = run_resilient_session(&cfg, &ResilienceSettings::default(), 4).expect("run");
-        assert_eq!(run.records.len(), 4);
-        assert!(run.faults.is_empty());
-        assert!(run.recoveries.is_empty());
-        assert!(run.reconfigs.is_empty());
-        assert!(run.best_wips > 0.0);
+        for tuner in ["simplex", "bestconfig", "tuna"] {
+            let cfg = cfg.clone().tuner(tuner);
+            let run = run_resilient_session(&cfg, &ResilienceSettings::default(), 6).expect("run");
+            let tuned = crate::session::tune_observed(
+                &cfg,
+                TuningMethod::Duplication,
+                6,
+                &mut SessionObserver::none(),
+            )
+            .expect("tuning");
+            assert_eq!(
+                bits(&run.wips_series()),
+                bits(&tuned.wips_series()),
+                "{tuner}"
+            );
+            assert_eq!(
+                run.best_wips.to_bits(),
+                tuned.best_wips.to_bits(),
+                "{tuner}"
+            );
+            assert!(run.faults.is_empty());
+            assert!(run.recoveries.is_empty());
+            assert!(run.reconfigs.is_empty());
+            assert_eq!(run.final_topology, cfg.topology);
+        }
+    }
+
+    #[test]
+    fn valid_samples_reach_the_tuner_with_their_ci() {
+        let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
+        let mut sink = obs::MemorySink::new();
+        let mut observer = SessionObserver::with_sink(&mut sink);
+        run_resilient_session_observed(&cfg, &ResilienceSettings::default(), 3, &mut observer)
+            .expect("run");
+        let tuner: Vec<_> = sink
+            .records()
+            .iter()
+            .filter(|r| r.kind() == "tuner")
+            .collect();
+        assert_eq!(tuner.len(), 3, "one tuner record per iteration");
+        for r in tuner {
+            let ci = r.get("ci_half").and_then(|v| v.as_f64()).unwrap_or(0.0);
+            assert!(
+                ci > 0.0,
+                "a valid sample carries its Poisson CI: {}",
+                r.to_json()
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoints_of_the_older_resilient_format_are_refused() {
+        let dir = std::env::temp_dir().join(format!("resilient-old-kind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let settings = ResilienceSettings::default();
+        let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
+        // A journal as the older loop wrote it: its fingerprint used the
+        // bare `resilient/...` kind.
+        let old = checkpoint::session_fingerprint(&cfg, &format!("resilient/{settings:?}"), 4, 4);
+        let policy = crate::checkpoint::CheckpointPolicy::new(&dir).every(2);
+        let (mut ck, _) = checkpoint::Checkpointer::open(&policy, old).expect("old journal");
+        ck.append(State::map().with("iteration", State::U64(0)))
+            .expect("append");
+        drop(ck);
+        let resumed = cfg.clone().checkpoint(policy.resume(true));
+        let err = run_resilient_session(&resumed, &settings, 4).unwrap_err();
+        assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_journal_delta_without_its_valid_flag_is_refused() {
+        let dir = std::env::temp_dir().join(format!("resilient-no-valid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let settings = ResilienceSettings::default();
+        let policy = crate::checkpoint::CheckpointPolicy::new(&dir).every(10);
+        let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
+        run_resilient_session(&cfg.clone().checkpoint(policy.clone()), &settings, 3).expect("run");
+        // Strip `valid` from every journaled delta: replay must not guess
+        // whether the tuner saw the sample.
+        let mut store = persist::CheckpointStore::open(&dir).expect("store");
+        let journal = store.recover().expect("recover").journal;
+        store.start_fresh().expect("wipe");
+        for mut record in journal {
+            if let State::Map(pairs) = &mut record {
+                pairs.retain(|(k, _)| k != "valid");
+            }
+            store.append(&record).expect("append");
+        }
+        drop(store);
+        let resumed = cfg.checkpoint(policy.resume(true));
+        let err = run_resilient_session(&resumed, &settings, 3).unwrap_err();
+        assert!(
+            matches!(&err, SessionError::Checkpoint(msg) if msg.contains("'valid'")),
+            "{err:?}"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -4,15 +4,13 @@
 //! continuously; the tuner is *not* told about the change — it simply
 //! observes different performance, exactly as the paper's system did. The
 //! interesting output is how quickly measured WIPS recovers after each
-//! switch.
+//! switch. The session is the one tuning loop
+//! (`session::drive_tuning`) with the schedule as its
+//! per-iteration workload.
 
-use crate::binding;
 use crate::session::{
-    run_scenario, IterationRecord, SessionConfig, SessionError, SessionObserver, TuningRun,
+    drive_tuning, Parts, SessionConfig, SessionError, SessionObserver, TuningRun,
 };
-use cluster::config::ClusterConfig;
-use harmony::server::HarmonyServer;
-use harmony::simplex::SimplexTuner;
 use harmony::strategy::TuningMethod;
 use tpcw::mix::Workload;
 
@@ -69,88 +67,24 @@ impl WorkloadSchedule {
     }
 }
 
-/// Run a single Harmony server (the §III.A setup: every parameter of the
-/// single work line) against a workload schedule.
-pub fn tune_with_schedule(
-    base: &SessionConfig,
-    schedule: &WorkloadSchedule,
-) -> Result<TuningRun, SessionError> {
-    tune_with_schedule_observed(base, schedule, false, &mut SessionObserver::none())
-}
-
-/// Like [`tune_with_schedule`], but the tuner's search state is reset at
-/// every workload change point — the "told about the change" variant the
-/// paper contrasts against. With `reset_on_change = false` this is exactly
-/// the paper's continuous run.
-pub fn tune_with_schedule_reset(
-    base: &SessionConfig,
-    schedule: &WorkloadSchedule,
-) -> Result<TuningRun, SessionError> {
-    tune_with_schedule_observed(base, schedule, true, &mut SessionObserver::none())
-}
-
-/// [`tune_with_schedule`] with optional tuner reset at change points and
-/// per-iteration trace/metrics observation.
+/// Tune against a workload schedule: the default method's one Harmony
+/// server over every parameter of the single work line (the §III.A
+/// setup), running the session's tuner, with iteration records
+/// labelled `scheduled`. A session with a checkpoint policy is refused
+/// with [`SessionError::Checkpoint`]: schedule sessions are not
+/// checkpointed.
 pub fn tune_with_schedule_observed(
     base: &SessionConfig,
     schedule: &WorkloadSchedule,
-    reset_on_change: bool,
     observer: &mut SessionObserver,
 ) -> Result<TuningRun, SessionError> {
-    base.validate_faults()?;
+    let workload_at = |i| schedule.workload_at(i);
+    let parts = Parts {
+        workload_at: Some(&workload_at),
+        ..Parts::default()
+    };
     let iterations = schedule.total_iterations();
-    let change_points = schedule.change_points();
-    let space = binding::full_space(&base.topology);
-    let mut server = HarmonyServer::new("scheduled", Box::new(SimplexTuner::new(space)));
-    let mut records = Vec::with_capacity(iterations as usize);
-    let mut best_config = ClusterConfig::defaults(&base.topology);
-    let mut best_wips = f64::NEG_INFINITY;
-    let mut best_iter = 0;
-    for i in 0..iterations {
-        let t0 = std::time::Instant::now();
-        let workload = schedule.workload_at(i);
-        if reset_on_change && change_points.contains(&i) {
-            server.reset();
-        }
-        let proposal = server.next_config();
-        let config = binding::config_from_full(&base.topology, &proposal);
-        let cfg = base.clone().workload(workload);
-        let mut out = run_scenario(&cfg.scenario(config.clone(), i), observer.registry());
-        cfg.apply_fault_noise(i, &mut out);
-        let wips = out.metrics.wips;
-        server.report(wips);
-        if wips > best_wips {
-            best_wips = wips;
-            best_config = config.clone();
-            best_iter = i;
-        }
-        observer.record_iteration(
-            &cfg,
-            "scheduled",
-            i,
-            &config,
-            &out,
-            best_wips,
-            best_iter,
-            &server.diagnostics(),
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
-        records.push(IterationRecord {
-            iteration: i,
-            wips,
-            line_wips: out.line_wips,
-            workload,
-            failed: out.total_failed,
-        });
-    }
-    observer.flush();
-    Ok(TuningRun {
-        method: TuningMethod::Default,
-        records,
-        best_config,
-        best_wips,
-        convergence_iteration: best_iter,
-    })
+    drive_tuning(base, TuningMethod::Default, iterations, parts, observer).map(|(run, _)| run)
 }
 
 /// Recovery time after each workload change: iterations until WIPS first
@@ -192,6 +126,11 @@ mod tests {
     use cluster::config::Topology;
     use tpcw::metrics::IntervalPlan;
 
+    fn scheduled(cfg: &SessionConfig, schedule: &WorkloadSchedule) -> TuningRun {
+        tune_with_schedule_observed(cfg, schedule, &mut SessionObserver::none())
+            .expect("scheduled run")
+    }
+
     #[test]
     fn cycling_schedule_layout() {
         let s = WorkloadSchedule::cycling(100, 2);
@@ -219,7 +158,7 @@ mod tests {
         let schedule = WorkloadSchedule {
             segments: vec![(3, Workload::Browsing), (3, Workload::Ordering)],
         };
-        let run = tune_with_schedule(&cfg, &schedule).expect("scheduled run");
+        let run = scheduled(&cfg, &schedule);
         assert_eq!(run.records.len(), 6);
         assert_eq!(run.records[0].workload, Workload::Browsing);
         assert_eq!(run.records[5].workload, Workload::Ordering);
@@ -232,26 +171,35 @@ mod tests {
         let schedule = WorkloadSchedule {
             segments: vec![(4, Workload::Browsing), (4, Workload::Shopping)],
         };
-        let run = tune_with_schedule(&cfg, &schedule).expect("scheduled run");
+        let run = scheduled(&cfg, &schedule);
         let rec = recovery_iterations(&run, &schedule, 0.9);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec[0].0, 4);
     }
 
     #[test]
-    fn reset_on_change_still_switches_and_completes() {
+    fn one_segment_schedule_is_the_default_method() {
         let cfg = SessionConfig::new(Topology::single(), Workload::Browsing, 300)
             .plan(IntervalPlan::tiny())
             .pin_seed(true);
         let schedule = WorkloadSchedule {
-            segments: vec![(3, Workload::Browsing), (3, Workload::Ordering)],
+            segments: vec![(6, Workload::Browsing)],
         };
-        let plain = tune_with_schedule(&cfg, &schedule).expect("scheduled run");
-        let reset = tune_with_schedule_reset(&cfg, &schedule).expect("scheduled run");
-        assert_eq!(reset.records.len(), 6);
-        // Identical until the first change point, then the reset run
-        // diverges (fresh simplex from the space default).
-        assert_eq!(plain.wips_series()[..3], reset.wips_series()[..3]);
-        assert!(reset.wips_series().iter().all(|w| w.is_finite()));
+        let run = scheduled(&cfg, &schedule);
+        let tuned = crate::session::tune_observed(
+            &cfg,
+            TuningMethod::Default,
+            6,
+            &mut SessionObserver::none(),
+        )
+        .expect("tuning");
+        let bits = |r: &TuningRun| {
+            r.wips_series()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&run), bits(&tuned));
+        assert_eq!(run.best_wips.to_bits(), tuned.best_wips.to_bits());
     }
 }

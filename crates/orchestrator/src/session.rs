@@ -7,13 +7,18 @@
 //! runs one warm-up/measure/cool-down cycle under it, and the measured
 //! WIPS feeds back. The per-iteration seed varies (unless pinned) so the
 //! tuner faces realistic measurement noise, exactly as on real hardware.
+//! Every mode — plain tuning, a workload schedule, reconfiguration and
+//! fault tolerance — is this one loop, `drive_tuning`, with optional
+//! `Parts`.
 
 use crate::binding;
 use crate::checkpoint::{self, CheckpointPolicy, Checkpointer};
 use crate::eval::{EvalCounters, EvalEngine, EvalSettings};
+use crate::reconfigure::Reconfigurer;
+use crate::resilient::Resilience;
 use cluster::config::{ClusterConfig, NodeId, Role, Topology};
 use cluster::model::{ClusterScenario, LoadModel};
-use cluster::runner::{run_iteration, run_iteration_observed, IterationOutcome};
+use cluster::runner::IterationOutcome;
 use cluster::spec::NodeSpec;
 use faults::{FaultClock, FaultInjector, FaultPlan, WindowFaults};
 use harmony::server::HarmonyServer;
@@ -307,27 +312,6 @@ impl SessionConfig {
         Some(injector.window(start, end, self.topology.len()))
     }
 
-    /// Multiply measured WIPS by the iteration's noise-spike factor (a
-    /// deterministic draw from the fault seed). No-op without an active
-    /// spike, so fault-free runs are untouched.
-    pub(crate) fn apply_fault_noise(&self, iteration: u32, out: &mut IterationOutcome) {
-        let Some(wf) = self.fault_window(iteration) else {
-            return;
-        };
-        if wf.noise <= 1.0 {
-            return;
-        }
-        let Some(plan) = self.fault_plan.as_ref() else {
-            return;
-        };
-        let (start, _) = FaultClock::window_of(self.plan.total(), iteration);
-        let factor = FaultInjector::new(plan, self.fault_seed).wips_noise(start, wf.noise);
-        out.metrics.wips *= factor;
-        for lw in &mut out.line_wips {
-            *lw *= factor;
-        }
-    }
-
     /// Typed measurement of one iteration's WIPS: the mean is the
     /// measured (possibly noise-spiked) throughput; the confidence
     /// half-width comes from the Poisson completion model, so noise-aware
@@ -390,23 +374,31 @@ impl SessionConfig {
 
     /// Evaluate one configuration (one iteration cycle).
     pub fn evaluate(&self, config: ClusterConfig, iteration: u32) -> IterationOutcome {
-        self.evaluate_observed(config, iteration, None)
+        self.measure(&self.scenario(config, iteration), iteration, None)
     }
 
-    /// Like [`SessionConfig::evaluate`], but publishes engine and
-    /// per-tier resource metrics when a registry is attached. Routed
-    /// through the evaluation engine; the fault noise spike is applied
-    /// *after* the cache lookup so cached entries stay raw and
-    /// noise-deterministic (see [`crate::eval`]).
-    pub fn evaluate_observed(
+    /// Run iteration `iteration`'s scenario through the evaluation
+    /// engine, publishing engine and per-tier resource metrics when a
+    /// registry is attached. An active noise spike multiplies the
+    /// measured WIPS by a deterministic draw from the fault seed, *after*
+    /// the cache lookup so cached entries stay raw and
+    /// noise-deterministic (see [`crate::eval`]); fault-free runs are
+    /// untouched.
+    pub(crate) fn measure(
         &self,
-        config: ClusterConfig,
+        scenario: &ClusterScenario,
         iteration: u32,
         registry: Option<&Registry>,
     ) -> IterationOutcome {
-        let scenario = self.scenario(config, iteration);
-        let mut out = self.eval.run(&scenario, registry);
-        self.apply_fault_noise(iteration, &mut out);
+        let mut out = self.eval.run(scenario, registry);
+        if let Some(plan) = &self.fault_plan {
+            let injector = FaultInjector::new(plan, self.fault_seed);
+            let (start, end) = FaultClock::window_of(self.plan.total(), iteration);
+            let noise = injector.window(start, end, self.topology.len()).noise;
+            if noise > 1.0 {
+                scale_wips(&mut out, injector.wips_noise(start, noise));
+            }
+        }
         out
     }
 
@@ -417,9 +409,7 @@ impl SessionConfig {
     fn evaluate_replication(&self, config: ClusterConfig, rep: u32) -> IterationOutcome {
         let mut scenario = self.scenario(config, rep);
         scenario.seed = self.replication_seed_for(rep);
-        let mut out = self.eval.run(&scenario, None);
-        self.apply_fault_noise(rep, &mut out);
-        out
+        self.measure(&scenario, rep, None)
     }
 
     /// Evaluate replications `start .. start + count` of `config`,
@@ -579,7 +569,7 @@ pub struct SessionObserver<'a> {
 }
 
 impl<'a> SessionObserver<'a> {
-    /// No observation: observed tuning behaves exactly like plain tuning.
+    /// No observation: the session runs exactly as an observed one does.
     pub fn none() -> SessionObserver<'static> {
         SessionObserver {
             sink: None,
@@ -866,6 +856,14 @@ impl<'a> SessionObserver<'a> {
     }
 }
 
+/// Multiply an outcome's WIPS, overall and per work line, by `factor`.
+pub(crate) fn scale_wips(out: &mut IterationOutcome, factor: f64) {
+    out.metrics.wips *= factor;
+    for lw in &mut out.line_wips {
+        *lw *= factor;
+    }
+}
+
 /// 95% half-width under the Poisson completion model: WIPS is a count
 /// over the measurement window, so its sampling std-dev is
 /// ~sqrt(count)/window.
@@ -877,19 +875,7 @@ pub(crate) fn poisson_ci_half(completed: u64, measure_secs: f64) -> f64 {
     }
 }
 
-/// Run a prepared scenario, through the metrics-publishing runner when a
-/// registry is attached.
-pub fn run_scenario(
-    scenario: &cluster::model::ClusterScenario,
-    registry: Option<&Registry>,
-) -> IterationOutcome {
-    match registry {
-        Some(r) => run_iteration_observed(scenario, r),
-        None => run_iteration(scenario),
-    }
-}
-
-fn node_values(n: &cluster::config::NodeParams) -> Vec<i64> {
+pub(crate) fn node_values(n: &cluster::config::NodeParams) -> Vec<i64> {
     if let Some(p) = n.as_proxy() {
         p.to_values().to_vec()
     } else if let Some(w) = n.as_app() {
@@ -982,7 +968,7 @@ fn work_lines(topology: &Topology) -> Result<Vec<Vec<NodeId>>, SessionError> {
 /// how proposals are assembled and which throughput each server sees.
 /// `TuneEngine` owns exactly that difference, so a single
 /// [`drive_tuning`] loop (and a single checkpoint/replay path) serves
-/// all four methods.
+/// every method and every mode.
 enum TuneEngine {
     /// No tuning: always propose the default configuration.
     Baseline,
@@ -1002,50 +988,38 @@ enum TuneEngine {
 }
 
 impl TuneEngine {
-    /// Build one tuner of the session's configured algorithm over
-    /// `space`, optionally seeded from a starting configuration.
-    fn build_tuner(
+    /// Build one server running the session's configured algorithm over
+    /// `space`, optionally seeded from a starting configuration. Session
+    /// servers run the ask/tell v2 batch protocol: same proposal
+    /// sequence, but a batch-native tuner's queued round is certain
+    /// future work, visible to speculative prefetch.
+    fn server(
         cfg: &SessionConfig,
+        name: impl Into<String>,
         space: harmony::space::ParamSpace,
-        start: Option<&harmony::space::Configuration>,
+        start: Option<&Configuration>,
         index: u64,
-    ) -> Result<Box<dyn harmony::tuner::Tuner + Send>, SessionError> {
-        harmony::registry::make_tuner_seeded(&cfg.tuner, space, start, tuner_seed(cfg, index))
-            .map_err(|e| SessionError::UnknownTuner(e.to_string()))
-    }
-
-    fn tier_servers(cfg: &SessionConfig) -> Result<[HarmonyServer; 3], SessionError> {
-        // Session servers run the ask/tell v2 batch protocol: same
-        // proposal sequence, but a batch-native tuner's queued round is
-        // certain future work, visible to speculative prefetch.
-        Ok([
-            HarmonyServer::new(
-                "proxy-tier",
-                Self::build_tuner(cfg, binding::role_space(Role::Proxy), None, 0)?,
-            )
-            .batch_protocol(true),
-            HarmonyServer::new(
-                "web-tier",
-                Self::build_tuner(cfg, binding::role_space(Role::App), None, 1)?,
-            )
-            .batch_protocol(true),
-            HarmonyServer::new(
-                "db-tier",
-                Self::build_tuner(cfg, binding::role_space(Role::Db), None, 2)?,
-            )
-            .batch_protocol(true),
-        ])
+    ) -> Result<HarmonyServer, SessionError> {
+        let tuner =
+            harmony::registry::make_tuner_seeded(&cfg.tuner, space, start, tuner_seed(cfg, index))
+                .map_err(|e| SessionError::UnknownTuner(e.to_string()))?;
+        Ok(HarmonyServer::new(name, tuner).batch_protocol(true))
     }
 
     fn line_servers(
         cfg: &SessionConfig,
         count: usize,
-        seed: Option<&harmony::space::Configuration>,
+        seed: Option<&Configuration>,
     ) -> Result<Vec<HarmonyServer>, SessionError> {
         (0..count)
             .map(|i| {
-                let tuner = Self::build_tuner(cfg, binding::tier_space(), seed, i as u64)?;
-                Ok(HarmonyServer::new(format!("line-{i}"), tuner).batch_protocol(true))
+                Self::server(
+                    cfg,
+                    format!("line-{i}"),
+                    binding::tier_space(),
+                    seed,
+                    i as u64,
+                )
             })
             .collect()
     }
@@ -1055,21 +1029,31 @@ impl TuneEngine {
     fn for_method(cfg: &SessionConfig, method: TuningMethod) -> Result<TuneEngine, SessionError> {
         Ok(match method {
             TuningMethod::None => TuneEngine::Baseline,
-            TuningMethod::Default => TuneEngine::Single(
-                HarmonyServer::new(
-                    "all-nodes",
-                    Self::build_tuner(cfg, binding::full_space(&cfg.topology), None, 0)?,
-                )
-                .batch_protocol(true),
-            ),
+            TuningMethod::Default => TuneEngine::Single(Self::server(
+                cfg,
+                "all-nodes",
+                binding::full_space(&cfg.topology),
+                None,
+                0,
+            )?),
             TuningMethod::Duplication | TuningMethod::Hybrid => {
-                TuneEngine::Tiers(Box::new(Self::tier_servers(cfg)?))
+                let tier = |name, role, index| {
+                    Self::server(cfg, name, binding::role_space(role), None, index)
+                };
+                TuneEngine::Tiers(Box::new([
+                    tier("proxy-tier", Role::Proxy, 0)?,
+                    tier("web-tier", Role::App, 1)?,
+                    tier("db-tier", Role::Db, 2)?,
+                ]))
             }
-            TuningMethod::Partitioning => TuneEngine::Lines {
-                servers: Self::line_servers(cfg, work_lines(&cfg.topology)?.len(), None)?,
-                lines: work_lines(&cfg.topology)?,
-                base: ClusterConfig::defaults(&cfg.topology),
-            },
+            TuningMethod::Partitioning => {
+                let lines = work_lines(&cfg.topology)?;
+                TuneEngine::Lines {
+                    servers: Self::line_servers(cfg, lines.len(), None)?,
+                    lines,
+                    base: ClusterConfig::defaults(&cfg.topology),
+                }
+            }
         })
     }
 
@@ -1089,32 +1073,36 @@ impl TuneEngine {
         })
     }
 
-    /// Assemble this iteration's proposed cluster configuration.
-    fn propose(&mut self, cfg: &SessionConfig) -> ClusterConfig {
+    /// Assemble a cluster configuration from one proposal per server, in
+    /// [`TuneEngine::servers`] order.
+    fn assemble(&self, cfg: &SessionConfig, proposals: &[Configuration]) -> ClusterConfig {
         match self {
             TuneEngine::Baseline => ClusterConfig::defaults(&cfg.topology),
-            TuneEngine::Single(server) => {
-                binding::config_from_full(&cfg.topology, &server.next_config())
-            }
-            TuneEngine::Tiers(servers) => {
-                let pc = servers[0].next_config();
-                let wc = servers[1].next_config();
-                let dc = servers[2].next_config();
-                binding::config_from_roles(&cfg.topology, &pc, &wc, &dc)
-            }
-            TuneEngine::Lines {
-                servers,
-                lines,
-                base,
-            } => {
+            TuneEngine::Single(_) => binding::config_from_full(&cfg.topology, &proposals[0]),
+            TuneEngine::Tiers(_) => binding::config_from_roles(
+                &cfg.topology,
+                &proposals[0],
+                &proposals[1],
+                &proposals[2],
+            ),
+            TuneEngine::Lines { lines, base, .. } => {
                 let mut config = base.clone();
-                for (server, line) in servers.iter_mut().zip(lines.iter()) {
-                    let proposal = server.next_config();
-                    binding::apply_line_config(&mut config, &cfg.topology, line, &proposal);
+                for (line, proposal) in lines.iter().zip(proposals) {
+                    binding::apply_line_config(&mut config, &cfg.topology, line, proposal);
                 }
                 config
             }
         }
+    }
+
+    /// Assemble this iteration's proposed cluster configuration.
+    fn propose(&mut self, cfg: &SessionConfig) -> ClusterConfig {
+        let proposals: Vec<Configuration> = self
+            .servers_mut()
+            .iter_mut()
+            .map(|s| s.next_config())
+            .collect();
+        self.assemble(cfg, &proposals)
     }
 
     /// Work-line partition for the scenario, when this engine uses one.
@@ -1129,9 +1117,10 @@ impl TuneEngine {
     /// `horizon` iterations: element `k` of the outer vector lists
     /// candidates for the proposal `k` iterations ahead (0 = the very
     /// next one). Advisory input to speculative evaluation (see
-    /// [`crate::eval`]); multi-server engines cross their servers'
-    /// per-offset candidate lists, capped so a speculation step never
-    /// explodes combinatorially.
+    /// [`crate::eval`]); the servers' per-offset candidate lists are
+    /// crossed, capped so a speculation step never explodes
+    /// combinatorially. The untuned baseline has no servers, so it
+    /// proposes the defaults at every offset.
     fn speculate(&self, cfg: &SessionConfig, horizon: usize) -> Vec<Vec<ClusterConfig>> {
         /// Most joint candidates per offset: reflect follow-ups give 3
         /// candidates per server, so two servers already reach 9 — cap
@@ -1139,48 +1128,10 @@ impl TuneEngine {
         /// single-candidate chains (init, shrink) fully covered.
         const SPECULATION_CAP: usize = 8;
 
-        if horizon == 0 {
-            return Vec::new();
-        }
-        match self {
-            TuneEngine::Baseline => {
-                vec![vec![ClusterConfig::defaults(&cfg.topology)]; horizon]
-            }
-            TuneEngine::Single(server) => server
-                .speculate()
-                .into_iter()
-                .take(horizon)
-                .map(|cands| {
-                    cands
-                        .iter()
-                        .take(SPECULATION_CAP)
-                        .map(|c| binding::config_from_full(&cfg.topology, c))
-                        .collect()
-                })
-                .collect(),
-            TuneEngine::Tiers(servers) => Self::joint_speculation(
-                &servers.iter().map(|s| s.speculate()).collect::<Vec<_>>(),
-                horizon,
-                SPECULATION_CAP,
-                |combo| binding::config_from_roles(&cfg.topology, &combo[0], &combo[1], &combo[2]),
-            ),
-            TuneEngine::Lines {
-                servers,
-                lines,
-                base,
-            } => Self::joint_speculation(
-                &servers.iter().map(|s| s.speculate()).collect::<Vec<_>>(),
-                horizon,
-                SPECULATION_CAP,
-                |combo| {
-                    let mut config = base.clone();
-                    for (line, proposal) in lines.iter().zip(combo) {
-                        binding::apply_line_config(&mut config, &cfg.topology, line, proposal);
-                    }
-                    config
-                },
-            ),
-        }
+        let ahead: Vec<_> = self.servers().iter().map(|s| s.speculate()).collect();
+        Self::joint_speculation(&ahead, horizon, SPECULATION_CAP, |combo| {
+            self.assemble(cfg, combo)
+        })
     }
 
     /// Cross the per-server speculation lists offset by offset: a joint
@@ -1232,13 +1183,6 @@ impl TuneEngine {
     /// per-line volume.
     fn report(&mut self, m: &Measurement, line_wips: &[f64]) {
         match self {
-            TuneEngine::Baseline => {}
-            TuneEngine::Single(server) => server.report_measurement(*m),
-            TuneEngine::Tiers(servers) => {
-                for s in servers.iter_mut() {
-                    s.report_measurement(*m);
-                }
-            }
             TuneEngine::Lines { servers, .. } => {
                 for (s, lw) in servers.iter_mut().zip(line_wips) {
                     let share = if m.mean > 0.0 { lw / m.mean } else { 0.0 };
@@ -1248,81 +1192,74 @@ impl TuneEngine {
                     s.report_measurement(line_m);
                 }
             }
+            _ => {
+                for s in self.servers_mut() {
+                    s.report_measurement(*m);
+                }
+            }
+        }
+    }
+
+    /// The servers this engine drives each iteration (none for the
+    /// untuned baseline). The first one names the algorithm and supplies
+    /// the trace's batch width and diagnostics.
+    fn servers(&self) -> &[HarmonyServer] {
+        match self {
+            TuneEngine::Baseline => &[],
+            TuneEngine::Single(server) => std::slice::from_ref(server),
+            TuneEngine::Tiers(servers) => &servers[..],
+            TuneEngine::Lines { servers, .. } => servers,
+        }
+    }
+
+    fn servers_mut(&mut self) -> &mut [HarmonyServer] {
+        match self {
+            TuneEngine::Baseline => &mut [],
+            TuneEngine::Single(server) => std::slice::from_mut(server),
+            TuneEngine::Tiers(servers) => &mut servers[..],
+            TuneEngine::Lines { servers, .. } => servers,
         }
     }
 
     /// Registry name of the algorithm driving this engine (`none` for
     /// the untuned baseline).
     fn tuner_name(&self) -> &'static str {
-        match self {
-            TuneEngine::Baseline => "none",
-            TuneEngine::Single(server) => server.algorithm(),
-            TuneEngine::Tiers(servers) => servers[0].algorithm(),
-            TuneEngine::Lines { servers, .. } => {
-                servers.first().map(|s| s.algorithm()).unwrap_or("none")
-            }
-        }
+        self.servers().first().map_or("none", |s| s.algorithm())
     }
 
     /// The first server's natural batch width (1 for point tuners).
     fn batch_width(&self) -> usize {
-        match self {
-            TuneEngine::Baseline => 1,
-            TuneEngine::Single(server) => server.batch_size(),
-            TuneEngine::Tiers(servers) => servers[0].batch_size(),
-            TuneEngine::Lines { servers, .. } => {
-                servers.first().map(|s| s.batch_size()).unwrap_or(1)
-            }
-        }
+        self.servers().first().map_or(1, |s| s.batch_size())
     }
 
-    /// Number of tuning servers this engine drives per iteration.
-    fn server_count(&self) -> usize {
-        match self {
-            TuneEngine::Baseline => 0,
-            TuneEngine::Single(_) => 1,
-            TuneEngine::Tiers(_) => 3,
-            TuneEngine::Lines { servers, .. } => servers.len(),
-        }
-    }
-
-    /// Tuner diagnostics for the trace (first server's, as before).
+    /// Tuner diagnostics for the trace (the first server's).
     fn diagnostics(&self) -> Vec<(&'static str, f64)> {
-        match self {
-            TuneEngine::Baseline => Vec::new(),
-            TuneEngine::Single(server) => server.diagnostics(),
-            TuneEngine::Tiers(servers) => servers[0].diagnostics(),
-            TuneEngine::Lines { servers, .. } => {
-                servers.first().map(|s| s.diagnostics()).unwrap_or_default()
-            }
-        }
+        self.servers()
+            .first()
+            .map(|s| s.diagnostics())
+            .unwrap_or_default()
     }
 
     fn save_state(&self) -> State {
+        let kind = match self {
+            TuneEngine::Baseline => {
+                return State::map().with("kind", State::Str("baseline".into()))
+            }
+            TuneEngine::Single(_) => "single",
+            TuneEngine::Tiers(_) => "tiers",
+            TuneEngine::Lines { .. } => "lines",
+        };
+        let state = State::map().with("kind", State::Str(kind.into())).with(
+            "servers",
+            State::List(
+                self.servers()
+                    .iter()
+                    .map(Checkpointable::save_state)
+                    .collect(),
+            ),
+        );
         match self {
-            TuneEngine::Baseline => State::map().with("kind", State::Str("baseline".into())),
-            TuneEngine::Single(server) => {
-                State::map().with("kind", State::Str("single".into())).with(
-                    "servers",
-                    State::List(vec![Checkpointable::save_state(server)]),
-                )
-            }
-            TuneEngine::Tiers(servers) => {
-                State::map().with("kind", State::Str("tiers".into())).with(
-                    "servers",
-                    State::List(servers.iter().map(Checkpointable::save_state).collect()),
-                )
-            }
-            TuneEngine::Lines {
-                servers,
-                lines,
-                base,
-            } => State::map()
-                .with("kind", State::Str("lines".into()))
-                .with(
-                    "servers",
-                    State::List(servers.iter().map(Checkpointable::save_state).collect()),
-                )
+            TuneEngine::Lines { lines, base, .. } => state
                 .with(
                     "lines",
                     State::List(
@@ -1333,6 +1270,7 @@ impl TuneEngine {
                     ),
                 )
                 .with("base", checkpoint::config_state(base)),
+            _ => state,
         }
     }
 
@@ -1340,40 +1278,12 @@ impl TuneEngine {
     /// from the session environment, not the snapshot) and restore the
     /// server states into it.
     fn from_state(cfg: &SessionConfig, state: &State) -> Result<TuneEngine, PersistError> {
-        let restore_into = |server: &mut HarmonyServer, saved: &State| {
-            Checkpointable::restore_state(server, saved)
-        };
         let skeleton_err = |e: SessionError| PersistError::Schema(e.to_string());
-        match state.field_str("kind")? {
-            "baseline" => Ok(TuneEngine::Baseline),
-            "single" => {
-                let saved = state.field_list("servers")?;
-                let first = saved.first().ok_or_else(|| {
-                    PersistError::Schema("single engine has no server state".into())
-                })?;
-                let mut server = HarmonyServer::new(
-                    "all-nodes",
-                    Self::build_tuner(cfg, binding::full_space(&cfg.topology), None, 0)
-                        .map_err(skeleton_err)?,
-                )
-                .batch_protocol(true);
-                restore_into(&mut server, first)?;
-                Ok(TuneEngine::Single(server))
-            }
-            "tiers" => {
-                let saved = state.field_list("servers")?;
-                if saved.len() != 3 {
-                    return Err(PersistError::Schema(format!(
-                        "tiers engine expects 3 server states, found {}",
-                        saved.len()
-                    )));
-                }
-                let mut servers = Box::new(Self::tier_servers(cfg).map_err(skeleton_err)?);
-                for (server, st) in servers.iter_mut().zip(saved) {
-                    restore_into(server, st)?;
-                }
-                Ok(TuneEngine::Tiers(servers))
-            }
+        let kind = state.field_str("kind")?;
+        let mut engine = match kind {
+            "baseline" => return Ok(TuneEngine::Baseline),
+            "single" => Self::for_method(cfg, TuningMethod::Default).map_err(skeleton_err)?,
+            "tiers" => Self::for_method(cfg, TuningMethod::Duplication).map_err(skeleton_err)?,
             "lines" => {
                 let lines = state
                     .field_list("lines")?
@@ -1390,30 +1300,31 @@ impl TuneEngine {
                             .collect::<Result<Vec<NodeId>, _>>()
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let base = checkpoint::config_from_state(state.require("base")?)?;
-                let saved = state.field_list("servers")?;
-                if saved.len() != lines.len() {
-                    return Err(PersistError::Schema(format!(
-                        "lines engine expects {} server states, found {}",
-                        lines.len(),
-                        saved.len()
-                    )));
-                }
-                let mut servers =
-                    Self::line_servers(cfg, lines.len(), None).map_err(skeleton_err)?;
-                for (server, st) in servers.iter_mut().zip(saved) {
-                    restore_into(server, st)?;
-                }
-                Ok(TuneEngine::Lines {
-                    servers,
+                TuneEngine::Lines {
+                    servers: Self::line_servers(cfg, lines.len(), None).map_err(skeleton_err)?,
                     lines,
-                    base,
-                })
+                    base: checkpoint::config_from_state(state.require("base")?)?,
+                }
             }
-            other => Err(PersistError::Schema(format!(
-                "unknown engine kind '{other}'"
-            ))),
+            other => {
+                return Err(PersistError::Schema(format!(
+                    "unknown engine kind '{other}'"
+                )))
+            }
+        };
+        let saved = state.field_list("servers")?;
+        let servers = engine.servers_mut();
+        if saved.len() != servers.len() {
+            return Err(PersistError::Schema(format!(
+                "{kind} engine expects {} server states, found {}",
+                servers.len(),
+                saved.len()
+            )));
         }
+        for (server, st) in servers.iter_mut().zip(saved) {
+            Checkpointable::restore_state(server, st)?;
+        }
+        Ok(engine)
     }
 }
 
@@ -1430,7 +1341,8 @@ pub(crate) fn tuner_seed(cfg: &SessionConfig, index: u64) -> u64 {
     (cfg.base_seed ^ TUNER_SEED_DOMAIN).wrapping_add(index)
 }
 
-/// Full tuner state of a plain tuning session, snapshot-ready.
+/// Full tuner state of a session, snapshot-ready. A resilient session
+/// adds its own subtrees (see [`Resilience::save_into`]).
 fn tune_snapshot(engine: &TuneEngine, best: &BestConfig, records: &[IterationRecord]) -> State {
     State::map()
         .with("kind", State::Str("tune".into()))
@@ -1439,59 +1351,97 @@ fn tune_snapshot(engine: &TuneEngine, best: &BestConfig, records: &[IterationRec
         .with("records", checkpoint::records_state(records))
 }
 
-/// Trace label for iteration `i` (the hybrid's coarse phase labels its
-/// records `duplication`, so the phase switch is visible in the trace).
-fn method_label(method: TuningMethod, i: u32, switch_at: u32) -> &'static str {
-    if method == TuningMethod::Hybrid && i < switch_at {
-        TuningMethod::Duplication.label()
-    } else {
-        method.label()
+/// One evaluated iteration, as the loop records it.
+pub(crate) struct Sampled {
+    /// The simulation outcome to trace; `None` when nothing was measured
+    /// (a resilient iteration that was rejected, or degraded unmeasured).
+    pub(crate) out: Option<IterationOutcome>,
+    /// WIPS recorded for the iteration.
+    pub(crate) wips: f64,
+    /// What the tuner is told.
+    pub(crate) measurement: Measurement,
+    /// Whether the sample may become the session's best.
+    pub(crate) valid: bool,
+}
+
+/// The optional parts of a session. [`drive_tuning`] calls each part
+/// that is present at a fixed point of every iteration; a plain tuning
+/// session has none.
+#[derive(Default)]
+pub(crate) struct Parts<'a> {
+    /// Workload of each iteration: a Fig-5 schedule or Fig-7's switch.
+    pub(crate) workload_at: Option<&'a dyn Fn(u32) -> Workload>,
+    /// §IV reconfiguration (Fig. 7), after each iteration.
+    pub(crate) reconfig: Option<&'a mut Reconfigurer>,
+    /// Fault tolerance: faults and the detector before proposing, the
+    /// policy stack as the evaluation, crash healing after the
+    /// iteration, and its own journal and snapshot subtrees.
+    pub(crate) resilience: Option<&'a mut Resilience>,
+}
+
+impl Parts<'_> {
+    /// Trace label of the session: its mode's, or the method's.
+    fn label(&self, method: TuningMethod) -> &'static str {
+        if self.resilience.is_some() {
+            "resilient"
+        } else if self.reconfig.is_some() {
+            "reconfig"
+        } else if self.workload_at.is_some() {
+            "scheduled"
+        } else {
+            method.label()
+        }
     }
 }
 
-/// The one tuning loop behind every method: propose → simulate →
-/// observe, with optional crash-safe checkpointing and resume.
-///
-/// `switch_at` is only meaningful for [`TuningMethod::Hybrid`] (the
-/// iteration at which the coarse tier engine is replaced by per-line
-/// fine tuning seeded from the best configuration so far); other methods
-/// ignore it.
-fn drive_tuning(
-    cfg: &SessionConfig,
+/// The one tuning loop behind every method and every mode: propose →
+/// evaluate → report → journal, with optional crash-safe checkpointing
+/// and resume. The hybrid replaces its coarse tier engine by per-line
+/// fine tuning a third of the way in, seeded from the best
+/// configuration so far. Returns the run and the final topology.
+pub(crate) fn drive_tuning(
+    base: &SessionConfig,
     method: TuningMethod,
     iterations: u32,
-    switch_at: u32,
+    mut parts: Parts,
     observer: &mut SessionObserver,
-) -> Result<TuningRun, SessionError> {
-    cfg.validate_faults()?;
+) -> Result<(TuningRun, Topology), SessionError> {
+    base.validate_faults()?;
+    let mut cfg = base.clone();
+    let label = parts.label(method);
     let switch_at = if method == TuningMethod::Hybrid {
-        switch_at.min(iterations)
+        iterations / 3
     } else {
         iterations
     };
-    let mut engine = TuneEngine::for_method(cfg, method)?;
+    let mut engine = TuneEngine::for_method(&cfg, method)?;
     let mut records: Vec<IterationRecord> = Vec::with_capacity(iterations as usize);
     let mut best = BestConfig::new(ClusterConfig::defaults(&cfg.topology));
     let mut start = 0u32;
 
-    let mut ckpt = match cfg.checkpoint.as_ref() {
+    let mut ckpt = match base.checkpoint.as_ref() {
         None => None,
+        Some(_) if parts.workload_at.is_some() || parts.reconfig.is_some() => {
+            return Err(SessionError::Checkpoint(format!(
+                "{label} sessions cannot be checkpointed"
+            )));
+        }
         Some(policy) => {
-            let fp = checkpoint::session_fingerprint(cfg, method.label(), iterations, switch_at);
+            let kind = match parts.resilience.as_deref() {
+                Some(r) => r.fingerprint_kind(),
+                None => method.label().to_string(),
+            };
+            let fp = checkpoint::session_fingerprint(base, &kind, iterations, switch_at);
             let (ck, resumed) = Checkpointer::open(policy, fp)?;
             if let Some(resumed) = resumed {
                 let mut snapshot_iteration: i64 = -1;
                 if let Some((snap_iter, state)) = resumed.snapshot.as_ref() {
                     snapshot_iteration = *snap_iter as i64;
                     start = *snap_iter as u32;
-                    if start > switch_at {
-                        // The snapshot engine is already the fine phase.
-                    } else if method == TuningMethod::Hybrid && start == switch_at {
-                        // Snapshot taken exactly at the switch boundary:
-                        // the saved engine is still coarse; the live loop
-                        // below rebuilds the fine engine at `i == switch_at`.
+                    if let Some(r) = parts.resilience.as_deref_mut() {
+                        cfg.topology = r.restore(state).map_err(ckerr)?;
                     }
-                    engine = TuneEngine::from_state(cfg, state.require("engine").map_err(ckerr)?)
+                    engine = TuneEngine::from_state(&cfg, state.require("engine").map_err(ckerr)?)
                         .map_err(ckerr)?;
                     best.restore_state(state.require("best").map_err(ckerr)?)
                         .map_err(ckerr)?;
@@ -1518,9 +1468,15 @@ fn drive_tuning(
                         )));
                     }
                     if method == TuningMethod::Hybrid && i == switch_at {
-                        engine = TuneEngine::fine_phase(cfg, &best.config)?;
+                        engine = TuneEngine::fine_phase(&cfg, &best.config)?;
                     }
-                    let config = engine.propose(cfg);
+                    let config = engine.propose(&cfg);
+                    // Only resilient deltas can say the tuner was told
+                    // the sample was worthless, and they must say it.
+                    let valid = match parts.resilience.as_deref_mut() {
+                        Some(r) => r.replay(delta, &mut cfg.topology)?,
+                        None => true,
+                    };
                     let wips = delta.field_f64("wips").map_err(ckerr)?;
                     let line_wips = delta
                         .require("line_wips")
@@ -1531,8 +1487,15 @@ fn drive_tuning(
                     // completion count so CI-weighting tuners (TUNA)
                     // replay bit-identically.
                     let completed = delta.get("completed").and_then(State::as_u64).unwrap_or(0);
-                    engine.report(&cfg.measurement_from(wips, completed), &line_wips);
-                    best.consider(&config, wips, i);
+                    let measurement = if valid {
+                        cfg.measurement_from(wips, completed)
+                    } else {
+                        Measurement::point(0.0)
+                    };
+                    engine.report(&measurement, &line_wips);
+                    if valid {
+                        best.consider(&config, wips, i);
+                    }
                     records.push(IterationRecord {
                         iteration: i,
                         wips,
@@ -1543,8 +1506,11 @@ fn drive_tuning(
                     start += 1;
                     replayed += 1;
                 }
+                if let Some(r) = parts.resilience.as_deref_mut() {
+                    r.rebuild_fault_log(&cfg, start);
+                }
                 observer.record_resume(
-                    method.label(),
+                    label,
                     start,
                     snapshot_iteration,
                     replayed,
@@ -1557,75 +1523,132 @@ fn drive_tuning(
 
     let eval_before = cfg.eval.counters();
     for i in start..iterations {
+        if let Some(workload_at) = parts.workload_at {
+            cfg.workload = workload_at(i);
+        }
         if method == TuningMethod::Hybrid && i == switch_at {
-            engine = TuneEngine::fine_phase(cfg, &best.config)?;
+            engine = TuneEngine::fine_phase(&cfg, &best.config)?;
+        }
+        if let Some(r) = parts.resilience.as_deref_mut() {
+            r.before(&cfg, i, observer);
         }
         // Speculative parallel evaluation: ask the tuner what it may
         // propose over the next few iterations and warm the cache on
         // worker threads. The horizon never crosses the hybrid's phase
         // switch (the fine engine proposes from a different space).
+        // Resilient sessions do not prefetch, so the bulkhead's cap on
+        // speculation width stays what `ResilienceSettings` documents.
         let spec_horizon = cfg.eval.speculation_horizon();
-        if spec_horizon > 0 {
+        if spec_horizon > 0 && parts.resilience.is_none() {
             let phase_end = if i < switch_at { switch_at } else { iterations };
             let horizon = spec_horizon.min((phase_end - i) as usize);
             let mut scenarios = Vec::new();
-            for (off, candidates) in engine.speculate(cfg, horizon).into_iter().enumerate() {
+            for (off, candidates) in engine.speculate(&cfg, horizon).into_iter().enumerate() {
+                let at = i + off as u32;
                 for candidate in candidates {
-                    let mut s = cfg.scenario(candidate, i + off as u32);
+                    let mut s = cfg.scenario(candidate, at);
                     s.lines = engine.lines();
+                    if let Some(workload_at) = parts.workload_at {
+                        s.workload = workload_at(at);
+                    }
                     scenarios.push(s);
                 }
             }
             cfg.eval.prefetch(&scenarios);
         }
         let t0 = Instant::now();
-        let config = engine.propose(cfg);
+        let config = engine.propose(&cfg);
         let mut scenario = cfg.scenario(config.clone(), i);
         scenario.lines = engine.lines();
-        let mut out = cfg.eval.run(&scenario, observer.registry());
-        cfg.apply_fault_noise(i, &mut out);
-        let wips = out.metrics.wips;
-        let measurement = cfg.measurement_from(wips, out.metrics.completed);
-        engine.report(&measurement, &out.line_wips);
-        best.consider(&config, wips, i);
-        observer.record_iteration(
-            cfg,
-            method_label(method, i, switch_at),
-            i,
-            &config,
-            &out,
-            best.wips,
-            best.iteration,
-            &engine.diagnostics(),
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
+        let sample = match parts.resilience.as_deref_mut() {
+            Some(r) => r.evaluate(&cfg, &config, &scenario, i, observer),
+            None => {
+                let out = cfg.measure(&scenario, i, observer.registry());
+                Sampled {
+                    wips: out.metrics.wips,
+                    measurement: cfg.measurement_from(out.metrics.wips, out.metrics.completed),
+                    valid: true,
+                    out: Some(out),
+                }
+            }
+        };
+        let (line_wips, failed, completed) = match &sample.out {
+            Some(out) => (
+                out.line_wips.clone(),
+                out.total_failed,
+                out.metrics.completed,
+            ),
+            None => (Vec::new(), 0, 0),
+        };
+        engine.report(&sample.measurement, &line_wips);
+        if sample.valid {
+            best.consider(&config, sample.wips, i);
+        }
+        if let Some(out) = &sample.out {
+            // The hybrid's coarse phase is labelled `duplication`, so the
+            // phase switch is visible in the trace.
+            let iteration_label = if method == TuningMethod::Hybrid && i < switch_at {
+                TuningMethod::Duplication.label()
+            } else {
+                label
+            };
+            observer.record_iteration(
+                &cfg,
+                iteration_label,
+                i,
+                &config,
+                out,
+                best.wips.max(0.0),
+                best.iteration,
+                &engine.diagnostics(),
+                t0.elapsed().as_secs_f64() * 1e3,
+            );
+        }
         if method != TuningMethod::None {
-            observer.record_tuner(i, engine.tuner_name(), engine.batch_width(), &measurement);
+            observer.record_tuner(
+                i,
+                engine.tuner_name(),
+                engine.batch_width(),
+                &sample.measurement,
+            );
             if let Some(registry) = observer.registry() {
                 registry
                     .counter("tuner.proposals")
-                    .add(engine.server_count() as u64);
+                    .add(engine.servers().len() as u64);
                 registry.counter("tuner.batches").add(1);
             }
         }
         records.push(IterationRecord {
             iteration: i,
-            wips,
-            line_wips: out.line_wips.clone(),
+            wips: sample.wips,
+            line_wips: line_wips.clone(),
             workload: cfg.workload,
-            failed: out.total_failed,
+            failed,
         });
+        if let Some(out) = &sample.out {
+            if let Some(rc) = parts.reconfig.as_deref_mut() {
+                rc.after(&mut cfg.topology, i, out, observer);
+            }
+            if let Some(r) = parts.resilience.as_deref_mut() {
+                r.after(&mut cfg.topology, i, out, sample.wips, observer);
+            }
+        }
         if let Some(ck) = ckpt.as_mut() {
-            ck.append(
-                State::map()
-                    .with("iteration", State::U64(i as u64))
-                    .with("wips", State::F64(wips))
-                    .with("line_wips", State::f64_list(&out.line_wips))
-                    .with("failed", State::U64(out.total_failed))
-                    .with("completed", State::U64(out.metrics.completed)),
-            )?;
+            let mut delta = State::map()
+                .with("iteration", State::U64(i as u64))
+                .with("wips", State::F64(sample.wips))
+                .with("line_wips", State::f64_list(&line_wips))
+                .with("failed", State::U64(failed))
+                .with("completed", State::U64(completed));
+            if let Some(r) = parts.resilience.as_deref() {
+                r.journal_into(&mut delta, sample.valid);
+            }
+            ck.append(delta)?;
             ck.maybe_snapshot(i + 1, iterations, || {
                 let mut snap = tune_snapshot(&engine, &best, &records);
+                if let Some(r) = parts.resilience.as_deref() {
+                    r.save_into(&mut snap, &cfg.topology);
+                }
                 if cfg.eval.cache_enabled() {
                     snap.set("eval_cache", cfg.eval.save_cache_state());
                 }
@@ -1643,15 +1666,10 @@ fn drive_tuning(
                 .counter("eval.speculation_dropped")
                 .add(activity.speculation_dropped);
         }
-        observer.record_eval(
-            method.label(),
-            iterations - start,
-            cfg.eval.threads(),
-            &activity,
-        );
+        observer.record_eval(label, iterations - start, cfg.eval.threads(), &activity);
     }
     observer.flush();
-    Ok(TuningRun {
+    let run = TuningRun {
         method,
         records,
         best_config: best.config,
@@ -1661,121 +1679,25 @@ fn drive_tuning(
         } else {
             best.iteration
         },
-    })
+    };
+    Ok((run, cfg.topology))
 }
 
-/// Tune with the paper's **default method**: one Harmony server over every
-/// parameter of every node.
-pub fn tune_default_method(
-    cfg: &SessionConfig,
-    iterations: u32,
-) -> Result<TuningRun, SessionError> {
-    tune_default_method_observed(cfg, iterations, &mut SessionObserver::none())
-}
-
-/// [`tune_default_method`] with per-iteration trace/metrics observation.
-pub fn tune_default_method_observed(
-    cfg: &SessionConfig,
-    iterations: u32,
-    observer: &mut SessionObserver,
-) -> Result<TuningRun, SessionError> {
-    drive_tuning(cfg, TuningMethod::Default, iterations, iterations, observer)
-}
-
-/// Tune with **parameter duplication**: one server per tier (7/7/9
-/// dimensions), every tier's values replicated across its nodes, all three
-/// servers fed the same overall WIPS.
-pub fn tune_duplication(cfg: &SessionConfig, iterations: u32) -> Result<TuningRun, SessionError> {
-    tune_duplication_observed(cfg, iterations, &mut SessionObserver::none())
-}
-
-/// [`tune_duplication`] with per-iteration trace/metrics observation.
-/// Tuner diagnostics come from the proxy-tier server.
-pub fn tune_duplication_observed(
-    cfg: &SessionConfig,
-    iterations: u32,
-    observer: &mut SessionObserver,
-) -> Result<TuningRun, SessionError> {
-    drive_tuning(
-        cfg,
-        TuningMethod::Duplication,
-        iterations,
-        iterations,
-        observer,
-    )
-}
-
-/// Tune with **parameter partitioning**: the cluster is split into work
-/// lines; each line gets its own server (23 dimensions) fed by *its own
-/// line's* throughput, and requests never cross lines.
-pub fn tune_partitioning(cfg: &SessionConfig, iterations: u32) -> Result<TuningRun, SessionError> {
-    tune_partitioning_observed(cfg, iterations, &mut SessionObserver::none())
-}
-
-/// [`tune_partitioning`] with per-iteration trace/metrics observation.
-/// Tuner diagnostics come from the first work line's server.
-pub fn tune_partitioning_observed(
-    cfg: &SessionConfig,
-    iterations: u32,
-    observer: &mut SessionObserver,
-) -> Result<TuningRun, SessionError> {
-    drive_tuning(
-        cfg,
-        TuningMethod::Partitioning,
-        iterations,
-        iterations,
-        observer,
-    )
-}
-
-/// The paper's future-work **hybrid**: duplication for the first
-/// `switch_at` iterations, then per-line fine tuning seeded from the
-/// duplication result.
-pub fn tune_hybrid(
-    cfg: &SessionConfig,
-    iterations: u32,
-    switch_at: u32,
-) -> Result<TuningRun, SessionError> {
-    tune_hybrid_observed(cfg, iterations, switch_at, &mut SessionObserver::none())
-}
-
-/// [`tune_hybrid`] with per-iteration trace/metrics observation. The
-/// coarse phase emits records labelled `duplication`, the fine phase
-/// `hybrid` — the phase switch is visible in the trace.
-pub fn tune_hybrid_observed(
-    cfg: &SessionConfig,
-    iterations: u32,
-    switch_at: u32,
-    observer: &mut SessionObserver,
-) -> Result<TuningRun, SessionError> {
-    let run = drive_tuning(cfg, TuningMethod::Hybrid, iterations, switch_at, observer)?;
-    Ok(TuningRun {
-        method: TuningMethod::Hybrid,
-        ..run
-    })
-}
-
-/// Dispatch by method (None yields a flat run of the default config).
-pub fn tune(
-    cfg: &SessionConfig,
-    method: TuningMethod,
-    iterations: u32,
-) -> Result<TuningRun, SessionError> {
-    tune_observed(cfg, method, iterations, &mut SessionObserver::none())
-}
-
-/// [`tune`] with per-iteration trace/metrics observation.
+/// Tune with `method` (see [`TuningMethod`]): the paper's default method
+/// (one server over every parameter of every node), parameter
+/// duplication (one server per tier), parameter partitioning (one server
+/// per work line, fed its own line's throughput), the hybrid
+/// (duplication for the first third, then per-line fine tuning), or
+/// `None` (a flat run of the default configuration). The observer gets
+/// one `iteration` and one `tuner` record per iteration;
+/// [`SessionObserver::none`] observes nothing.
 pub fn tune_observed(
     cfg: &SessionConfig,
     method: TuningMethod,
     iterations: u32,
     observer: &mut SessionObserver,
 ) -> Result<TuningRun, SessionError> {
-    let switch_at = match method {
-        TuningMethod::Hybrid => iterations / 3,
-        _ => iterations,
-    };
-    drive_tuning(cfg, method, iterations, switch_at, observer)
+    drive_tuning(cfg, method, iterations, Parts::default(), observer).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -1786,10 +1708,14 @@ mod tests {
         SessionConfig::new(Topology::single(), workload, 300).plan(IntervalPlan::tiny())
     }
 
+    fn tune(cfg: &SessionConfig, method: TuningMethod, iterations: u32) -> TuningRun {
+        tune_observed(cfg, method, iterations, &mut SessionObserver::none()).expect("tuning")
+    }
+
     #[test]
     fn default_method_runs_and_records() {
         let cfg = quick_cfg(Workload::Shopping);
-        let run = tune_default_method(&cfg, 8).expect("tuning");
+        let run = tune(&cfg, TuningMethod::Default, 8);
         assert_eq!(run.records.len(), 8);
         assert!(run.best_wips > 0.0);
         assert!(run.convergence_iteration < 8);
@@ -1799,7 +1725,7 @@ mod tests {
     #[test]
     fn duplication_replicates_values() {
         let cfg = quick_cfg(Workload::Browsing).topology(Topology::tiers(2, 1, 1).unwrap());
-        let run = tune_duplication(&cfg, 5).expect("tuning");
+        let run = tune(&cfg, TuningMethod::Duplication, 5);
         let best = &run.best_config;
         assert_eq!(
             best.node(0).as_proxy().unwrap(),
@@ -1813,7 +1739,7 @@ mod tests {
         let cfg = quick_cfg(Workload::Shopping)
             .topology(Topology::tiers(2, 2, 2).unwrap())
             .population(400);
-        let run = tune_partitioning(&cfg, 5).expect("tuning");
+        let run = tune(&cfg, TuningMethod::Partitioning, 5);
         assert_eq!(run.records[0].line_wips.len(), 2);
         assert!(run.best_wips > 0.0);
     }
@@ -1821,7 +1747,7 @@ mod tests {
     #[test]
     fn none_method_is_flat_default() {
         let cfg = quick_cfg(Workload::Ordering);
-        let run = tune(&cfg, TuningMethod::None, 3).expect("tuning");
+        let run = tune(&cfg, TuningMethod::None, 3);
         assert_eq!(run.records.len(), 3);
         assert_eq!(run.best_config, ClusterConfig::defaults(&cfg.topology));
     }
@@ -1831,7 +1757,7 @@ mod tests {
         let cfg = quick_cfg(Workload::Shopping)
             .topology(Topology::tiers(2, 2, 2).unwrap())
             .population(400);
-        let run = tune_hybrid(&cfg, 9, 4).expect("tuning");
+        let run = tune(&cfg, TuningMethod::Hybrid, 9);
         assert_eq!(run.records.len(), 9);
         assert_eq!(run.method, TuningMethod::Hybrid);
     }
@@ -1839,8 +1765,8 @@ mod tests {
     #[test]
     fn pinned_seed_is_deterministic() {
         let cfg = quick_cfg(Workload::Shopping).pin_seed(true);
-        let a = tune_default_method(&cfg, 4).expect("tuning");
-        let b = tune_default_method(&cfg, 4).expect("tuning");
+        let a = tune(&cfg, TuningMethod::Default, 4);
+        let b = tune(&cfg, TuningMethod::Default, 4);
         assert_eq!(a.wips_series(), b.wips_series());
     }
 
@@ -1860,7 +1786,7 @@ mod tests {
     #[test]
     fn window_stats_and_fraction() {
         let cfg = quick_cfg(Workload::Shopping);
-        let run = tune(&cfg, TuningMethod::None, 6).expect("tuning");
+        let run = tune(&cfg, TuningMethod::None, 6);
         let (mean, sd) = run.window_stats(0, 6);
         assert!(mean > 0.0);
         assert!(sd >= 0.0);
@@ -1896,7 +1822,7 @@ mod tests {
     #[test]
     fn observed_tuning_matches_plain_and_traces_every_iteration() {
         let cfg = quick_cfg(Workload::Shopping).pin_seed(true);
-        let plain = tune(&cfg, TuningMethod::Default, 5).expect("tuning");
+        let plain = tune(&cfg, TuningMethod::Default, 5);
 
         let mut sink = obs::MemorySink::new();
         let registry = Registry::new();
@@ -2032,10 +1958,10 @@ mod tests {
 
     #[test]
     fn cached_tuning_matches_sequential_bit_for_bit() {
-        let plain = tune(&quick_cfg(Workload::Shopping), TuningMethod::Default, 6).expect("tuning");
+        let plain = tune(&quick_cfg(Workload::Shopping), TuningMethod::Default, 6);
         let cached =
             quick_cfg(Workload::Shopping).eval_settings(EvalSettings::default().cache(true));
-        let run = tune(&cached, TuningMethod::Default, 6).expect("tuning");
+        let run = tune(&cached, TuningMethod::Default, 6);
         assert_eq!(plain.wips_series(), run.wips_series());
         assert_eq!(plain.best_wips.to_bits(), run.best_wips.to_bits());
         let c = cached.eval.counters();
@@ -2044,10 +1970,10 @@ mod tests {
 
     #[test]
     fn speculative_parallel_tuning_matches_sequential_bit_for_bit() {
-        let plain = tune(&quick_cfg(Workload::Shopping), TuningMethod::Default, 8).expect("tuning");
+        let plain = tune(&quick_cfg(Workload::Shopping), TuningMethod::Default, 8);
         let spec = quick_cfg(Workload::Shopping)
             .eval_settings(EvalSettings::default().cache(true).threads(0));
-        let run = tune(&spec, TuningMethod::Default, 8).expect("tuning");
+        let run = tune(&spec, TuningMethod::Default, 8);
         assert_eq!(plain.wips_series(), run.wips_series());
         assert_eq!(plain.best_wips.to_bits(), run.best_wips.to_bits());
         let c = spec.eval.counters();
@@ -2103,7 +2029,7 @@ mod tests {
             let cfg = quick_cfg(Workload::Shopping)
                 .tuner("random")
                 .checkpoint(CheckpointPolicy::new(&dir).every(1));
-            tune_default_method(&cfg, iterations).expect("tuning");
+            tune(&cfg, TuningMethod::Default, iterations);
             let state = persist::snapshot::load(&dir.join(snapshot)).expect("snapshot");
             std::fs::remove_dir_all(&dir).expect("cleanup");
             state.require("engine").expect("engine").encoded_len()
@@ -2141,6 +2067,24 @@ mod tests {
             );
             assert_eq!(ci_1.samples, ci_w.samples, "width {width}");
         }
+    }
+
+    #[test]
+    fn schedule_and_reconfiguration_sessions_refuse_a_checkpoint_policy() {
+        use crate::reconfigure::{run_reconfig_session_observed, ReconfigSettings};
+        use crate::schedule::{tune_with_schedule_observed, WorkloadSchedule};
+        let dir = std::env::temp_dir().join(format!("mode-ckpt-{}", std::process::id()));
+        let cfg = quick_cfg(Workload::Browsing).checkpoint(CheckpointPolicy::new(&dir));
+        let mut none = SessionObserver::none();
+        let schedule = WorkloadSchedule::cycling(2, 1);
+        let scheduled = tune_with_schedule_observed(&cfg, &schedule, &mut none).map(|_| ());
+        let settings = ReconfigSettings::default();
+        let reconfig =
+            run_reconfig_session_observed(&cfg, &settings, 4, |_| cfg.workload, &mut none);
+        for err in [scheduled.unwrap_err(), reconfig.map(|_| ()).unwrap_err()] {
+            assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
+        }
+        assert!(!dir.exists(), "a refused session must write nothing");
     }
 
     #[test]

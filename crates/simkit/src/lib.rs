@@ -73,11 +73,9 @@ pub mod calqueue;
 pub mod ci;
 pub mod engine;
 pub mod hash;
-pub mod output;
 pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod sharing;
 pub mod stats;
 pub mod time;
 

@@ -9,9 +9,9 @@
 
 use ah_webtune::cluster::config::Topology;
 use ah_webtune::harmony::reconfig::Thresholds;
-use ah_webtune::orchestrator::reconfigure::{run_reconfig_session, ReconfigSettings};
+use ah_webtune::orchestrator::reconfigure::{run_reconfig_session_observed, ReconfigSettings};
 use ah_webtune::orchestrator::report::sparkline;
-use ah_webtune::orchestrator::session::SessionConfig;
+use ah_webtune::orchestrator::session::{SessionConfig, SessionObserver};
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
 
@@ -35,13 +35,19 @@ fn main() {
     println!("4 proxies / 2 app / 3 db, browsing -> ordering at iteration {switch_at}");
     println!("running {total} iterations with reconfiguration checks every 20...\n");
 
-    let run = run_reconfig_session(&base, &settings, total, |i| {
-        if i < switch_at {
-            Workload::Browsing
-        } else {
-            Workload::Ordering
-        }
-    })
+    let run = run_reconfig_session_observed(
+        &base,
+        &settings,
+        total,
+        |i| {
+            if i < switch_at {
+                Workload::Browsing
+            } else {
+                Workload::Ordering
+            }
+        },
+        &mut SessionObserver::none(),
+    )
     .expect("reconfiguration session");
 
     println!("WIPS: {}", sparkline(&run.wips_series()));

@@ -12,7 +12,7 @@ use ah_webtune::cluster::config::Topology;
 use ah_webtune::harmony::strategy::TuningMethod;
 use ah_webtune::harmony::workline::build_work_lines;
 use ah_webtune::orchestrator::report::{sparkline, TextTable};
-use ah_webtune::orchestrator::session::{tune, SessionConfig};
+use ah_webtune::orchestrator::session::{tune_observed, SessionConfig, SessionObserver};
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
 
@@ -46,7 +46,8 @@ fn main() {
         TuningMethod::Duplication,
         TuningMethod::Partitioning,
     ] {
-        let run = tune(&cfg, method, iterations).expect("tuning session");
+        let run = tune_observed(&cfg, method, iterations, &mut SessionObserver::none())
+            .expect("tuning session");
         table.row([
             method.label().to_string(),
             format!("{:.1}", run.best_wips),

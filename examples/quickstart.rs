@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ah_webtune::cluster::config::Topology;
-use ah_webtune::orchestrator::session::{tune_default_method, SessionConfig};
+use ah_webtune::harmony::strategy::TuningMethod;
+use ah_webtune::orchestrator::session::{tune_observed, SessionConfig, SessionObserver};
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
 
@@ -30,7 +31,13 @@ fn main() {
     // simulated cluster measures it, and the simplex moves.
     let iterations = 30;
     println!("tuning for {iterations} iterations...");
-    let run = tune_default_method(&session, iterations).expect("tuning session");
+    let run = tune_observed(
+        &session,
+        TuningMethod::Default,
+        iterations,
+        &mut SessionObserver::none(),
+    )
+    .expect("tuning session");
 
     for record in run.records.iter().step_by(5) {
         println!("  iter {:3}: {:6.1} WIPS", record.iteration, record.wips);

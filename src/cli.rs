@@ -42,6 +42,7 @@ pub struct SimArgs {
     /// Seed for the fault injector's deterministic noise/jitter draws.
     pub fault_seed: Option<u64>,
     /// Directory for crash-safe session state (journal + snapshots).
+    /// The three checkpoint options are parsed by `tune` only.
     pub checkpoint_dir: Option<String>,
     /// Snapshot cadence in iterations (default 10 when checkpointing).
     pub checkpoint_every: Option<u32>,
@@ -137,9 +138,6 @@ OPTIONS (all subcommands):
   --faults PATH      JSON fault plan to inject (crashes, stalls, slowdowns, noise)
   --fault-seed N     seed for fault noise/jitter draws (default 0xFA17;
                      requires --faults)
-  --checkpoint-dir PATH   journal + snapshot session state for crash recovery
-  --checkpoint-every N    snapshot cadence in iterations (default 10, N >= 1)
-  --resume           continue the interrupted session in --checkpoint-dir
   --eval-threads N   worker threads for speculative candidate evaluation
                      (default 1 = sequential; 0 = auto, one per core)
   --no-eval-cache    disable measurement memoization (identical results,
@@ -157,6 +155,9 @@ OPTIONS (all subcommands):
 TUNE:
   --method default|duplication|partitioning|hybrid  (default default)
   --iterations N                                    (default 50)
+  --checkpoint-dir PATH   journal + snapshot session state for crash recovery
+  --checkpoint-every N    snapshot cadence in iterations (default 10, N >= 1)
+  --resume           continue the interrupted session in --checkpoint-dir
   --tuner NAME       tuning algorithm: simplex, simplex-conservative,
                      bestconfig, classytune, tuna, annealing, random,
                      coordinate (default simplex). --method keeps its
@@ -192,7 +193,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
         "simulate" => Ok(Command::Simulate(parse_sim_exact(&rest)?)),
         "reconfig" => Ok(Command::Reconfig(parse_sim_exact(&rest)?)),
         "tune" => {
-            let (sim, leftover) = parse_sim(&rest)?;
+            let (mut sim, leftover) = parse_sim(&rest)?;
             let mut method = TuningMethod::Default;
             let mut iterations = 50;
             let mut tuner = None;
@@ -242,8 +243,32 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
                         iterations = parse_num(&leftover, i, "--iterations")?;
                         i += 2;
                     }
+                    "--checkpoint-dir" => {
+                        let v = leftover.get(i + 1).ok_or("--checkpoint-dir needs a path")?;
+                        sim.checkpoint_dir = Some(v.clone());
+                        i += 2;
+                    }
+                    "--checkpoint-every" => {
+                        sim.checkpoint_every = Some(parse_num(&leftover, i, "--checkpoint-every")?);
+                        i += 2;
+                    }
+                    "--resume" => {
+                        sim.resume = true;
+                        i += 1;
+                    }
                     other => return Err(format!("unknown argument '{other}'")),
                 }
+            }
+            if sim.checkpoint_dir.is_none() {
+                if sim.resume {
+                    return Err("--resume requires --checkpoint-dir".into());
+                }
+                if sim.checkpoint_every.is_some() {
+                    return Err("--checkpoint-every requires --checkpoint-dir".into());
+                }
+            }
+            if sim.checkpoint_every == Some(0) {
+                return Err("--checkpoint-every must be at least 1".into());
             }
             if detector && health_oracle {
                 return Err("--detector conflicts with --health-oracle".into());
@@ -385,19 +410,6 @@ fn parse_sim(args: &[String]) -> Result<(SimArgs, Vec<String>), String> {
                 sim.fault_seed = Some(parse_num(args, i, "--fault-seed")?);
                 i += 2;
             }
-            "--checkpoint-dir" => {
-                let v = args.get(i + 1).ok_or("--checkpoint-dir needs a path")?;
-                sim.checkpoint_dir = Some(v.clone());
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                sim.checkpoint_every = Some(parse_num(args, i, "--checkpoint-every")?);
-                i += 2;
-            }
-            "--resume" => {
-                sim.resume = true;
-                i += 1;
-            }
             "--eval-threads" => {
                 sim.eval_threads = Some(parse_num(args, i, "--eval-threads")?);
                 i += 2;
@@ -428,17 +440,6 @@ fn parse_sim(args: &[String]) -> Result<(SimArgs, Vec<String>), String> {
     }
     if sim.fault_seed.is_some() && sim.faults.is_none() {
         return Err("--fault-seed requires --faults".into());
-    }
-    if sim.checkpoint_dir.is_none() {
-        if sim.resume {
-            return Err("--resume requires --checkpoint-dir".into());
-        }
-        if sim.checkpoint_every.is_some() {
-            return Err("--checkpoint-every requires --checkpoint-dir".into());
-        }
-    }
-    if sim.checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be at least 1".into());
     }
     if cohort {
         if cohort_bins == Some(0) {
@@ -758,6 +759,38 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         assert!(parse(argv(&["tune", "--checkpoint-dir"])).is_err());
         assert!(parse(argv(&["tune", "--checkpoint-every"])).is_err());
+    }
+
+    /// Every checkpoint flag, alone or combined, is an unknown argument
+    /// outside `tune`.
+    fn assert_checkpoint_flags_rejected(sub: &str) {
+        let flag_sets: [&[&str]; 5] = [
+            &["--checkpoint-dir", "D"],
+            &["--checkpoint-dir", "D", "--checkpoint-every", "2"],
+            &["--checkpoint-dir", "D", "--resume"],
+            &["--checkpoint-every", "2"],
+            &["--resume"],
+        ];
+        for flags in flag_sets {
+            let args: Vec<&str> = std::iter::once(sub).chain(flags.iter().copied()).collect();
+            let err = parse(argv(&args)).unwrap_err();
+            assert!(err.contains("unknown argument"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn simulate_rejects_checkpoint_flags() {
+        assert_checkpoint_flags_rejected("simulate");
+    }
+
+    #[test]
+    fn reconfig_rejects_checkpoint_flags() {
+        assert_checkpoint_flags_rejected("reconfig");
+    }
+
+    #[test]
+    fn sweep_rejects_checkpoint_flags() {
+        assert_checkpoint_flags_rejected("sweep");
     }
 
     #[test]

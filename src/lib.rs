@@ -33,7 +33,8 @@ pub use tpcw;
 /// let cfg = SessionConfig::new(Topology::single(), Workload::Shopping, 200)
 ///     .plan(IntervalPlan::tiny())
 ///     .pin_seed(true);
-/// let run = tune(&cfg, TuningMethod::Default, 3).expect("session");
+/// let run = tune_observed(&cfg, TuningMethod::Default, 3, &mut SessionObserver::none())
+///     .expect("session");
 /// assert_eq!(run.records.len(), 3);
 /// ```
 pub mod prelude {
@@ -55,12 +56,10 @@ pub mod prelude {
     pub use orchestrator::checkpoint::CheckpointPolicy;
     pub use orchestrator::eval::{EvalEngine, EvalSettings};
     pub use orchestrator::resilient::{
-        run_resilient_session, run_resilient_session_observed, DetectionEvent, ResilienceSettings,
-        ResilientRun,
+        run_resilient_session_observed, DetectionEvent, ResilienceSettings, ResilientRun,
     };
     pub use orchestrator::session::{
-        tune, tune_observed, IterationRecord, SessionConfig, SessionError, SessionObserver,
-        TuningRun,
+        tune_observed, IterationRecord, SessionConfig, SessionError, SessionObserver, TuningRun,
     };
     pub use resilience::{
         Backoff, Bulkhead, CircuitBreaker, Jitter, OutlierGate, RetryPolicy, Stack,

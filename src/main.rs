@@ -7,8 +7,9 @@ use cluster::config::ClusterConfig;
 use cluster::pricing::PriceList;
 use cluster::runner::run_iteration;
 use obs::{JsonlWriter, Registry, TraceRecord, TraceSink};
+use orchestrator::eval::run_raw;
 use orchestrator::report::{fmt_f, fmt_pct, sparkline, TextTable};
-use orchestrator::session::{run_scenario, tune_observed, SessionConfig, SessionObserver};
+use orchestrator::session::{tune_observed, SessionConfig, SessionObserver};
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -109,7 +110,7 @@ fn simulate(sim: &SimArgs) {
     let cfg = session_of(sim);
     let registry = open_registry(sim);
     let scenario = cfg.scenario(ClusterConfig::defaults(&sim.topology), 0);
-    let out = run_scenario(&scenario, registry.as_ref());
+    let out = run_raw(&scenario, registry.as_ref());
     if let Some(mut sink) = open_trace(sim) {
         let rec = TraceRecord::new("simulate")
             .field("workload", sim.workload.to_string())

@@ -34,6 +34,14 @@ fn chaos_cfg(plan: FaultPlan, tuner: &str) -> SessionConfig {
     .fault_plan(plan)
 }
 
+/// An unobserved resilient session of `ITERS` iterations.
+fn resilient(
+    cfg: &SessionConfig,
+    settings: &ResilienceSettings,
+) -> Result<ResilientRun, SessionError> {
+    run_resilient_session_observed(cfg, settings, ITERS, &mut SessionObserver::none())
+}
+
 /// The hardened policy profile the conformance contract runs under:
 /// every optional layer is live.
 fn chaos_settings() -> ResilienceSettings {
@@ -55,7 +63,7 @@ fn every_tuner_survives_every_chaos_plan() {
     for tuner in harmony::registry::tuner_names() {
         for chaos in library::all(window_s(), 4) {
             let cfg = chaos_cfg(chaos.plan.clone(), tuner);
-            let run = run_resilient_session(&cfg, &chaos_settings(), ITERS)
+            let run = resilient(&cfg, &chaos_settings())
                 .unwrap_or_else(|e| panic!("{tuner} × {}: {e:?}", chaos.name));
             assert_eq!(
                 run.records.len(),
@@ -95,8 +103,8 @@ fn chaos_runs_are_deterministic() {
         .expect("library has mixed-mayhem");
     for tuner in harmony::registry::tuner_names() {
         let cfg = chaos_cfg(mayhem.plan.clone(), tuner);
-        let a = run_resilient_session(&cfg, &chaos_settings(), ITERS).expect("first run");
-        let b = run_resilient_session(&cfg, &chaos_settings(), ITERS).expect("second run");
+        let a = resilient(&cfg, &chaos_settings()).expect("first run");
+        let b = resilient(&cfg, &chaos_settings()).expect("second run");
         let bits =
             |r: &ResilientRun| -> Vec<u64> { r.records.iter().map(|x| x.wips.to_bits()).collect() };
         assert_eq!(bits(&a), bits(&b), "{tuner}: WIPS series must be bit-equal");
@@ -266,7 +274,7 @@ fn every_tuner_survives_every_chaos_plan_in_detector_mode() {
     for tuner in harmony::registry::tuner_names() {
         for chaos in library::all(window_s(), 4) {
             let cfg = chaos_cfg(chaos.plan.clone(), tuner);
-            let run = run_resilient_session(&cfg, &detector_settings(), ITERS)
+            let run = resilient(&cfg, &detector_settings())
                 .unwrap_or_else(|e| panic!("{tuner} × {}: {e:?}", chaos.name));
             assert_eq!(
                 run.records.len(),
@@ -304,8 +312,8 @@ fn detector_chaos_runs_are_deterministic() {
         .expect("library has mixed-mayhem");
     for tuner in harmony::registry::tuner_names() {
         let cfg = chaos_cfg(mayhem.plan.clone(), tuner);
-        let a = run_resilient_session(&cfg, &detector_settings(), ITERS).expect("first run");
-        let b = run_resilient_session(&cfg, &detector_settings(), ITERS).expect("second run");
+        let a = resilient(&cfg, &detector_settings()).expect("first run");
+        let b = resilient(&cfg, &detector_settings()).expect("second run");
         assert_eq!(a.detections, b.detections, "{tuner}: detections");
         let bits =
             |r: &ResilientRun| -> Vec<u64> { r.records.iter().map(|x| x.wips.to_bits()).collect() };
@@ -331,7 +339,7 @@ fn detector_kill_and_resume_is_byte_identical_mid_suspicion() {
     // the node is Suspect but not yet confirmed Down.
     let w = window_s();
     let cfg = chaos_cfg(FaultPlan::new().crash(2.0 * w - 2.0, 1), "simplex");
-    let run = run_resilient_session(&cfg, &settings, ITERS).expect("straddle run");
+    let run = resilient(&cfg, &settings).expect("straddle run");
     assert!(
         run.detections
             .iter()

@@ -3,12 +3,19 @@
 
 use ah_webtune::cluster::config::{ClusterConfig, Topology};
 use ah_webtune::harmony::strategy::TuningMethod;
-use ah_webtune::orchestrator::session::{tune, tune_default_method, SessionConfig};
+use ah_webtune::orchestrator::session::{
+    tune_observed, SessionConfig, SessionError, SessionObserver, TuningRun,
+};
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
 
 fn smoke_session(workload: Workload, pop: u32) -> SessionConfig {
     SessionConfig::new(Topology::single(), workload, pop).plan(IntervalPlan::tiny())
+}
+
+/// An unobserved tuning session.
+fn tune(cfg: &SessionConfig, method: TuningMethod, iters: u32) -> Result<TuningRun, SessionError> {
+    tune_observed(cfg, method, iters, &mut SessionObserver::none())
 }
 
 #[test]
@@ -29,8 +36,8 @@ fn tuning_loop_runs_and_never_crashes_across_methods() {
 #[test]
 fn full_stack_is_deterministic_for_pinned_seed() {
     let cfg = smoke_session(Workload::Browsing, 200).pin_seed(true);
-    let a = tune_default_method(&cfg, 5).expect("run a");
-    let b = tune_default_method(&cfg, 5).expect("run b");
+    let a = tune(&cfg, TuningMethod::Default, 5).expect("run a");
+    let b = tune(&cfg, TuningMethod::Default, 5).expect("run b");
     assert_eq!(a.wips_series(), b.wips_series());
     assert_eq!(a.best_config, b.best_config);
 }
@@ -40,7 +47,7 @@ fn tuner_proposals_always_yield_valid_cluster_configs() {
     // Drive 20 iterations and validate every evaluated configuration
     // against the topology (roles and bounds).
     let cfg = smoke_session(Workload::Ordering, 200);
-    let run = tune_default_method(&cfg, 20).expect("tuning session");
+    let run = tune(&cfg, TuningMethod::Default, 20).expect("tuning session");
     // The best config must be buildable and apply cleanly.
     let rebuilt = ClusterConfig::new(&cfg.topology, run.best_config.nodes().to_vec());
     assert!(rebuilt.is_ok());

@@ -323,7 +323,8 @@ fn checkpoint_files_are_width_independent() {
         let cfg = pinned(Topology::single(), 200)
             .eval_settings(EvalSettings::default().cache(true).threads(w))
             .checkpoint(CheckpointPolicy::new(&dir).every(2));
-        let run = tune(&cfg, TuningMethod::Default, 6).expect("checkpointed session");
+        let run = tune_observed(&cfg, TuningMethod::Default, 6, &mut SessionObserver::none())
+            .expect("checkpointed session");
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
             .expect("checkpoint dir")
             .map(|e| {

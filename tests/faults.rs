@@ -92,8 +92,13 @@ fn app_tier_crash_retries_reconfigures_and_recovers() {
     let cfg = pinned(Topology::tiers(2, 3, 2).unwrap(), 400)
         // Node 3 is the second app-tier node in a 2p/3a/2d layout.
         .fault_plan(crash_plan(&plan, 2, 3));
-    let run = run_resilient_session(&cfg, &ResilienceSettings::default(), 10)
-        .expect("resilient session survives the crash");
+    let run = run_resilient_session_observed(
+        &cfg,
+        &ResilienceSettings::default(),
+        10,
+        &mut SessionObserver::none(),
+    )
+    .expect("resilient session survives the crash");
 
     assert_eq!(run.first_crash_iteration(), Some(2));
     assert!(

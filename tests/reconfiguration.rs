@@ -3,13 +3,26 @@
 
 use ah_webtune::cluster::config::{Role, Topology};
 use ah_webtune::harmony::reconfig::Thresholds;
-use ah_webtune::orchestrator::reconfigure::{run_reconfig_session, ReconfigSettings};
-use ah_webtune::orchestrator::session::SessionConfig;
+use ah_webtune::orchestrator::reconfigure::{
+    run_reconfig_session_observed, ReconfigRun, ReconfigSettings,
+};
+use ah_webtune::orchestrator::session::{SessionConfig, SessionObserver};
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
 
 fn base(topology: Topology, pop: u32) -> SessionConfig {
     SessionConfig::new(topology, Workload::Browsing, pop).plan(IntervalPlan::tiny())
+}
+
+/// An unobserved reconfiguration session under one fixed workload.
+fn reconfig(
+    cfg: &SessionConfig,
+    settings: &ReconfigSettings,
+    iters: u32,
+    w: Workload,
+) -> ReconfigRun {
+    run_reconfig_session_observed(cfg, settings, iters, |_| w, &mut SessionObserver::none())
+        .expect("session")
 }
 
 #[test]
@@ -26,7 +39,7 @@ fn move_relieves_saturated_proxy_tier_and_helps_throughput() {
         tune_during: false,
         ..Default::default()
     };
-    let run = run_reconfig_session(&cfg, &settings, 10, |_| Workload::Browsing).expect("session");
+    let run = reconfig(&cfg, &settings, 10, Workload::Browsing);
     assert_eq!(run.events.len(), 1);
     let e = &run.events[0];
     assert_eq!(e.from_tier, Role::App);
@@ -55,7 +68,7 @@ fn tier_size_guard_prevents_emptying_a_tier() {
         tune_during: false,
         ..Default::default()
     };
-    let run = run_reconfig_session(&cfg, &settings, 8, |_| Workload::Browsing).expect("session");
+    let run = reconfig(&cfg, &settings, 8, Workload::Browsing);
     // Whatever happened, every tier still has at least one node.
     for role in Role::ALL {
         assert!(run.final_topology.count(role) >= 1, "{role} emptied");
@@ -70,7 +83,7 @@ fn balanced_cluster_stays_put() {
         tune_during: false,
         ..Default::default()
     };
-    let run = run_reconfig_session(&cfg, &settings, 6, |_| Workload::Shopping).expect("session");
+    let run = reconfig(&cfg, &settings, 6, Workload::Shopping);
     assert!(run.events.is_empty());
     assert_eq!(run.final_topology, cfg.topology);
 }
@@ -88,7 +101,7 @@ fn service_continues_across_every_iteration_of_a_move() {
         tune_during: false,
         ..Default::default()
     };
-    let run = run_reconfig_session(&cfg, &settings, 8, |_| Workload::Browsing).expect("session");
+    let run = reconfig(&cfg, &settings, 8, Workload::Browsing);
     // The paper: reconfiguration happens without taking the system down —
     // every iteration (including the move iteration) serves traffic.
     for rec in &run.records {
@@ -113,7 +126,7 @@ fn degraded_node_attracts_tier_reinforcement() {
         tune_during: false,
         ..Default::default()
     };
-    let run = run_reconfig_session(&cfg, &settings, 8, |_| Workload::Ordering).expect("session");
+    let run = reconfig(&cfg, &settings, 8, Workload::Ordering);
     assert_eq!(
         run.events.len(),
         1,

@@ -376,11 +376,17 @@ fn resume_under_a_different_tuner_is_refused() {
 fn sessions_accept_every_registered_tuner_and_reject_unknown_names() {
     for name in tuner_names() {
         let cfg = pinned(name);
-        let run =
-            tune(&cfg, TuningMethod::Default, 2).unwrap_or_else(|e| panic!("{name}: session: {e}"));
+        let run = tune_observed(&cfg, TuningMethod::Default, 2, &mut SessionObserver::none())
+            .unwrap_or_else(|e| panic!("{name}: session: {e}"));
         assert_eq!(run.records.len(), 2, "{name}");
     }
-    let err = tune(&pinned("magic"), TuningMethod::Default, 2).unwrap_err();
+    let err = tune_observed(
+        &pinned("magic"),
+        TuningMethod::Default,
+        2,
+        &mut SessionObserver::none(),
+    )
+    .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("unknown tuner 'magic'"), "{msg}");
     for name in tuner_names() {
