@@ -20,6 +20,7 @@ use crate::resilient::{DetectionEvent, RecoveryAction};
 use crate::session::{ckerr, node_values, IterationRecord, SessionConfig, SessionError};
 use cluster::config::{ClusterConfig, NodeParams, Role, Topology};
 use cluster::params::{DbParams, ProxyParams, WebParams};
+use persist::snapshot::Fields;
 use persist::{CheckpointStore, PersistError, State};
 use std::path::PathBuf;
 use tpcw::mix::Workload;
@@ -223,21 +224,26 @@ impl Checkpointer {
         self.store.append(&delta).map_err(ckerr)
     }
 
-    /// Snapshot if `next_iteration` hits the cadence. A completed session
-    /// deliberately never snapshots its final state: the directory of a
-    /// finished k-iteration run is byte-identical to that of a process
-    /// killed at the same boundary, which is what makes kill-and-resume
-    /// testable without subprocess machinery.
+    /// Whether `next_iteration` hits the snapshot cadence. A completed
+    /// session deliberately never snapshots its final state: the
+    /// directory of a finished k-iteration run is byte-identical to that
+    /// of a process killed at the same boundary, which is what makes
+    /// kill-and-resume testable without subprocess machinery.
+    fn due(&self, next_iteration: u32, total_iterations: u32) -> bool {
+        next_iteration != 0
+            && next_iteration < total_iterations
+            && next_iteration.is_multiple_of(self.every)
+    }
+
+    /// Snapshot `state`, plus `fingerprint` and `iteration`, if
+    /// `next_iteration` hits the cadence.
     pub fn maybe_snapshot(
         &mut self,
         next_iteration: u32,
         total_iterations: u32,
         state: impl FnOnce() -> State,
     ) -> Result<(), SessionError> {
-        if next_iteration == 0
-            || next_iteration >= total_iterations
-            || !next_iteration.is_multiple_of(self.every)
-        {
+        if !self.due(next_iteration, total_iterations) {
             return Ok(());
         }
         let snapshot = state()
@@ -245,6 +251,29 @@ impl Checkpointer {
             .with("iteration", State::U64(next_iteration as u64));
         self.store
             .write_snapshot(next_iteration as u64, &snapshot)
+            .map_err(ckerr)
+    }
+
+    /// [`Checkpointer::maybe_snapshot`] for a snapshot assembled field
+    /// by field: `fields` adds the session's fields, so bytes encoded
+    /// earlier are copied instead of rebuilt, and `fingerprint` and
+    /// `iteration` follow them. The file is the one `maybe_snapshot`
+    /// writes for the equivalent map.
+    pub(crate) fn maybe_snapshot_fields(
+        &mut self,
+        next_iteration: u32,
+        total_iterations: u32,
+        fields: impl FnOnce(&mut Fields),
+    ) -> Result<(), SessionError> {
+        if !self.due(next_iteration, total_iterations) {
+            return Ok(());
+        }
+        let mut image = Fields::new();
+        fields(&mut image);
+        image.state("fingerprint", &State::U64(self.fingerprint));
+        image.state("iteration", &State::U64(next_iteration as u64));
+        self.store
+            .write_snapshot_image(next_iteration as u64, &image.finish())
             .map_err(ckerr)
     }
 }
@@ -336,20 +365,54 @@ pub(crate) fn config_from_state(state: &State) -> Result<ClusterConfig, PersistE
     ClusterConfig::new(&topology, params).map_err(|e| schema(format!("invalid config: {e}")))
 }
 
+/// One iteration record as a snapshot's `records` list holds it: the
+/// record format's one definition.
+fn record_state(r: &IterationRecord) -> State {
+    State::map()
+        .with("iteration", State::U64(r.iteration as u64))
+        .with("wips", State::F64(r.wips))
+        .with("line_wips", State::f64_list(&r.line_wips))
+        .with("workload", State::Str(r.workload.name().to_string()))
+        .with("failed", State::U64(r.failed))
+}
+
+/// The `records` field as a tree: the test oracle for [`RecordLog`].
+#[cfg(test)]
 pub(crate) fn records_state(records: &[IterationRecord]) -> State {
-    State::List(
-        records
-            .iter()
-            .map(|r| {
-                State::map()
-                    .with("iteration", State::U64(r.iteration as u64))
-                    .with("wips", State::F64(r.wips))
-                    .with("line_wips", State::f64_list(&r.line_wips))
-                    .with("workload", State::Str(r.workload.name().to_string()))
-                    .with("failed", State::U64(r.failed))
-            })
-            .collect(),
-    )
+    State::List(records.iter().map(record_state).collect())
+}
+
+/// A session's iteration records, each encoded once, when it is
+/// recorded: a snapshot's `records` field is a list header followed by
+/// a copy of those bytes, so its cost does not grow with re-encoding
+/// the whole history.
+pub(crate) struct RecordLog {
+    records: Vec<IterationRecord>,
+    encoded: Vec<u8>,
+}
+
+impl RecordLog {
+    pub(crate) fn with_capacity(iterations: usize) -> RecordLog {
+        RecordLog {
+            records: Vec::with_capacity(iterations),
+            encoded: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, record: IterationRecord) {
+        record_state(&record).encode_into(&mut self.encoded);
+        self.records.push(record);
+    }
+
+    /// Append the `records` field's encoding.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        State::encode_list_header(self.records.len(), out);
+        out.extend_from_slice(&self.encoded);
+    }
+
+    pub(crate) fn into_records(self) -> Vec<IterationRecord> {
+        self.records
+    }
 }
 
 pub(crate) fn records_from_state(state: &State) -> Result<Vec<IterationRecord>, PersistError> {
@@ -623,17 +686,34 @@ mod tests {
 
     #[test]
     fn records_and_recoveries_roundtrip() {
-        let records = vec![IterationRecord {
-            iteration: 3,
-            wips: 12.5,
-            line_wips: vec![6.25, 6.25],
-            workload: Workload::Browsing,
-            failed: 2,
-        }];
+        let records = vec![
+            IterationRecord {
+                iteration: 3,
+                wips: 12.5,
+                line_wips: vec![6.25, 6.25],
+                workload: Workload::Browsing,
+                failed: 2,
+            },
+            IterationRecord {
+                iteration: 4,
+                wips: 0.0,
+                line_wips: Vec::new(),
+                workload: Workload::Ordering,
+                failed: 0,
+            },
+        ];
         assert_eq!(
             records_from_state(&records_state(&records)).expect("records"),
             records
         );
+        // Records encoded one at a time make the same `records` field.
+        let mut log = RecordLog::with_capacity(records.len());
+        for r in &records {
+            log.push(r.clone());
+        }
+        let mut encoded = Vec::new();
+        log.encode_into(&mut encoded);
+        assert_eq!(encoded, records_state(&records).encode());
         let recoveries = vec![RecoveryAction {
             iteration: 3,
             action: "retry",

@@ -19,7 +19,9 @@
 //!   the *entire* scenario (configuration, topology, workload, seed,
 //!   fault timeline, work lines, …) via its `Debug` rendering, so two
 //!   scenarios share an entry only when the simulation would be
-//!   byte-for-byte identical anyway.
+//!   byte-for-byte identical anyway. Each entry also keeps its snapshot
+//!   encoding, made once when it is stored, so a checkpointed session
+//!   copies the cache into each snapshot instead of re-encoding it.
 //! * **Speculation** ([`EvalSettings::threads`] ≠ 1, requires the
 //!   cache) — the session asks its tuner which configurations it *may*
 //!   propose over the next few iterations (see `Tuner::speculate`) and
@@ -158,7 +160,7 @@ impl EvalCounters {
 /// methods take `&self`.
 pub struct EvalEngine {
     settings: EvalSettings,
-    cache: Mutex<BTreeMap<u64, IterationOutcome>>,
+    cache: Mutex<BTreeMap<u64, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     speculated: AtomicU64,
@@ -171,6 +173,21 @@ impl std::fmt::Debug for EvalEngine {
             .field("settings", &self.settings)
             .field("entries", &self.len())
             .finish()
+    }
+}
+
+/// One cached outcome, with the encoding of its snapshot entry
+/// ([`entry_state`]) made once, when it is stored: a snapshot copies
+/// these bytes instead of rebuilding and re-encoding the whole cache.
+struct Entry {
+    outcome: IterationOutcome,
+    encoded: Box<[u8]>,
+}
+
+impl Entry {
+    fn new(key: u64, outcome: IterationOutcome) -> Entry {
+        let encoded = entry_state(key, &outcome).encode().into_boxed_slice();
+        Entry { outcome, encoded }
     }
 }
 
@@ -250,7 +267,7 @@ impl EvalEngine {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, IterationOutcome>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Entry>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -263,7 +280,7 @@ impl EvalEngine {
             return run_raw(scenario, registry);
         }
         let key = scenario_fingerprint(scenario);
-        if let Some(hit) = self.lock().get(&key).cloned() {
+        if let Some(hit) = self.lock().get(&key).map(|e| e.outcome.clone()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -271,7 +288,7 @@ impl EvalEngine {
         let out = run_raw(scenario, registry);
         let mut cache = self.lock();
         if cache.len() < self.settings.capacity {
-            cache.insert(key, out.clone());
+            cache.insert(key, Entry::new(key, out.clone()));
         }
         out
     }
@@ -320,7 +337,7 @@ impl EvalEngine {
             for (key, out) in keys.into_iter().zip(outs) {
                 match out {
                     Some(out) if cache.len() < self.settings.capacity => {
-                        cache.insert(key, out);
+                        cache.insert(key, Entry::new(key, out));
                         stored += 1;
                     }
                     _ => dropped += 1,
@@ -342,14 +359,23 @@ impl EvalEngine {
             State::List(
                 cache
                     .iter()
-                    .map(|(k, v)| {
-                        State::map()
-                            .with("key", State::U64(*k))
-                            .with("outcome", outcome_state(v))
-                    })
+                    .map(|(k, e)| entry_state(*k, &e.outcome))
                     .collect(),
             ),
         )
+    }
+
+    /// Append the encoding of [`EvalEngine::save_cache_state`], copied
+    /// from the entries' stored encodings in key order: what a session
+    /// snapshot's `eval_cache` field holds, without building the tree.
+    pub(crate) fn encode_cache_into(&self, out: &mut Vec<u8>) {
+        let cache = self.lock();
+        State::encode_map_header(1, out);
+        State::encode_key("entries", out);
+        State::encode_list_header(cache.len(), out);
+        for entry in cache.values() {
+            out.extend_from_slice(&entry.encoded);
+        }
     }
 
     /// Merge entries saved by [`EvalEngine::save_cache_state`] back in
@@ -363,10 +389,19 @@ impl EvalEngine {
             }
             let key = entry.field_u64("key")?;
             let outcome = outcome_from_state(entry.require("outcome")?)?;
-            cache.insert(key, outcome);
+            cache.insert(key, Entry::new(key, outcome));
         }
         Ok(())
     }
+}
+
+/// One cache entry as a snapshot stores it: the scenario fingerprint and
+/// the outcome. The entry format's one definition: both
+/// [`EvalEngine::save_cache_state`] and the stored encodings use it.
+fn entry_state(key: u64, out: &IterationOutcome) -> State {
+    State::map()
+        .with("key", State::U64(key))
+        .with("outcome", outcome_state(out))
 }
 
 /// Serialize one cached outcome. `p90_response` travels as integer
@@ -608,6 +643,54 @@ mod tests {
             }
         }
         assert_eq!(restored.counters().hits, 3);
+    }
+
+    fn encoded_cache(engine: &EvalEngine) -> Vec<u8> {
+        let mut out = Vec::new();
+        engine.encode_cache_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn stored_encodings_are_the_encoding_of_the_cache_state() {
+        // After misses.
+        let engine = EvalEngine::new(EvalSettings::default().cache(true));
+        for i in [2, 0, 1] {
+            let _ = engine.run(&scenario(i), None);
+        }
+        assert_eq!(encoded_cache(&engine), engine.save_cache_state().encode());
+
+        // After a prefetch on two worker threads.
+        let speculative = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
+        let scenarios: Vec<ClusterScenario> = (3..6).map(scenario).collect();
+        assert_eq!(speculative.prefetch(&scenarios), 3);
+        assert_eq!(
+            encoded_cache(&speculative),
+            speculative.save_cache_state().encode()
+        );
+
+        // After a restore into a non-empty cache that overwrites a key:
+        // the overwritten entry's stored encoding is replaced too.
+        let key = scenario_fingerprint(&scenario(0));
+        let mut changed = engine.run(&scenario(0), None);
+        changed.metrics.wips += 1.0;
+        changed.events += 1;
+        let saved = State::map().with(
+            "entries",
+            State::List(vec![
+                entry_state(key, &changed),
+                entry_state(
+                    scenario_fingerprint(&scenario(3)),
+                    &run_raw(&scenario(3), None),
+                ),
+            ]),
+        );
+        engine.restore_cache(&saved).expect("restore");
+        assert_eq!(engine.len(), 4);
+        assert_eq!(encoded_cache(&engine), engine.save_cache_state().encode());
+        let hit = engine.run(&scenario(0), None);
+        assert_eq!(hit.metrics.wips.to_bits(), changed.metrics.wips.to_bits());
+        assert_eq!(hit.events, changed.events);
     }
 
     #[test]

@@ -58,6 +58,7 @@ use harmony::reconfig::{decide, CostModel, NodeReport, Thresholds};
 use harmony::strategy::TuningMethod;
 use harmony::tuner::Measurement;
 use obs::Registry;
+use persist::snapshot::Fields;
 use persist::{Checkpointable, PersistError, State};
 use resilience::{
     Breaker, Bulkhead, CircuitBreaker, Ctx, Event, Fallback, Outcome, OutlierGate, Retry,
@@ -630,16 +631,22 @@ impl Resilience {
         }
     }
 
-    /// Add the resilient subtrees to a snapshot: the topology, the
-    /// policy stack, the logs and (in detector mode) the detector.
-    pub(crate) fn save_into(&self, snap: &mut State, topology: &Topology) {
-        snap.set("topology", checkpoint::topology_state(topology));
-        snap.set("policy", self.stack.save_state());
-        snap.set("recoveries", checkpoint::recoveries_state(&self.recoveries));
-        snap.set("reconfigs", checkpoint::reconfigs_state(&self.reconfigs));
+    /// Add the resilient fields to a snapshot: the topology, the policy
+    /// stack, the logs and (in detector mode) the detector.
+    pub(crate) fn save_into(&self, snap: &mut Fields, topology: &Topology) {
+        snap.state("topology", &checkpoint::topology_state(topology));
+        snap.state("policy", &self.stack.save_state());
+        snap.state(
+            "recoveries",
+            &checkpoint::recoveries_state(&self.recoveries),
+        );
+        snap.state("reconfigs", &checkpoint::reconfigs_state(&self.reconfigs));
         if let Some(det) = &self.detector {
-            snap.set("detector", det.save_state());
-            snap.set("detections", checkpoint::detections_state(&self.detections));
+            snap.state("detector", &det.save_state());
+            snap.state(
+                "detections",
+                &checkpoint::detections_state(&self.detections),
+            );
         }
     }
 

@@ -12,7 +12,7 @@
 //! `Parts`.
 
 use crate::binding;
-use crate::checkpoint::{self, CheckpointPolicy, Checkpointer};
+use crate::checkpoint::{self, CheckpointPolicy, Checkpointer, RecordLog};
 use crate::eval::{EvalCounters, EvalEngine, EvalSettings};
 use crate::reconfigure::Reconfigurer;
 use crate::resilient::Resilience;
@@ -1341,16 +1341,6 @@ pub(crate) fn tuner_seed(cfg: &SessionConfig, index: u64) -> u64 {
     (cfg.base_seed ^ TUNER_SEED_DOMAIN).wrapping_add(index)
 }
 
-/// Full tuner state of a session, snapshot-ready. A resilient session
-/// adds its own subtrees (see [`Resilience::save_into`]).
-fn tune_snapshot(engine: &TuneEngine, best: &BestConfig, records: &[IterationRecord]) -> State {
-    State::map()
-        .with("kind", State::Str("tune".into()))
-        .with("engine", engine.save_state())
-        .with("best", best.save_state())
-        .with("records", checkpoint::records_state(records))
-}
-
 /// One evaluated iteration, as the loop records it.
 pub(crate) struct Sampled {
     /// The simulation outcome to trace; `None` when nothing was measured
@@ -1415,7 +1405,7 @@ pub(crate) fn drive_tuning(
         iterations
     };
     let mut engine = TuneEngine::for_method(&cfg, method)?;
-    let mut records: Vec<IterationRecord> = Vec::with_capacity(iterations as usize);
+    let mut records = RecordLog::with_capacity(iterations as usize);
     let mut best = BestConfig::new(ClusterConfig::defaults(&cfg.topology));
     let mut start = 0u32;
 
@@ -1445,9 +1435,12 @@ pub(crate) fn drive_tuning(
                         .map_err(ckerr)?;
                     best.restore_state(state.require("best").map_err(ckerr)?)
                         .map_err(ckerr)?;
-                    records =
+                    for record in
                         checkpoint::records_from_state(state.require("records").map_err(ckerr)?)
-                            .map_err(ckerr)?;
+                            .map_err(ckerr)?
+                    {
+                        records.push(record);
+                    }
                     // Warm the evaluation cache from the snapshot (older
                     // snapshots — or cache-off sessions — simply lack
                     // the field).
@@ -1644,15 +1637,19 @@ pub(crate) fn drive_tuning(
                 r.journal_into(&mut delta, sample.valid);
             }
             ck.append(delta)?;
-            ck.maybe_snapshot(i + 1, iterations, || {
-                let mut snap = tune_snapshot(&engine, &best, &records);
+            // Records and cache entries were encoded when they were
+            // made; only the small fields are encoded here.
+            ck.maybe_snapshot_fields(i + 1, iterations, |snap| {
+                snap.state("kind", &State::Str("tune".into()));
+                snap.state("engine", &engine.save_state());
+                snap.state("best", &best.save_state());
+                snap.encoded("records", |out| records.encode_into(out));
                 if let Some(r) = parts.resilience.as_deref() {
-                    r.save_into(&mut snap, &cfg.topology);
+                    r.save_into(snap, &cfg.topology);
                 }
                 if cfg.eval.cache_enabled() {
-                    snap.set("eval_cache", cfg.eval.save_cache_state());
+                    snap.encoded("eval_cache", |out| cfg.eval.encode_cache_into(out));
                 }
-                snap
             })?;
         }
     }
@@ -1671,7 +1668,7 @@ pub(crate) fn drive_tuning(
     observer.flush();
     let run = TuningRun {
         method,
-        records,
+        records: records.into_records(),
         best_config: best.config,
         best_wips: best.wips,
         convergence_iteration: if method == TuningMethod::None {
@@ -2039,6 +2036,128 @@ mod tests {
         let at_5 = engine_len(6, "snap-00000005.ckpt");
         let at_10 = engine_len(11, "snap-00000010.ckpt");
         assert_eq!(at_5, at_10, "engine state grew between iterations 5 and 10");
+    }
+
+    /// Check every snapshot a session left in `dir`: it is the
+    /// canonical encoding of what it decodes to, its fields come in
+    /// `keys` order, its records are the run's first k and its eval
+    /// cache restores. Returns how many it checked.
+    fn check_snapshots(dir: &std::path::Path, keys: &[&str], records: &[IterationRecord]) -> usize {
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).expect("dir") {
+            let path = entry.expect("entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("ckpt") {
+                continue;
+            }
+            let bytes = std::fs::read(&path).expect("read");
+            let state = persist::snapshot::load(&path).expect("load");
+            assert_eq!(
+                persist::snapshot::Image::of(&state).as_bytes(),
+                &bytes[..],
+                "{path:?} is not the canonical encoding of its state"
+            );
+            let State::Map(pairs) = &state else {
+                panic!("{path:?} is not a map");
+            };
+            let found: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(found, keys, "{path:?}");
+            let k = state.field_u64("iteration").expect("iteration") as usize;
+            let saved = checkpoint::records_from_state(state.require("records").expect("records"))
+                .expect("records decode");
+            assert_eq!(saved, records[..k], "{path:?}");
+            let cached = state.require("eval_cache").expect("eval_cache");
+            let entries = cached.field_list("entries").expect("entries").len();
+            let engine = EvalEngine::new(EvalSettings::default().cache(true));
+            engine.restore_cache(cached).expect("eval cache restores");
+            assert!(entries > 0, "{path:?}: empty eval cache");
+            assert_eq!(engine.len(), entries, "{path:?}: every entry restores");
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn snapshots_assembled_from_parts_are_canonical() {
+        let dir = std::env::temp_dir().join(format!("session-parts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plain = [
+            "kind",
+            "engine",
+            "best",
+            "records",
+            "eval_cache",
+            "fingerprint",
+            "iteration",
+        ];
+        // The hybrid switches engines at iteration 2 of 6, so the two
+        // snapshots it leaves (after iterations 2 and 4) straddle it.
+        let cfg = quick_cfg(Workload::Shopping)
+            .topology(Topology::tiers(2, 2, 2).unwrap())
+            .population(400)
+            .eval_settings(EvalSettings::default().cache(true))
+            .checkpoint(CheckpointPolicy::new(&dir).every(2));
+        let run = tune(&cfg, TuningMethod::Hybrid, 6);
+        assert_eq!(check_snapshots(&dir, &plain, &run.records), 2);
+
+        // Cut the directory back to a kill during iteration 3 (snapshot 2
+        // and the journal's first three deltas) and resume: snapshot 4 is
+        // then built from records restored from snapshot 2, replayed from
+        // the journal and measured live.
+        let snap_2 = dir.join("snap-00000002.ckpt");
+        let kept = std::fs::read(&snap_2).expect("snapshot 2");
+        let mut store = persist::CheckpointStore::open(&dir).expect("store");
+        let journal = store.recover().expect("recover").journal;
+        store.start_fresh().expect("wipe");
+        for record in journal.iter().take(4) {
+            store.append(record).expect("append");
+        }
+        drop(store);
+        std::fs::write(&snap_2, kept).expect("restore snapshot 2");
+        let policy = CheckpointPolicy::new(&dir).every(2).resume(true);
+        let fresh = cfg
+            .clone()
+            .eval_settings(EvalSettings::default().cache(true))
+            .checkpoint(policy);
+        let resumed = tune(&fresh, TuningMethod::Hybrid, 6);
+        assert_eq!(resumed.records, run.records);
+        assert_eq!(check_snapshots(&dir, &plain, &run.records), 2);
+
+        // A detector-mode resilient session under a crash: the resilient
+        // fields sit between `records` and `eval_cache`.
+        let total = IntervalPlan::tiny().total().as_secs_f64();
+        let cfg = cfg
+            .pin_seed(true)
+            .eval_settings(EvalSettings::default().cache(true))
+            .fault_plan(FaultPlan::new().crash(total + 2.0, 2));
+        let settings = crate::resilient::ResilienceSettings {
+            detector: Some(detect::DetectorConfig::default()),
+            ..Default::default()
+        };
+        let run = crate::resilient::run_resilient_session_observed(
+            &cfg,
+            &settings,
+            6,
+            &mut SessionObserver::none(),
+        )
+        .expect("resilient run");
+        assert!(!run.recoveries.is_empty() && !run.detections.is_empty());
+        let resilient = [
+            "kind",
+            "engine",
+            "best",
+            "records",
+            "topology",
+            "policy",
+            "recoveries",
+            "reconfigs",
+            "detector",
+            "detections",
+            "eval_cache",
+            "fingerprint",
+            "iteration",
+        ];
+        assert_eq!(check_snapshots(&dir, &resilient, &run.records), 2);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

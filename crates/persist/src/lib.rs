@@ -16,7 +16,9 @@
 //!   torn or truncated tail (the crash case) by stopping at the first
 //!   bad frame.
 //! * [`snapshot`] — whole-state snapshot files written atomically
-//!   (temp file + fsync + rename) and verified by checksum on load.
+//!   (temp file + fsync + rename) and verified by checksum on load. A
+//!   snapshot is encoded from a `State` tree or assembled field by field
+//!   from bytes encoded earlier; the file is the same either way.
 //! * [`store::CheckpointStore`] — the on-disk layout tying both
 //!   together: periodic snapshots plus a journal of per-iteration
 //!   deltas. Recovery loads the newest intact snapshot (quarantining

@@ -6,12 +6,16 @@
 //! [magic: 8 bytes "AHCKPT\x00\x01"] [crc32(body): u32 LE] [body: State]
 //! ```
 //!
-//! Writes are atomic: the bytes go to a `.tmp` sibling, are fsynced,
-//! and the file is renamed into place (rename is atomic on POSIX
-//! filesystems), so a crash leaves either the old snapshot or the new
-//! one — never a half-written file under the real name. Loads verify
-//! magic and checksum and surface [`PersistError::Corrupt`] so callers
-//! can quarantine the file and fall back to an older snapshot.
+//! The file's bytes are an [`Image`]: of a whole [`State`]
+//! ([`Image::of`]), or of a map body assembled field by field from
+//! values encoded now and bytes encoded earlier ([`Fields`]). Both are
+//! written by [`write_image`]. Writes are atomic: the bytes go to a
+//! `.tmp` sibling, are fsynced, and the file is renamed into place
+//! (rename is atomic on POSIX filesystems), so a crash leaves either the
+//! old snapshot or the new one — never a half-written file under the
+//! real name. Loads verify magic and checksum and surface
+//! [`PersistError::Corrupt`] so callers can quarantine the file and fall
+//! back to an older snapshot.
 
 use crate::crc::crc32;
 use crate::state::State;
@@ -26,27 +30,104 @@ pub const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
 /// Bytes before the body: the magic, then the body's CRC.
 const HEADER_LEN: usize = MAGIC.len() + 4;
 
-/// The whole file image for `state`, built in one exactly sized buffer:
-/// the body is encoded straight after a zeroed CRC slot, which is then
-/// patched in place.
-fn image(state: &State) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + state.encoded_len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&[0; 4]);
-    state.encode_into(&mut bytes);
-    let crc = crc32(&bytes[HEADER_LEN..]);
-    bytes[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-    bytes
+/// A whole snapshot file: the magic, the body's CRC, then the body.
+/// Only [`Image::of`] and [`Fields::finish`] make one, so the CRC
+/// always matches.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Image(Vec<u8>);
+
+impl Image {
+    /// The image of `state`, built in one exactly sized buffer: the body
+    /// is encoded straight after a zeroed CRC slot, which is then
+    /// patched in place.
+    pub fn of(state: &State) -> Image {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + state.encoded_len());
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&[0; 4]);
+        state.encode_into(&mut bytes);
+        Image::seal(bytes)
+    }
+
+    /// Patch the CRC slot with the checksum of the body after it.
+    fn seal(mut bytes: Vec<u8>) -> Image {
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        Image(bytes)
+    }
+
+    /// The file's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
-/// Write `state` to `path` atomically (temp + fsync + rename).
-pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
-    let bytes = image(state);
+/// A snapshot whose body is a map, built one field at a time. A field
+/// is either a [`State`] encoded now or bytes that were encoded earlier,
+/// so a caller that keeps the encodings of a growing history copies
+/// them instead of rebuilding and re-encoding a tree. The file is the
+/// one [`Image::of`] writes for the equivalent [`State::Map`], byte for
+/// byte: the field count and the CRC are patched in place by
+/// [`Fields::finish`].
+#[derive(Debug)]
+pub struct Fields {
+    bytes: Vec<u8>,
+    count: usize,
+}
 
+impl Fields {
+    /// Start an empty map body. The buffer grows as fields are added;
+    /// sizing it up front from the previous snapshot's length measured
+    /// slower (2-core x86-64, glibc), so there is no capacity hint.
+    pub fn new() -> Fields {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&[0; 4]);
+        State::encode_map_header(0, &mut bytes);
+        Fields { bytes, count: 0 }
+    }
+
+    /// Add the field `key`, encoding `value` now.
+    pub fn state(&mut self, key: &str, value: &State) {
+        self.encoded(key, |out| value.encode_into(out));
+    }
+
+    /// Add the field `key`, whose value `encode` appends already
+    /// encoded: exactly one `State`'s encoding, which may be assembled
+    /// from pieces (see [`State::encode_list_header`]).
+    pub fn encoded(&mut self, key: &str, encode: impl FnOnce(&mut Vec<u8>)) {
+        State::encode_key(key, &mut self.bytes);
+        encode(&mut self.bytes);
+        self.count += 1;
+    }
+
+    /// Patch the field count into the map header and seal the image.
+    pub fn finish(mut self) -> Image {
+        let mut header = Vec::with_capacity(5);
+        State::encode_map_header(self.count, &mut header);
+        self.bytes[HEADER_LEN..HEADER_LEN + header.len()].copy_from_slice(&header);
+        Image::seal(self.bytes)
+    }
+}
+
+impl Default for Fields {
+    fn default() -> Fields {
+        Fields::new()
+    }
+}
+
+/// Write `state` to `path` atomically (see [`write_image`]).
+pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
+    write_image(path, &Image::of(state))
+}
+
+/// Write `image` to `path` atomically: the bytes go to a `.tmp` sibling,
+/// which is fsynced and then renamed into place, and the directory is
+/// fsynced to persist the rename. Every snapshot file is written here.
+pub fn write_image(path: &Path, image: &Image) -> Result<(), PersistError> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(image.as_bytes())?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -118,6 +199,47 @@ mod tests {
         expected.extend_from_slice(&crc32(&body).to_le_bytes());
         expected.extend_from_slice(&body);
         assert_eq!(std::fs::read(&path).unwrap(), expected);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_body_built_field_by_field_is_the_image_of_its_map() {
+        let record = |i: u64| State::map().with("iteration", State::U64(i));
+        let records = [record(0), record(1), record(2)];
+        let tree = State::map()
+            .with("kind", State::Str("tune".into()))
+            .with("empty_map", State::map())
+            .with("records", State::List(records.to_vec()))
+            .with("none", State::List(Vec::new()))
+            .with("wips", State::F64(98.5));
+        // `records` is assembled from a list header and the items'
+        // earlier encodings; `none` is a pre-encoded empty list.
+        let mut items = Vec::new();
+        for r in &records {
+            r.encode_into(&mut items);
+        }
+        let mut fields = Fields::new();
+        fields.state("kind", &State::Str("tune".into()));
+        fields.encoded("empty_map", |out| State::map().encode_into(out));
+        fields.encoded("records", |out| {
+            State::encode_list_header(records.len(), out);
+            out.extend_from_slice(&items);
+        });
+        fields.encoded("none", |out| State::encode_list_header(0, out));
+        fields.state("wips", &State::F64(98.5));
+        let image = fields.finish();
+        assert_eq!(image, Image::of(&tree));
+
+        let path = temp_path("fields.ckpt");
+        write_image(&path, &image).unwrap();
+        assert_eq!(load(&path).unwrap(), tree);
+        std::fs::remove_file(&path).unwrap();
+
+        // No fields at all is the empty map.
+        let empty = Fields::new().finish();
+        assert_eq!(empty, Image::of(&State::map()));
+        write_image(&path, &empty).unwrap();
+        assert_eq!(load(&path).unwrap(), State::map());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -213,22 +213,41 @@ impl State {
                 out.extend_from_slice(s.as_bytes());
             }
             State::List(items) => {
-                out.push(TAG_LIST);
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                State::encode_list_header(items.len(), out);
                 for item in items {
                     item.encode_into(out);
                 }
             }
             State::Map(pairs) => {
-                out.push(TAG_MAP);
-                out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+                State::encode_map_header(pairs.len(), out);
                 for (k, v) in pairs {
-                    out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                    out.extend_from_slice(k.as_bytes());
+                    State::encode_key(k, out);
                     v.encode_into(out);
                 }
             }
         }
+    }
+
+    /// Append the header of a list of `count` items. Exactly `count`
+    /// encoded values must follow it: this is how a list whose items
+    /// were encoded earlier is assembled without rebuilding them.
+    pub fn encode_list_header(count: usize, out: &mut Vec<u8>) {
+        out.push(TAG_LIST);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+    }
+
+    /// Append the header of a map of `count` pairs. Exactly `count`
+    /// pairs must follow it, each an [`State::encode_key`] and then one
+    /// encoded value.
+    pub fn encode_map_header(count: usize, out: &mut Vec<u8>) {
+        out.push(TAG_MAP);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+    }
+
+    /// Append one map key (see [`State::encode_map_header`]).
+    pub fn encode_key(key: &str, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key.as_bytes());
     }
 
     /// Exact number of bytes [`State::encode_into`] appends for this

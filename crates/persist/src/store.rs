@@ -6,6 +6,7 @@
 //!   snap-00000040.ckpt     atomic snapshot taken after iteration 40
 //!   snap-00000080.ckpt     ... the newest two snapshots are kept
 //!   snap-00000120.ckpt.corrupt   quarantined (failed checksum on load)
+//!   snap-00000160.tmp      a snapshot write cut short before its rename
 //! ```
 //!
 //! Recovery policy: load the newest snapshot that passes its checksum —
@@ -13,10 +14,12 @@
 //! trusted — then replay the journal records that come after it. A torn
 //! journal tail is truncated back to the last clean frame boundary. If
 //! no snapshot survives, replay starts from the beginning of the
-//! journal.
+//! journal. A `.tmp` file is never trusted either: a snapshot is renamed
+//! into place only after its fsync, so a `.tmp` is a write that was cut
+//! short, and both recovery and a fresh start delete it.
 
 use crate::journal::Journal;
-use crate::snapshot;
+use crate::snapshot::{self, Image};
 use crate::state::State;
 use crate::PersistError;
 use std::path::{Path, PathBuf};
@@ -70,8 +73,9 @@ impl CheckpointStore {
         self.dir.join(format!("snap-{iteration:08}.ckpt"))
     }
 
-    /// Snapshot files present, sorted oldest → newest by iteration.
-    fn snapshot_files(&self) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+    /// Files named `snap-<iteration>.<extension>`, sorted oldest →
+    /// newest by iteration.
+    fn files_with(&self, extension: &str) -> Result<Vec<(u64, PathBuf)>, PersistError> {
         let mut found = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let path = entry?.path();
@@ -80,7 +84,8 @@ impl CheckpointStore {
             };
             if let Some(digits) = name
                 .strip_prefix("snap-")
-                .and_then(|rest| rest.strip_suffix(".ckpt"))
+                .and_then(|rest| rest.strip_suffix(extension))
+                .and_then(|rest| rest.strip_suffix('.'))
             {
                 if let Ok(iteration) = digits.parse::<u64>() {
                     found.push((iteration, path));
@@ -91,8 +96,22 @@ impl CheckpointStore {
         Ok(found)
     }
 
+    /// Snapshot files present, sorted oldest → newest by iteration.
+    fn snapshot_files(&self) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+        self.files_with("ckpt")
+    }
+
+    /// Delete the `.tmp` files of snapshot writes that were cut short.
+    fn remove_torn_snapshots(&self) -> Result<(), PersistError> {
+        for (_, path) in self.files_with("tmp")? {
+            std::fs::remove_file(&path)?;
+        }
+        Ok(())
+    }
+
     /// Wipe any previous session's artifacts and start an empty journal.
     pub fn start_fresh(&mut self) -> Result<(), PersistError> {
+        self.remove_torn_snapshots()?;
         for (_, path) in self.snapshot_files()? {
             std::fs::remove_file(&path)?;
         }
@@ -108,6 +127,7 @@ impl CheckpointStore {
     /// (quarantining corrupt ones), repair and reopen the journal for
     /// appending, and return everything found.
     pub fn recover(&mut self) -> Result<Recovery, PersistError> {
+        self.remove_torn_snapshots()?;
         let mut snapshot_state = None;
         let mut quarantined = Vec::new();
         let mut files = self.snapshot_files()?;
@@ -145,14 +165,24 @@ impl CheckpointStore {
         }
     }
 
+    /// Write `state` as the atomic snapshot for `iteration` (see
+    /// [`CheckpointStore::write_snapshot_image`]).
+    pub fn write_snapshot(&mut self, iteration: u64, state: &State) -> Result<(), PersistError> {
+        self.write_snapshot_image(iteration, &Image::of(state))
+    }
+
     /// Write an atomic snapshot for `iteration` and prune old ones down
     /// to [`KEEP_SNAPSHOTS`]. The journal is fsynced first so a snapshot
     /// never claims more progress than the journal can prove.
-    pub fn write_snapshot(&mut self, iteration: u64, state: &State) -> Result<(), PersistError> {
+    pub fn write_snapshot_image(
+        &mut self,
+        iteration: u64,
+        image: &Image,
+    ) -> Result<(), PersistError> {
         if let Some(journal) = self.journal.as_mut() {
             journal.sync()?;
         }
-        snapshot::write(&self.snapshot_path(iteration), state)?;
+        snapshot::write_image(&self.snapshot_path(iteration), image)?;
         let files = self.snapshot_files()?;
         if files.len() > KEEP_SNAPSHOTS {
             for (_, path) in &files[..files.len() - KEEP_SNAPSHOTS] {
@@ -271,6 +301,49 @@ mod tests {
         let rec = store.recover().unwrap();
         assert!(rec.snapshot.is_none());
         assert!(rec.journal.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot write killed between its fsync and its rename.
+    fn plant_torn_snapshot(dir: &Path) -> PathBuf {
+        let tmp = dir.join("snap-00000006.tmp");
+        std::fs::write(&tmp, b"AHCKPT\x00\x01half a snapshot").unwrap();
+        tmp
+    }
+
+    #[test]
+    fn recover_removes_a_torn_snapshot_write() {
+        let dir = temp_dir("torn-recover");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.start_fresh().unwrap();
+        store.write_snapshot(3, &State::U64(3)).unwrap();
+        drop(store);
+        let tmp = plant_torn_snapshot(&dir);
+        let corrupt = dir.join("snap-00000001.ckpt.corrupt");
+        std::fs::write(&corrupt, b"quarantined earlier").unwrap();
+
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let rec = store.recover().unwrap();
+        assert_eq!(rec.snapshot.unwrap(), (3, State::U64(3)));
+        assert!(!tmp.exists(), "a .tmp is never trusted and never kept");
+        assert!(corrupt.exists(), "quarantined files are left alone");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn start_fresh_removes_a_torn_snapshot_write() {
+        let dir = temp_dir("torn-fresh");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.start_fresh().unwrap();
+        store.write_snapshot(3, &State::U64(3)).unwrap();
+        let tmp = plant_torn_snapshot(&dir);
+        let corrupt = dir.join("snap-00000001.ckpt.corrupt");
+        std::fs::write(&corrupt, b"quarantined earlier").unwrap();
+
+        store.start_fresh().unwrap();
+        assert!(!tmp.exists(), "a fresh start wipes torn writes too");
+        assert!(!dir.join("snap-00000003.ckpt").exists());
+        assert!(corrupt.exists(), "quarantined files are left alone");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
