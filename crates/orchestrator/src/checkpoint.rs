@@ -382,13 +382,16 @@ pub(crate) fn records_state(records: &[IterationRecord]) -> State {
     State::List(records.iter().map(record_state).collect())
 }
 
-/// A session's iteration records, each encoded once, when it is
-/// recorded: a snapshot's `records` field is a list header followed by
-/// a copy of those bytes, so its cost does not grow with re-encoding
-/// the whole history.
+/// A session's iteration records, each encoded once, by the first
+/// snapshot that holds it: a snapshot's `records` field is a list header
+/// followed by a copy of those bytes, so its cost does not grow with
+/// re-encoding the whole history, and a session that never snapshots
+/// never encodes.
 pub(crate) struct RecordLog {
     records: Vec<IterationRecord>,
+    /// The encodings of `records[..encoded_count]`, concatenated.
     encoded: Vec<u8>,
+    encoded_count: usize,
 }
 
 impl RecordLog {
@@ -396,16 +399,21 @@ impl RecordLog {
         RecordLog {
             records: Vec::with_capacity(iterations),
             encoded: Vec::new(),
+            encoded_count: 0,
         }
     }
 
     pub(crate) fn push(&mut self, record: IterationRecord) {
-        record_state(&record).encode_into(&mut self.encoded);
         self.records.push(record);
     }
 
-    /// Append the `records` field's encoding.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Append the `records` field's encoding, first encoding the records
+    /// pushed since the last call.
+    pub(crate) fn encode_into(&mut self, out: &mut Vec<u8>) {
+        for record in &self.records[self.encoded_count..] {
+            record_state(record).encode_into(&mut self.encoded);
+        }
+        self.encoded_count = self.records.len();
         State::encode_list_header(self.records.len(), out);
         out.extend_from_slice(&self.encoded);
     }
@@ -706,14 +714,15 @@ mod tests {
             records_from_state(&records_state(&records)).expect("records"),
             records
         );
-        // Records encoded one at a time make the same `records` field.
+        // Records encoded a few at a time, as snapshots come, make the
+        // same `records` field as the tree.
         let mut log = RecordLog::with_capacity(records.len());
-        for r in &records {
+        for (k, r) in records.iter().enumerate() {
             log.push(r.clone());
+            let mut encoded = Vec::new();
+            log.encode_into(&mut encoded);
+            assert_eq!(encoded, records_state(&records[..=k]).encode());
         }
-        let mut encoded = Vec::new();
-        log.encode_into(&mut encoded);
-        assert_eq!(encoded, records_state(&records).encode());
         let recoveries = vec![RecoveryAction {
             iteration: 3,
             action: "retry",

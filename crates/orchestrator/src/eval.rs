@@ -20,8 +20,9 @@
 //!   fault timeline, work lines, …) via its `Debug` rendering, so two
 //!   scenarios share an entry only when the simulation would be
 //!   byte-for-byte identical anyway. Each entry also keeps its snapshot
-//!   encoding, made once when it is stored, so a checkpointed session
-//!   copies the cache into each snapshot instead of re-encoding it.
+//!   encoding once a snapshot has made it, so a checkpointed session
+//!   encodes each entry once and copies the cache into later snapshots;
+//!   a session that never snapshots never encodes.
 //! * **Speculation** ([`EvalSettings::threads`] ≠ 1, requires the
 //!   cache) — the session asks its tuner which configurations it *may*
 //!   propose over the next few iterations (see `Tuner::speculate`) and
@@ -176,18 +177,21 @@ impl std::fmt::Debug for EvalEngine {
     }
 }
 
-/// One cached outcome, with the encoding of its snapshot entry
-/// ([`entry_state`]) made once, when it is stored: a snapshot copies
-/// these bytes instead of rebuilding and re-encoding the whole cache.
+/// One cached outcome. `encoded` is its snapshot entry's encoding
+/// ([`entry_state`]), made by the first snapshot that copies the cache
+/// and kept for the later ones; `None` until then, and again after a
+/// restore overwrites the outcome.
 struct Entry {
     outcome: IterationOutcome,
-    encoded: Box<[u8]>,
+    encoded: Option<Box<[u8]>>,
 }
 
 impl Entry {
-    fn new(key: u64, outcome: IterationOutcome) -> Entry {
-        let encoded = entry_state(key, &outcome).encode().into_boxed_slice();
-        Entry { outcome, encoded }
+    fn new(outcome: IterationOutcome) -> Entry {
+        Entry {
+            outcome,
+            encoded: None,
+        }
     }
 }
 
@@ -288,7 +292,7 @@ impl EvalEngine {
         let out = run_raw(scenario, registry);
         let mut cache = self.lock();
         if cache.len() < self.settings.capacity {
-            cache.insert(key, Entry::new(key, out.clone()));
+            cache.insert(key, Entry::new(out.clone()));
         }
         out
     }
@@ -337,7 +341,7 @@ impl EvalEngine {
             for (key, out) in keys.into_iter().zip(outs) {
                 match out {
                     Some(out) if cache.len() < self.settings.capacity => {
-                        cache.insert(key, Entry::new(key, out));
+                        cache.insert(key, Entry::new(out));
                         stored += 1;
                     }
                     _ => dropped += 1,
@@ -368,13 +372,16 @@ impl EvalEngine {
     /// Append the encoding of [`EvalEngine::save_cache_state`], copied
     /// from the entries' stored encodings in key order: what a session
     /// snapshot's `eval_cache` field holds, without building the tree.
+    /// Entries not encoded yet are encoded here, once, and kept.
     pub(crate) fn encode_cache_into(&self, out: &mut Vec<u8>) {
-        let cache = self.lock();
+        let mut cache = self.lock();
         State::encode_map_header(1, out);
         State::encode_key("entries", out);
         State::encode_list_header(cache.len(), out);
-        for entry in cache.values() {
-            out.extend_from_slice(&entry.encoded);
+        for (key, Entry { outcome, encoded }) in cache.iter_mut() {
+            let encoded = encoded
+                .get_or_insert_with(|| entry_state(*key, outcome).encode().into_boxed_slice());
+            out.extend_from_slice(encoded);
         }
     }
 
@@ -389,7 +396,7 @@ impl EvalEngine {
             }
             let key = entry.field_u64("key")?;
             let outcome = outcome_from_state(entry.require("outcome")?)?;
-            cache.insert(key, Entry::new(key, outcome));
+            cache.insert(key, Entry::new(outcome));
         }
         Ok(())
     }
@@ -397,7 +404,8 @@ impl EvalEngine {
 
 /// One cache entry as a snapshot stores it: the scenario fingerprint and
 /// the outcome. The entry format's one definition: both
-/// [`EvalEngine::save_cache_state`] and the stored encodings use it.
+/// [`EvalEngine::save_cache_state`] and [`EvalEngine::encode_cache_into`]
+/// use it.
 fn entry_state(key: u64, out: &IterationOutcome) -> State {
     State::map()
         .with("key", State::U64(key))
@@ -658,7 +666,10 @@ mod tests {
         for i in [2, 0, 1] {
             let _ = engine.run(&scenario(i), None);
         }
+        // Nothing is encoded until a snapshot copies the cache.
+        assert!(engine.lock().values().all(|e| e.encoded.is_none()));
         assert_eq!(encoded_cache(&engine), engine.save_cache_state().encode());
+        assert!(engine.lock().values().all(|e| e.encoded.is_some()));
 
         // After a prefetch on two worker threads.
         let speculative = EvalEngine::new(EvalSettings::default().cache(true).threads(2));

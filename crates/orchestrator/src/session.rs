@@ -1637,8 +1637,9 @@ pub(crate) fn drive_tuning(
                 r.journal_into(&mut delta, sample.valid);
             }
             ck.append(delta)?;
-            // Records and cache entries were encoded when they were
-            // made; only the small fields are encoded here.
+            // Records and cache entries are encoded once, by the first
+            // snapshot that holds them, and copied into later ones; only
+            // the small fields are encoded afresh.
             ck.maybe_snapshot_fields(i + 1, iterations, |snap| {
                 snap.state("kind", &State::Str("tune".into()));
                 snap.state("engine", &engine.save_state());
