@@ -238,87 +238,88 @@ fn report_checkpoint_overhead() {
 
 /// Head-to-head: the evaluation engine must deliver >= 1.5x on a
 /// multi-candidate replay while producing the *same* WIPS series bit
-/// for bit. Three runs of the same 30-iteration simplex session:
+/// for bit. Two 30-iteration sessions of each kind:
 ///
-/// * `sequential` — no engine, the baseline tuning loop;
-/// * `speculative` — cold cache + one worker per core, so the engine
-///   pre-evaluates the reflect/expand/contract candidate set it is
-///   told about via `Tuner::speculate` (a wash on single-core hosts,
-///   where there is nobody to overlap the extra work with);
-/// * `warm replay` — the same session again on the now-warm cache,
-///   which is what a resumed run gets after `persist` restores the
-///   cache: every candidate is a hit and the DES never runs.
+/// * `sequential` / `warm replay` — a simplex session with no engine,
+///   then the same session twice on one cache: the second run is what
+///   a resumed run gets after `persist` restores the cache, every
+///   candidate is a hit and the DES never runs;
+/// * `sequential bestconfig` / `queued prefetch` — a BestConfig session
+///   with no engine, then with a cold cache and one worker per core, so
+///   each queued round is evaluated as one batch on the shared pool (a
+///   wash on single-core hosts, where there is nobody to overlap the
+///   batch with). The simplex queues nothing, so it is not timed here.
 fn report_eval_speedup() {
     use harmony::strategy::TuningMethod;
     use orchestrator::eval::EvalSettings;
     use orchestrator::session::{tune_observed, SessionObserver};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     let topology = Topology::single();
     let cfg = SessionConfig::new(topology, Workload::Shopping, 400).plan(IntervalPlan::tiny());
     let iters = 30u32;
 
     let tune = |cfg: &SessionConfig, what: &str| {
-        tune_observed(
+        let t = Instant::now();
+        let run = tune_observed(
             cfg,
             TuningMethod::Default,
             iters,
             &mut SessionObserver::none(),
         )
-        .expect(what)
+        .expect(what);
+        (run, t.elapsed())
     };
-    let t0 = Instant::now();
-    let plain = tune(&cfg, "sequential tune");
-    let sequential = t0.elapsed();
-
-    let spec_cfg = cfg
-        .clone()
-        .eval_settings(EvalSettings::default().cache(true).threads(0));
-    let t1 = Instant::now();
-    let speculated = tune(&spec_cfg, "speculative tune");
-    let speculative = t1.elapsed();
-    let spec_counters = spec_cfg.eval.counters();
+    let (plain, sequential) = tune(&cfg, "sequential tune");
 
     let warm_cfg = cfg
         .clone()
         .eval_settings(EvalSettings::default().cache(true));
     let _ = tune(&warm_cfg, "cache warm-up");
     let before = warm_cfg.eval.counters();
-    let t2 = Instant::now();
-    let replayed = tune(&warm_cfg, "warm replay");
-    let warm = t2.elapsed();
+    let (replayed, warm) = tune(&warm_cfg, "warm replay");
     let warm_counters = warm_cfg.eval.counters().since(&before);
+    assert_eq!(
+        plain.wips_series(),
+        replayed.wips_series(),
+        "warm replay engine changed the measured WIPS series"
+    );
 
-    for (label, run) in [("speculative", &speculated), ("warm replay", &replayed)] {
-        assert_eq!(
-            plain.wips_series(),
-            run.wips_series(),
-            "{label} engine changed the measured WIPS series"
-        );
-    }
+    let bestconfig = cfg.clone().tuner("bestconfig");
+    let (batch_plain, batch_sequential) = tune(&bestconfig, "sequential bestconfig tune");
+    let prefetch_cfg = bestconfig.eval_settings(EvalSettings::default().cache(true).threads(0));
+    let (prefetched, prefetch) = tune(&prefetch_cfg, "queued prefetch tune");
+    let prefetch_counters = prefetch_cfg.eval.counters();
+    assert_eq!(
+        batch_plain.wips_series(),
+        prefetched.wips_series(),
+        "queued prefetch changed the measured WIPS series"
+    );
+
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "iteration/eval warm-replay speedup ({iters}-iteration simplex session): {:.1}x \
          (target >= 1.5x; sequential {:.0} ms, warm cache {:.2} ms, \
          hit rate {:.0}% [{} hits / {} misses])",
         sequential.as_secs_f64() / warm.as_secs_f64().max(1e-9),
-        sequential.as_secs_f64() * 1e3,
-        warm.as_secs_f64() * 1e3,
+        ms(sequential),
+        ms(warm),
         warm_counters.hit_rate() * 100.0,
         warm_counters.hits,
         warm_counters.misses
     );
     println!(
-        "iteration/eval speculation ({cores} core(s), cold cache): {:.2}x \
-         (sequential {:.0} ms, speculative {:.0} ms, hit rate {:.0}% \
-         [{} hits / {} misses], {} speculated)",
-        sequential.as_secs_f64() / speculative.as_secs_f64().max(1e-9),
-        sequential.as_secs_f64() * 1e3,
-        speculative.as_secs_f64() * 1e3,
-        spec_counters.hit_rate() * 100.0,
-        spec_counters.hits,
-        spec_counters.misses,
-        spec_counters.speculated
+        "iteration/eval queued prefetch ({iters}-iteration bestconfig session, {cores} core(s), \
+         cold cache): {:.2}x (sequential {:.0} ms, prefetching {:.0} ms, hit rate {:.0}% \
+         [{} hits / {} misses], {} prefetched)",
+        batch_sequential.as_secs_f64() / prefetch.as_secs_f64().max(1e-9),
+        ms(batch_sequential),
+        ms(prefetch),
+        prefetch_counters.hit_rate() * 100.0,
+        prefetch_counters.hits,
+        prefetch_counters.misses,
+        prefetch_counters.speculated
     );
 }
 

@@ -9,7 +9,6 @@
 
 pub mod args;
 pub mod harness;
-pub mod par;
 pub mod scale;
 pub mod smoke;
 pub mod tuned;

@@ -187,7 +187,8 @@ fn find_top_level_key(s: &str, open: usize, close: usize, needle: &str) -> Optio
 }
 
 /// Byte offset just past the value of the entry whose key starts at
-/// `kpos` (also past a trailing comma, if any).
+/// `kpos`. A trailing comma stays in place, so a replaced entry keeps
+/// its separator from the next one.
 fn end_of_value(s: &str, kpos: usize) -> Option<usize> {
     let colon = kpos + s[kpos..].find(':')?;
     let rest = s[colon + 1..].trim_start();
@@ -229,10 +230,10 @@ fn end_of_value(s: &str, kpos: usize) -> Option<usize> {
         }
         i += 1;
     }
-    // Swallow one trailing comma so replacement re-renders cleanly.
-    let tail = s[i..].trim_start();
-    if tail.starts_with(',') {
-        i = s.len() - tail.len() + 1;
+    // A scalar ends at its last character, not at the whitespace
+    // before the separator or the closing brace.
+    while i > vstart && bytes[i - 1].is_ascii_whitespace() {
+        i -= 1;
     }
     Some(i)
 }
@@ -256,9 +257,17 @@ mod tests {
     fn merge_replaces_existing_section() {
         let base = "{\n  \"population_scaling\": { \"old\": true },\n  \"keep\": 7\n}\n";
         let merged = merge_top_level(base, "population_scaling", "{ \"new\": 1 }").unwrap();
-        assert!(merged.contains("\"new\": 1"));
-        assert!(!merged.contains("\"old\""));
-        assert!(merged.contains("\"keep\": 7"));
+        // Everything outside the replaced value, separators included,
+        // is kept byte for byte.
+        assert_eq!(
+            merged,
+            "{\n  \"population_scaling\": { \"new\": 1 },\n  \"keep\": 7\n}\n"
+        );
+        let merged = merge_top_level(&merged, "keep", "8").unwrap();
+        assert_eq!(
+            merged,
+            "{\n  \"population_scaling\": { \"new\": 1 },\n  \"keep\": 8\n}\n"
+        );
     }
 
     #[test]

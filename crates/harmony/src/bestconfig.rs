@@ -17,8 +17,8 @@
 //!
 //! Rounds are natural batches: the tuner plans a whole round up front,
 //! so [`Tuner::propose_batch`] hands out every remaining sample of the
-//! round and [`Tuner::speculate`] can promise the exact upcoming
-//! proposals to a speculative evaluator.
+//! round. They are fixed before any of them is measured, so a harness
+//! can evaluate the whole round at once.
 
 use crate::space::{Configuration, ParamSpace};
 use crate::tuner::{
@@ -230,7 +230,7 @@ impl BestConfigTuner {
         self.tracker.record(&config, perf);
         self.results.push((config, perf));
         // Fold and plan eagerly once the round's last result lands, so
-        // speculate() can promise the next round immediately.
+        // `batch_size` and checkpoints already hold the next round.
         self.ensure_round();
     }
 }
@@ -322,14 +322,6 @@ impl Tuner for BestConfigTuner {
             ("bound_frac", self.bound_fraction()),
             ("queued", self.queue.len() as f64),
         ]
-    }
-
-    /// The rest of the planned round is certain: promise it verbatim.
-    fn speculate(&self) -> Vec<Vec<Configuration>> {
-        if self.pending.is_some() || !self.outstanding.is_empty() {
-            return Vec::new();
-        }
-        self.queue.iter().map(|c| vec![c.clone()]).collect()
     }
 
     fn save_state(&self) -> State {
@@ -528,28 +520,6 @@ mod tests {
         }
         assert!(t.diverges() > 0, "bounds never widened");
         assert!(t.round() >= 5);
-    }
-
-    #[test]
-    fn speculation_promises_the_remaining_round() {
-        let mut t = BestConfigTuner::new(space(), 9).samples_per_round(4);
-        let c = t.propose();
-        t.observe(objective(c.values()));
-        let ahead = t.speculate();
-        assert_eq!(ahead.len(), 3, "three samples left in the round");
-        for (k, promised) in ahead.iter().enumerate() {
-            assert_eq!(promised.len(), 1, "planned samples are certain");
-            let c = t.propose();
-            assert_eq!(c, promised[0], "offset {k}");
-            t.observe(objective(c.values()));
-        }
-    }
-
-    #[test]
-    fn speculation_is_empty_while_pending() {
-        let mut t = BestConfigTuner::new(space(), 5);
-        let _ = t.propose();
-        assert!(t.speculate().is_empty());
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl ClassyTuneTuner {
         self.tracker.record(&config, perf);
         self.results.push((config, perf));
         // Fold and plan eagerly once the round's last result lands, so
-        // speculate() can promise the next round immediately.
+        // `batch_size` and checkpoints already hold the next round.
         self.ensure_round();
     }
 }
@@ -311,14 +311,6 @@ impl Tuner for ClassyTuneTuner {
                 self.step.iter().map(|s| *s as f64).sum::<f64>() / self.step.len() as f64
             }),
         ]
-    }
-
-    /// Like BestConfig, a planned round is certain.
-    fn speculate(&self) -> Vec<Vec<Configuration>> {
-        if self.pending.is_some() || !self.outstanding.is_empty() {
-            return Vec::new();
-        }
-        self.queue.iter().map(|c| vec![c.clone()]).collect()
     }
 
     fn save_state(&self) -> State {
@@ -520,20 +512,6 @@ mod tests {
         // least directionally once rounds have folded.
         assert!(t.round() >= 2);
         assert!(t.mean_bias() > 0.0, "labels never moved any bias");
-    }
-
-    #[test]
-    fn speculation_promises_the_remaining_round() {
-        let mut t = ClassyTuneTuner::new(space(), 9).candidates_per_round(3);
-        let c = t.propose();
-        t.observe(objective(c.values()));
-        let ahead = t.speculate();
-        assert_eq!(ahead.len(), 3, "whole comparison round is planned");
-        for (k, promised) in ahead.iter().enumerate() {
-            let c = t.propose();
-            assert_eq!(c, promised[0], "offset {k}");
-            t.observe(objective(c.values()));
-        }
     }
 
     #[test]

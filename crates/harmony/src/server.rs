@@ -21,8 +21,8 @@ pub struct HarmonyServer {
     /// the strictly-alternating propose/observe pair. Batch-native
     /// algorithms hand out their whole planning round at once; the
     /// server queues it and serves one trial per `next_config` call, so
-    /// the queued remainder is *certain* future work — exactly what
-    /// speculative evaluation wants to see.
+    /// the queued remainder is *certain* future work, which a harness
+    /// may evaluate ahead ([`HarmonyServer::queued`]).
     batch_mode: bool,
     /// Trials handed out by `propose_batch` but not yet proposed.
     queued: VecDeque<Trial>,
@@ -46,7 +46,7 @@ impl HarmonyServer {
     /// proposal sequence is identical to the alternating protocol (a
     /// round's trials pop in the same order its `propose` calls would),
     /// so traces and results do not change — but the queued remainder
-    /// of the round becomes visible to [`HarmonyServer::speculate`].
+    /// of the round becomes visible through [`HarmonyServer::queued`].
     pub fn batch_protocol(mut self, on: bool) -> Self {
         self.batch_mode = on;
         self
@@ -137,22 +137,13 @@ impl HarmonyServer {
         self.tuner.diagnostics()
     }
 
-    /// Configurations this server may propose over its next few
-    /// [`HarmonyServer::next_config`] calls (see [`Tuner::speculate`]).
-    /// Empty while a proposal awaits its report. In batch mode the
-    /// queued remainder of the current round is promised verbatim —
-    /// *certain* future proposals, one per offset — before falling back
-    /// to the tuner's own (advisory) speculation between rounds. This
-    /// is how batch-native zoo tuners (BestConfig, ClassyTune) feed the
-    /// shared worker pool, not just the simplex.
-    pub fn speculate(&self) -> Vec<Vec<Configuration>> {
-        if self.pending.is_some() || self.pending_trial.is_some() {
-            return Vec::new();
-        }
-        if !self.queued.is_empty() {
-            return self.queued.iter().map(|t| vec![t.config.clone()]).collect();
-        }
-        self.tuner.speculate()
+    /// The configurations the next [`HarmonyServer::next_config`]
+    /// calls will serve, in order: the queued remainder of a batch-native
+    /// tuner's round. They are fixed before any of them is measured, so
+    /// a harness may evaluate them ahead. Empty outside batch mode and
+    /// for point tuners, whose batches hold one trial.
+    pub fn queued(&self) -> impl ExactSizeIterator<Item = &Configuration> + '_ {
+        self.queued.iter().map(|t| &t.config)
     }
 }
 
@@ -317,32 +308,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_protocol_exposes_queued_round_to_speculation() {
+    fn batch_protocol_exposes_queued_round() {
         let space = ParamSpace::new(vec![ParamDef::new("x", 0, 100, 50)]);
         let mut s = batch_server(Box::new(crate::bestconfig::BestConfigTuner::new(space, 7)));
-        // Prime one round so the queue is refilled mid-round.
+        assert_eq!(s.queued().len(), 0, "nothing is queued before a batch");
+        // The first proposal pulls a whole round; the rest stays queued
+        // and is served verbatim, one trial per call.
         let c = s.next_config();
+        let ahead: Vec<Configuration> = s.queued().cloned().collect();
+        assert!(!ahead.is_empty(), "a queued round must be visible");
         s.report(c.get(0) as f64);
-        let c = s.next_config();
-        s.report(c.get(0) as f64);
-        // Between reports the queued remainder is certain: speculation
-        // must promise it verbatim, one configuration per offset.
-        let ahead = s.speculate();
-        assert!(
-            !ahead.is_empty(),
-            "a queued batch must be visible to speculation"
-        );
-        for next in &ahead {
-            assert_eq!(next.len(), 1, "queued trials are certain");
-        }
-        let promised: Vec<Configuration> = ahead.iter().map(|v| v[0].clone()).collect();
-        for expected in promised {
-            assert_eq!(s.next_config(), expected);
-            assert!(
-                s.speculate().is_empty(),
-                "speculation must stay silent while a report is due"
-            );
+        for (k, expected) in ahead.iter().enumerate() {
+            assert_eq!(&s.next_config(), expected, "offset {}", k + 1);
+            assert_eq!(s.queued().len(), ahead.len() - k - 1);
             s.report(1.0);
+        }
+        // A point tuner's one-trial batches never leave anything queued.
+        let mut point = batch_server(Box::new(SimplexTuner::new(ParamSpace::new(vec![
+            ParamDef::new("x", 0, 100, 50),
+        ]))));
+        for _ in 0..6 {
+            let c = point.next_config();
+            assert_eq!(point.queued().len(), 0);
+            point.report(c.get(0) as f64);
         }
     }
 
@@ -423,23 +411,6 @@ mod tests {
             assert_eq!(restored.next_config(), c, "restored server diverged");
             live.report(perf(&c));
             restored.report(perf(&c));
-        }
-    }
-
-    #[test]
-    fn speculate_predicts_next_config_and_respects_pending() {
-        let mut s = server();
-        for _ in 0..10 {
-            let ahead = s.speculate();
-            let c = s.next_config();
-            if let Some(next) = ahead.first() {
-                assert!(next.contains(&c), "speculated {next:?}, proposed {c}");
-            }
-            assert!(
-                s.speculate().is_empty(),
-                "speculation must stay silent while a report is due"
-            );
-            s.report(c.get(0) as f64);
         }
     }
 }

@@ -167,14 +167,8 @@ impl SimplexTuner {
     /// Candidate = centroid + coef * (centroid - worst), conservative-
     /// clamped and integer-projected.
     fn candidate(&self, coef: f64) -> Configuration {
-        self.candidate_from(&self.centroid, self.worst_idx, coef)
-    }
-
-    /// [`SimplexTuner::candidate`] against an explicit centroid/worst
-    /// pair, so speculation can compute the coming reflect cycle's
-    /// candidates without mutating the cycle state `propose` will set.
-    fn candidate_from(&self, centroid: &[f64], worst_idx: usize, coef: f64) -> Configuration {
-        let worst = self.vertices[worst_idx].config.as_f64();
+        let centroid = &self.centroid;
+        let worst = self.vertices[self.worst_idx].config.as_f64();
         let mut point: Vec<f64> = centroid
             .iter()
             .zip(&worst)
@@ -191,7 +185,7 @@ impl SimplexTuner {
         self.space.project(&point)
     }
 
-    /// The shrink point for vertex `next` (pure; `propose` uses it too).
+    /// The shrink point for vertex `next`.
     fn shrink_point(&self, next: usize) -> Configuration {
         let best = self.best_vertex_idx();
         let bp = self.vertices[best].config.as_f64();
@@ -437,50 +431,6 @@ impl Tuner for SimplexTuner {
             d.push(("best_vertex_perf", -self.vertices[best].cost));
         }
         d
-    }
-
-    /// What the simplex can see ahead, by phase:
-    ///
-    /// * `Init` — the whole remaining init chain is certain (one vertex
-    ///   per future proposal, independent of any observation), so a
-    ///   speculative harness can evaluate all `n+1` initial vertices at
-    ///   once;
-    /// * `Reflect` — the next proposal is the reflection (computed from
-    ///   the same worst/centroid `propose` will fix), and the proposal
-    ///   after that — if the reflection triggers a follow-up evaluation —
-    ///   is one of expansion / outside / inside contraction;
-    /// * `EvalExpand` / `EvalContract*` — the pending follow-up point;
-    /// * `Shrink` — the next shrink point (later ones depend on the
-    ///   observed cost, which moves the best vertex).
-    fn speculate(&self) -> Vec<Vec<Configuration>> {
-        if self.pending.is_some() {
-            return Vec::new();
-        }
-        match self.phase.clone() {
-            Phase::Init { next } => (next..=self.dims())
-                .map(|i| vec![self.init_vertex(i)])
-                .collect(),
-            Phase::Reflect => {
-                if self.vertices.len() != self.dims() + 1 {
-                    return Vec::new();
-                }
-                let (worst, _, _) = self.worst_and_indices();
-                let centroid = self.centroid_excluding(worst);
-                vec![
-                    vec![self.candidate_from(&centroid, worst, ALPHA)],
-                    vec![
-                        self.candidate_from(&centroid, worst, GAMMA),
-                        self.candidate_from(&centroid, worst, RHO),
-                        self.candidate_from(&centroid, worst, -RHO),
-                    ],
-                ]
-            }
-            Phase::EvalReflect => Vec::new(),
-            Phase::EvalExpand => vec![vec![self.candidate(GAMMA)]],
-            Phase::EvalContractOut => vec![vec![self.candidate(RHO)]],
-            Phase::EvalContractIn => vec![vec![self.candidate(-RHO)]],
-            Phase::Shrink { next } => vec![vec![self.shrink_point(next)]],
-        }
     }
 }
 
@@ -858,90 +808,6 @@ mod tests {
             Checkpointable::restore_state(&mut t, &saved),
             Err(PersistError::Schema(_))
         ));
-    }
-
-    #[test]
-    fn speculation_offset_zero_always_contains_the_next_proposal() {
-        // Drive a noisy-ish deterministic objective through every phase
-        // and check the contract at each step: when speculation sees
-        // anything, its offset-0 list contains exactly the proposal the
-        // tuner makes next.
-        let mut t = SimplexTuner::new(space2d());
-        let f = |v: &[i64]| {
-            let dx = v[0] as f64 - 120.0;
-            let dy = v[1] as f64 - 60.0;
-            -(dx * dx + dy * dy)
-        };
-        let mut nonempty = 0;
-        for _ in 0..150 {
-            let ahead = t.speculate();
-            let proposal = t.propose();
-            if let Some(next) = ahead.first() {
-                nonempty += 1;
-                assert!(
-                    next.contains(&proposal),
-                    "offset-0 speculation {next:?} missed proposal {proposal}"
-                );
-            }
-            t.observe(f(proposal.values()));
-        }
-        assert!(nonempty > 100, "speculation saw ahead only {nonempty}/150");
-    }
-
-    #[test]
-    fn speculation_covers_the_whole_init_chain() {
-        let t = SimplexTuner::new(space2d());
-        let ahead = t.speculate();
-        assert_eq!(ahead.len(), 3, "2-D space: 3 init vertices ahead");
-        let mut live = SimplexTuner::new(space2d());
-        for expected in &ahead {
-            let c = live.propose();
-            assert_eq!(expected, &vec![c.clone()]);
-            live.observe(0.0);
-        }
-    }
-
-    #[test]
-    fn speculation_offset_one_covers_reflect_followups() {
-        // Whenever the phase after observing a reflection is a follow-up
-        // evaluation, the proposal must be in the pre-observation
-        // offset-1 candidate set.
-        let mut t = SimplexTuner::new(space2d());
-        let f = |v: &[i64]| -(v[0] as f64 - 150.0).abs() * 3.0 - (v[1] as f64 - 40.0).abs();
-        let mut followups = 0;
-        let mut ahead: Vec<Vec<Configuration>> = Vec::new();
-        for _ in 0..200 {
-            let was_reflect = matches!(t.phase, Phase::Reflect);
-            if was_reflect {
-                ahead = t.speculate();
-            }
-            let c = t.propose();
-            t.observe(f(c.values()));
-            if was_reflect
-                && matches!(
-                    t.phase,
-                    Phase::EvalExpand | Phase::EvalContractOut | Phase::EvalContractIn
-                )
-            {
-                let next = t.speculate();
-                let upcoming = &next[0];
-                assert_eq!(ahead.len(), 2);
-                assert!(
-                    upcoming.iter().all(|c| ahead[1].contains(c)),
-                    "follow-up {upcoming:?} not among speculated {:?}",
-                    ahead[1]
-                );
-                followups += 1;
-            }
-        }
-        assert!(followups > 0, "objective never triggered a follow-up");
-    }
-
-    #[test]
-    fn speculation_is_empty_while_a_proposal_is_pending() {
-        let mut t = SimplexTuner::new(space2d());
-        let _ = t.propose();
-        assert!(t.speculate().is_empty());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   a single 4x spike cannot move a median the way it moves a max;
 //! * candidates that look promising after one observation are
 //!   **re-confirmed** with extra replications before they may displace
-//!   the incumbent — lucky spikes fail their confirmation runs;
+//!   the incumbent — lucky spikes fail their confirmation runs. The
+//!   runs are fixed before any of them is measured, so
+//!   [`Tuner::propose_batch`] hands them out as one batch;
 //! * observations arrive as typed [`Measurement`]s and are weighted by
 //!   `replications / (1 + relative_ci)`, so wide-CI (low-trust) windows
 //!   count for less than tight ones.
@@ -22,7 +24,7 @@
 
 use crate::space::{Configuration, ParamSpace};
 use crate::tuner::{
-    opt_config_from_state, opt_config_state, rng_from_state, rng_state, Measurement, Tuner,
+    opt_config_from_state, opt_config_state, rng_from_state, rng_state, Measurement, Trial, Tuner,
 };
 use persist::{Checkpointable, PersistError, State};
 use simkit::rng::SimRng;
@@ -104,6 +106,8 @@ pub struct TunaTuner {
     mode: Mode,
     /// Index of the entry awaiting its observation, if any.
     pending: Option<usize>,
+    /// Confirmation runs handed out as one batch and not yet observed.
+    outstanding: u32,
     evaluations: u64,
 }
 
@@ -120,6 +124,7 @@ impl TunaTuner {
             incumbent: None,
             mode: Mode::Explore,
             pending: None,
+            outstanding: 0,
             evaluations: 0,
         }
     }
@@ -197,6 +202,13 @@ impl TunaTuner {
         }
     }
 
+    /// Fold one observation of `entry` in and decide what comes next.
+    fn record(&mut self, entry: usize, m: &Measurement) {
+        self.entries[entry].push(m);
+        self.evaluations += 1;
+        self.settle(entry);
+    }
+
     fn settle(&mut self, entry: usize) {
         match self.mode {
             Mode::Confirm {
@@ -254,6 +266,10 @@ impl Tuner for TunaTuner {
 
     fn propose(&mut self) -> Configuration {
         assert!(self.pending.is_none(), "propose() twice without observe()");
+        assert!(
+            self.outstanding == 0,
+            "propose() while a confirmation batch is outstanding"
+        );
         let (entry, config) = self.next_config();
         self.pending = Some(entry);
         config
@@ -269,9 +285,49 @@ impl Tuner for TunaTuner {
         let Some(entry) = self.pending.take() else {
             panic!("observe() without propose()");
         };
-        self.entries[entry].push(&m);
-        self.evaluations += 1;
-        self.settle(entry);
+        self.record(entry, &m);
+    }
+
+    /// In Confirm mode every remaining confirmation run is one trial of
+    /// a single batch; exploration proposes one neighbour at a time.
+    fn propose_batch(&mut self) -> Vec<Trial> {
+        match self.mode {
+            Mode::Confirm { entry, remaining } if self.pending.is_none() => {
+                assert!(
+                    self.outstanding == 0,
+                    "propose_batch() while a confirmation batch is outstanding"
+                );
+                self.outstanding = remaining;
+                let config = &self.entries[entry].config;
+                (0..u64::from(remaining))
+                    .map(|k| Trial::new(self.evaluations + k, config.clone()))
+                    .collect()
+            }
+            _ => vec![Trial::new(self.evaluations, self.propose())],
+        }
+    }
+
+    /// Every trial of a confirmation batch measures the same entry, so
+    /// the id only has to be unique; results fold in arrival order.
+    fn observe_trial(&mut self, _trial_id: u64, m: Measurement) {
+        if self.outstanding == 0 {
+            self.observe_measurement(m);
+            return;
+        }
+        let Mode::Confirm { entry, .. } = self.mode else {
+            unreachable!("a confirmation batch ends with its last trial")
+        };
+        self.outstanding -= 1;
+        self.record(entry, &m);
+    }
+
+    /// The confirmation runs still due, while no batch is outstanding;
+    /// otherwise one exploration step.
+    fn batch_size(&self) -> usize {
+        match self.mode {
+            Mode::Confirm { remaining, .. } if self.outstanding == 0 => remaining as usize,
+            _ => 1,
+        }
     }
 
     /// Best by *estimate*, not by raw maximum: the entry with the
@@ -319,20 +375,6 @@ impl Tuner for TunaTuner {
                 }
             }),
         ]
-    }
-
-    /// During confirmation the next proposal is fully determined.
-    fn speculate(&self) -> Vec<Vec<Configuration>> {
-        if self.pending.is_some() {
-            return Vec::new();
-        }
-        match self.mode {
-            Mode::Confirm { entry, remaining } => {
-                let config = self.entries[entry].config.clone();
-                (0..remaining).map(|_| vec![config.clone()]).collect()
-            }
-            Mode::Explore => Vec::new(),
-        }
     }
 
     fn save_state(&self) -> State {
@@ -387,6 +429,7 @@ impl Checkpointable for TunaTuner {
                     None => State::Null,
                 },
             )
+            .with("outstanding", State::U64(u64::from(self.outstanding)))
             .with("evaluations", State::U64(self.evaluations))
             .with("rng", rng_state(&self.rng))
     }
@@ -448,6 +491,24 @@ impl Checkpointable for TunaTuner {
                     "tuna confirm entry out of range".into(),
                 ));
             }
+        }
+        // Snapshots from before confirmation batches lack the field.
+        self.outstanding = match state.get("outstanding") {
+            None => 0,
+            Some(s) => s
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| PersistError::Schema("field 'outstanding' is not a u32".into()))?,
+        };
+        let due = match self.mode {
+            Mode::Confirm { remaining, .. } => remaining,
+            Mode::Explore => 0,
+        };
+        if self.outstanding > due {
+            return Err(PersistError::Schema(format!(
+                "tuna has {} confirmation runs outstanding but {due} due",
+                self.outstanding
+            )));
         }
         self.evaluations = state.field_u64("evaluations")?;
         self.rng = rng_from_state(state.require("rng")?)?;
@@ -564,21 +625,73 @@ mod tests {
     }
 
     #[test]
-    fn speculation_promises_confirmation_runs() {
-        let s = space();
-        let mut t = TunaTuner::new(s.clone(), 9).confirmations(3);
-        let c = t.propose();
-        t.observe(100.0);
-        // Start adopted; two confirmations of it remain.
-        let ahead = t.speculate();
-        assert_eq!(ahead.len(), 2);
-        for (k, step) in ahead.iter().enumerate() {
-            assert_eq!(step, &vec![c.clone()], "offset {k}");
-            let p = t.propose();
-            assert_eq!(p, c);
-            t.observe(100.0);
+    fn confirmation_batch_follows_the_alternating_sequence() {
+        use crate::server::HarmonyServer;
+        let build = || Box::new(TunaTuner::new(space(), 9).confirmations(3));
+        let mut alternating = HarmonyServer::new("tuna", build());
+        let mut batched = HarmonyServer::new("tuna", build()).batch_protocol(true);
+        // A session snapshot lands between iterations: the first one
+        // here is taken with the rest of a batch queued and outstanding.
+        let mut mid_batch = None;
+        let mut after_snapshot = Vec::new();
+        let mut batched_steps = 0;
+        for i in 0..40 {
+            let a = alternating.next_config();
+            let b = batched.next_config();
+            assert_eq!(a, b, "proposal {i} diverged");
+            if mid_batch.is_some() {
+                after_snapshot.push(b);
+            }
+            let p = objective(a.values());
+            alternating.report(p);
+            batched.report(p);
+            if batched.queued().len() > 0 {
+                batched_steps += 1;
+                mid_batch.get_or_insert_with(|| Checkpointable::save_state(&batched));
+            }
         }
-        assert!(t.speculate().is_empty(), "explore steps are not promised");
+        assert!(batched_steps > 2, "confirmations never came as a batch");
+
+        // The mid-batch snapshot resumes byte-identically.
+        let saved = mid_batch.expect("a mid-batch snapshot");
+        let outstanding = saved
+            .require("tuner")
+            .and_then(|t| t.field_u64("outstanding"));
+        assert!(outstanding.expect("outstanding") > 0);
+        let mut restored = HarmonyServer::new("tuna", build()).batch_protocol(true);
+        Checkpointable::restore_state(&mut restored, &saved).expect("restore");
+        assert_eq!(Checkpointable::save_state(&restored), saved, "round trip");
+        for (i, expected) in after_snapshot.iter().enumerate() {
+            let c = restored.next_config();
+            assert_eq!(&c, expected, "resumed proposal {i} diverged");
+            restored.report(objective(c.values()));
+        }
+        assert_eq!(
+            Checkpointable::save_state(&restored).encode(),
+            Checkpointable::save_state(&batched).encode()
+        );
+    }
+
+    #[test]
+    fn snapshots_without_an_outstanding_count_restore_as_zero() {
+        let mut a = TunaTuner::new(space(), 5);
+        let c = a.propose();
+        a.observe(objective(c.values()));
+        let saved = Checkpointable::save_state(&a);
+        let State::Map(fields) = saved.clone() else {
+            panic!("tuna state is a map")
+        };
+        let legacy = State::Map(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "outstanding")
+                .collect(),
+        );
+        let mut b = TunaTuner::new(space(), 5);
+        Checkpointable::restore_state(&mut b, &legacy).expect("legacy restore");
+        assert_eq!(Checkpointable::save_state(&b), saved);
+        let bad = saved.with("outstanding", State::U64(99));
+        assert!(Checkpointable::restore_state(&mut b, &bad).is_err());
     }
 
     #[test]

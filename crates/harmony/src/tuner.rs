@@ -160,18 +160,6 @@ pub trait Tuner {
         Vec::new()
     }
 
-    /// Configurations this tuner *may* propose over its next few
-    /// [`Tuner::propose`] calls: element `k` of the outer vector lists
-    /// candidates for the proposal `k` calls ahead (0 = the very next
-    /// one). Purely advisory — a harness can evaluate candidates
-    /// speculatively in parallel and serve the real proposals from a
-    /// cache; wrong or missing guesses cost only wasted background
-    /// work, never correctness. Must not be called while a proposal is
-    /// outstanding. The default sees nothing ahead.
-    fn speculate(&self) -> Vec<Vec<Configuration>> {
-        Vec::new()
-    }
-
     /// Export the tuner's full search state for checkpointing (object-
     /// safe mirror of `persist::Checkpointable`). The default returns
     /// [`State::Null`], meaning "nothing to save" — tuners that support

@@ -8,8 +8,8 @@
 //! Because every run is a *pure function of its [`ClusterScenario`]*
 //! (deterministic in the scenario seed, with fault windows baked into
 //! the scenario itself), measurements can be memoized and replayed
-//! bit-exactly, and future candidates can be evaluated speculatively on
-//! worker threads without perturbing the search.
+//! bit-exactly, and the trials a tuner has already queued can be
+//! evaluated ahead on worker threads without perturbing the search.
 //!
 //! Two independent switches:
 //!
@@ -23,20 +23,23 @@
 //!   encoding once a snapshot has made it, so a checkpointed session
 //!   encodes each entry once and copies the cache into later snapshots;
 //!   a session that never snapshots never encodes.
-//! * **Speculation** ([`EvalSettings::threads`] ≠ 1, requires the
-//!   cache) — the session asks its tuner which configurations it *may*
-//!   propose over the next few iterations (see `Tuner::speculate`) and
-//!   evaluates the misses concurrently on the process-wide worker pool
-//!   ([`crate::par::shared_pool`]) before the sequential loop consumes
-//!   them as cache hits. Wrong guesses cost only wasted background
-//!   work; they can never change a result, because the consuming lookup
-//!   is keyed by the scenario the loop actually built.
+//! * **Prefetch** ([`EvalSettings::threads`] ≠ 1, requires the cache)
+//!   — when a batch-native tuner has queued trials (a BestConfig round,
+//!   TUNA's confirmation runs), the session evaluates the current
+//!   scenario and the queued ones concurrently on the process-wide
+//!   worker pool ([`crate::par::shared_pool`]) before the sequential
+//!   loop consumes them as cache hits. Queued trials are certain
+//!   proposals, so no prefetched work is wasted, and none can change a
+//!   result: the consuming lookup is keyed by the scenario the loop
+//!   actually built. Point tuners such as the simplex queue nothing and
+//!   run sequentially at any width. The counters keep their historical
+//!   names: `speculated` counts prefetched outcomes.
 //!
 //! Determinism argument: the cache stores the raw simulation outcome
 //! (fault-noise multipliers are applied by the session *after* lookup,
 //! exactly as on the uncached path), values are deterministic per key,
 //! and hit/miss order affects only the counters — so sequential,
-//! cached, and speculative-parallel engines produce byte-identical
+//! cached, and prefetching engines produce byte-identical
 //! traces and bit-equal WIPS. Only the end-of-session `eval` summary
 //! record and the engine-metric totals (hits skip metric publication)
 //! reflect the engine configuration; determinism tests strip those,
@@ -64,16 +67,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub struct EvalSettings {
     /// Memoize outcomes by scenario fingerprint.
     pub cache: bool,
-    /// Worker threads for speculative candidate evaluation: `1` (the
-    /// default) disables speculation entirely, `0` uses one thread per
+    /// Worker threads for evaluating queued trials ahead: `1` (the
+    /// default) disables prefetch entirely, `0` uses one thread per
     /// available core, anything else is an explicit thread count.
     pub threads: usize,
     /// Maximum cached entries; once full, new outcomes are no longer
     /// stored (deterministic, unlike an eviction policy).
     pub capacity: usize,
-    /// How many future iterations to speculate across per loop step.
-    /// Large enough by default to cover a whole simplex init chain.
-    pub horizon: usize,
 }
 
 impl Default for EvalSettings {
@@ -82,7 +82,6 @@ impl Default for EvalSettings {
             cache: false,
             threads: 1,
             capacity: 65_536,
-            horizon: 32,
         }
     }
 }
@@ -94,7 +93,7 @@ impl EvalSettings {
         self
     }
 
-    /// Builder: set the speculative worker thread count (see
+    /// Builder: set the prefetch worker thread count (see
     /// [`EvalSettings::threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -106,12 +105,6 @@ impl EvalSettings {
         self.capacity = capacity;
         self
     }
-
-    /// Builder: set the speculation horizon (iterations ahead).
-    pub fn horizon(mut self, horizon: usize) -> Self {
-        self.horizon = horizon;
-        self
-    }
 }
 
 /// Cumulative engine activity (monotone counters).
@@ -121,10 +114,11 @@ pub struct EvalCounters {
     pub hits: u64,
     /// Consuming lookups that ran the DES.
     pub misses: u64,
-    /// Speculative background evaluations whose result was *stored* for
-    /// the sequential loop to consume — useful speculative work only.
+    /// Prefetched queued trials whose outcome was *stored* for the
+    /// sequential loop to consume. The name predates prefetch and is
+    /// kept for the `eval` record's golden schema.
     pub speculated: u64,
-    /// Speculative evaluations whose result was discarded: the scenario
+    /// Prefetched evaluations whose result was discarded: the scenario
     /// failed validation, or the cache hit its capacity cap before the
     /// result could be stored.
     pub speculation_dropped: u64,
@@ -154,7 +148,7 @@ impl EvalCounters {
     }
 }
 
-/// Deterministic memoization cache + speculative parallel evaluator.
+/// Deterministic memoization cache + parallel prefetch of queued trials.
 ///
 /// Shared across everything a [`crate::session::SessionConfig`] is
 /// cloned into (retry/re-measurement probes included) via `Arc`; all
@@ -224,10 +218,6 @@ impl EvalEngine {
         }
     }
 
-    pub fn settings(&self) -> &EvalSettings {
-        &self.settings
-    }
-
     pub fn cache_enabled(&self) -> bool {
         self.settings.cache
     }
@@ -242,15 +232,11 @@ impl EvalEngine {
         self.settings.cache || self.settings.threads != 1
     }
 
-    /// Iterations ahead to speculate, `0` when speculation is off.
-    /// Speculation needs both the cache (to hand results back to the
-    /// sequential loop) and more than one thread (to be worth anything).
-    pub fn speculation_horizon(&self) -> usize {
-        if self.settings.cache && self.settings.threads != 1 {
-            self.settings.horizon
-        } else {
-            0
-        }
+    /// Does [`EvalEngine::prefetch`] run anything? It needs both the
+    /// cache (to hand results back to the sequential loop) and more than
+    /// one thread (to be worth anything).
+    pub(crate) fn prefetches(&self) -> bool {
+        self.settings.cache && self.settings.threads != 1
     }
 
     /// Number of cached outcomes.
@@ -297,7 +283,7 @@ impl EvalEngine {
         out
     }
 
-    /// Speculatively evaluate `scenarios` on the shared worker pool
+    /// Evaluate `scenarios` ahead on the shared worker pool
     /// ([`crate::par::shared_pool`]), caching the results for the
     /// sequential loop to consume. Already-cached and duplicate
     /// scenarios are skipped; scenarios that fail validation are
@@ -306,7 +292,7 @@ impl EvalEngine {
     /// actually executed; only *stored* results count toward the
     /// `speculated` counter, the rest land in `speculation_dropped`.
     pub fn prefetch(&self, scenarios: &[ClusterScenario]) -> usize {
-        if self.speculation_horizon() == 0 || scenarios.is_empty() {
+        if !self.prefetches() || scenarios.is_empty() {
             return 0;
         }
         let mut keys: Vec<u64> = Vec::new();
@@ -321,7 +307,7 @@ impl EvalEngine {
                     todo.push(s.clone());
                 }
             }
-            // Never speculate past the capacity cap: entries that could
+            // Never prefetch past the capacity cap: entries that could
             // not be stored would be pure waste.
             let room = self.settings.capacity.saturating_sub(cache.len());
             keys.truncate(room);
@@ -535,7 +521,7 @@ mod tests {
         assert!(engine.is_empty());
         assert_eq!(engine.counters(), EvalCounters::default());
         assert!(!engine.enabled());
-        assert_eq!(engine.speculation_horizon(), 0);
+        assert!(!engine.prefetches());
     }
 
     #[test]
@@ -562,7 +548,7 @@ mod tests {
         let c = engine.counters();
         assert_eq!((c.hits, c.misses, c.speculated), (1, 0, 3));
         assert_eq!(c.speculation_dropped, 0, "every result was stored");
-        // The cached speculative result equals a fresh sequential run.
+        // The prefetched result equals a fresh sequential run.
         let fresh = run_iteration(&scenarios[1]);
         assert_eq!(out.metrics.wips.to_bits(), fresh.metrics.wips.to_bits());
     }
@@ -570,7 +556,7 @@ mod tests {
     #[test]
     fn prefetch_counts_dropped_results_separately() {
         // Regression: `speculated` used to count every executed
-        // speculation, including results that were never stored. A
+        // prefetch, including results that were never stored. A
         // scenario that fails validation is dropped (the consuming path
         // re-runs it for the real error) and must land in
         // `speculation_dropped`, not `speculated`.

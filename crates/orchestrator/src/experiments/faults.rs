@@ -69,17 +69,7 @@ pub fn canonical_plan(effort: &Effort) -> FaultPlan {
 
 /// Run the experiment with the canonical plan.
 pub fn run(effort: &Effort, seed: u64) -> Result<FaultsResult, SessionError> {
-    run_observed(effort, seed, &mut SessionObserver::none())
-}
-
-/// [`run`] with trace/metrics observation (fault, recovery, and reconfig
-/// records flow through the observer).
-pub fn run_observed(
-    effort: &Effort,
-    seed: u64,
-    observer: &mut SessionObserver,
-) -> Result<FaultsResult, SessionError> {
-    run_custom(effort, seed, None, None, observer)
+    run_custom(effort, seed, None, None, &mut SessionObserver::none())
 }
 
 /// Full-control entry point: override the fault plan (`None` → the

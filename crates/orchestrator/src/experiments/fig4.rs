@@ -45,7 +45,7 @@ pub fn run_with_configs(configs: &[ClusterConfig; 3], effort: &Effort, seed: u64
     }
     let reps = effort.reps.max(1);
     // Whole cells are the unit of parallelism: each schedules onto the
-    // shared worker pool alongside replications and speculative prefetch,
+    // shared worker pool alongside replications and queued-trial prefetch,
     // and results merge back in cell order regardless of worker count.
     let tuned = configs.clone();
     let effort = *effort;

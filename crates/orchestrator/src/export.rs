@@ -5,7 +5,6 @@
 //! turned into [`obs::TraceRecord`] streams and rendered by the shared
 //! sink, so the quoting rules and cell formats match the `--trace` output.
 
-use crate::reconfigure::ReconfigRun;
 use crate::session::{IterationRecord, TuningRun};
 use obs::{CsvWriter, TraceRecord, TraceSink};
 use std::io;
@@ -41,25 +40,6 @@ fn csv_text(records: impl IntoIterator<Item = TraceRecord>) -> String {
 /// Header: `iteration,wips,workload,failed,line_wips`.
 pub fn tuning_run_csv(run: &TuningRun) -> String {
     csv_text(run.records.iter().map(iteration_record))
-}
-
-/// Render a reconfiguration run as CSV: iterations plus an `event` column
-/// describing any move that happened at that iteration.
-pub fn reconfig_run_csv(run: &ReconfigRun) -> String {
-    csv_text(run.records.iter().map(|r| {
-        let event = run
-            .events
-            .iter()
-            .find(|e| e.iteration == r.iteration)
-            .map(|e| format!("node {} {}->{}", e.node, e.from_tier, e.to_tier))
-            .unwrap_or_default();
-        TraceRecord::new("iteration")
-            .field("iteration", r.iteration)
-            .field("wips", round3(r.wips))
-            .field("workload", r.workload.name())
-            .field("failed", r.failed)
-            .field("event", event)
-    }))
 }
 
 /// Render a generic named series set as CSV (figures with several lines).

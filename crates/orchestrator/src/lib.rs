@@ -17,7 +17,7 @@
 //! * [`checkpoint`] — crash-safe session persistence: write-ahead
 //!   journal, periodic snapshots, and deterministic resume;
 //! * [`eval`] — the evaluation engine: memoized measurements and
-//!   speculative parallel candidate evaluation;
+//!   parallel prefetch of a tuner's queued trials;
 //! * [`export`] — CSV export; [`report`] — text tables and sparklines
 //!   for the regenerators;
 //! * [`experiments`] — one typed runner per paper table/figure;

@@ -3,8 +3,8 @@
 //! Tuning itself is sequential (each iteration depends on the last
 //! observation), but the experiment harness runs many *independent*
 //! simulations: replicas over seeds, the 3×3 matrix of Figure 4, the four
-//! Table 4 methods — and the evaluation engine speculates on future
-//! simplex candidates the same way (see `crate::eval`). Those fan out
+//! Table 4 methods — and the evaluation engine prefetches a tuner's
+//! queued trials the same way (see `crate::eval`). Those fan out
 //! across cores — no `unsafe`, no leaked scoped threads, no external
 //! crates, results returned in input order.
 //!
@@ -17,8 +17,8 @@
 //!   closures. Threads live only for the call; write-once [`OnceLock`]
 //!   slots hold results without a lock per item.
 //! * [`WorkerPool::run_batch`] / [`shared_pool`] — one persistent,
-//!   process-wide pool for *owned* batches: speculative candidate
-//!   evaluation, measurement replications, and whole scenario sweeps
+//!   process-wide pool for *owned* batches: prefetch of queued trials,
+//!   measurement replications, and whole scenario sweeps
 //!   all schedule onto the same workers instead of each call spawning
 //!   its own. The caller participates as one of the `width` runners, so
 //!   a batch submitted from inside a pool job can never deadlock — the
@@ -120,16 +120,6 @@ pub fn resolved_threads(request: usize) -> usize {
     } else {
         request
     }
-}
-
-/// Convenience: run `f` for each seed in `0..reps` in parallel.
-pub fn parallel_seeds<O, F>(reps: u64, f: F) -> Vec<O>
-where
-    O: Send + Sync,
-    F: Fn(u64) -> O + Sync,
-{
-    let seeds: Vec<u64> = (0..reps).collect();
-    parallel_map(&seeds, 0, |s| f(*s))
 }
 
 /// A queued unit of pool work. Runner jobs catch panics from user
@@ -335,7 +325,7 @@ impl Drop for WorkerPool {
 }
 
 /// The process-wide worker pool, sized to the available cores on first
-/// use. Every parallel subsystem — speculative candidate evaluation,
+/// use. Every parallel subsystem — prefetch of queued trials,
 /// measurement replications, scenario sweeps — shares these workers
 /// instead of spawning its own.
 pub fn shared_pool() -> &'static WorkerPool {
@@ -409,13 +399,6 @@ mod tests {
         let items = vec![5];
         let out = parallel_map(&items, 64, |&x| x * 2);
         assert_eq!(out, vec![10]);
-    }
-
-    #[test]
-    fn parallel_seeds_runs_all() {
-        let out = parallel_seeds(17, |s| s * 3);
-        assert_eq!(out.len(), 17);
-        assert_eq!(out[16], 48);
     }
 
     #[test]

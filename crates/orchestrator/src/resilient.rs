@@ -85,8 +85,10 @@ pub struct ResilienceSettings {
     /// seconds the fault plan injects into it.
     pub timeout_s: Option<f64>,
     /// Cap on concurrently in-flight evaluations (`None`: unbounded).
-    /// Also clamps speculative-evaluation width via
-    /// [`Bulkhead::clamp_threads`].
+    /// The chaos and detector experiments also clamp their fan-out of
+    /// independent sessions to it via [`Bulkhead::clamp_threads`].
+    /// Resilient sessions never prefetch, so the session itself runs
+    /// one evaluation at a time.
     pub bulkhead: Option<u32>,
     /// Substitute the best-known sample when an iteration fails outright
     /// (emits `degraded` trace records; the tuner still sees 0.0).

@@ -126,8 +126,8 @@ pub struct SessionConfig {
     /// periodically into a directory, optionally resuming from it.
     /// `None` (the default) writes nothing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Evaluation engine: memoized measurements and speculative parallel
-    /// candidate evaluation, shared (via `Arc`) across clones of this
+    /// Evaluation engine: memoized measurements and parallel prefetch of
+    /// queued trials, shared (via `Arc`) across clones of this
     /// config. The default is fully transparent — no cache, one thread —
     /// so sessions behave exactly as if the engine did not exist.
     pub eval: Arc<EvalEngine>,
@@ -263,7 +263,7 @@ impl SessionConfig {
     }
 
     /// Builder: replace the evaluation engine (memoization cache +
-    /// speculative parallel candidate evaluation). Clones made after
+    /// parallel prefetch of queued trials). Clones made after
     /// this call share the new engine.
     pub fn eval_settings(mut self, settings: EvalSettings) -> Self {
         self.eval = Arc::new(EvalEngine::new(settings));
@@ -459,7 +459,7 @@ impl SessionConfig {
     /// are evaluated in waves of the worker width; the stopping rule
     /// still scans samples one by one in replication order, so the
     /// returned interval is bit-identical to the sequential one — a
-    /// wave can only *overshoot* the stopping point (wasted speculative
+    /// wave can only *overshoot* the stopping point (wasted
     /// replications, never a different answer).
     pub fn measure_until_precise(
         &self,
@@ -828,7 +828,7 @@ impl<'a> SessionObserver<'a> {
     }
 
     /// Emit one `eval` summary record at the end of a session whose
-    /// evaluation engine is active (cache and/or speculation). Field
+    /// evaluation engine is active (cache and/or prefetch). Field
     /// order is part of the trace schema
     /// (tests/golden/eval_schema.txt). This is the only record that
     /// varies with the engine configuration; determinism tests strip
@@ -992,7 +992,7 @@ impl TuneEngine {
     /// `space`, optionally seeded from a starting configuration. Session
     /// servers run the ask/tell v2 batch protocol: same proposal
     /// sequence, but a batch-native tuner's queued round is certain
-    /// future work, visible to speculative prefetch.
+    /// future work, which the loop may evaluate ahead.
     fn server(
         cfg: &SessionConfig,
         name: impl Into<String>,
@@ -1113,67 +1113,23 @@ impl TuneEngine {
         }
     }
 
-    /// Cluster configurations this engine *may* propose over its next
-    /// `horizon` iterations: element `k` of the outer vector lists
-    /// candidates for the proposal `k` iterations ahead (0 = the very
-    /// next one). Advisory input to speculative evaluation (see
-    /// [`crate::eval`]); the servers' per-offset candidate lists are
-    /// crossed, capped so a speculation step never explodes
-    /// combinatorially. The untuned baseline has no servers, so it
-    /// proposes the defaults at every offset.
-    fn speculate(&self, cfg: &SessionConfig, horizon: usize) -> Vec<Vec<ClusterConfig>> {
-        /// Most joint candidates per offset: reflect follow-ups give 3
-        /// candidates per server, so two servers already reach 9 — cap
-        /// the cross product at a budget that keeps the certain
-        /// single-candidate chains (init, shrink) fully covered.
-        const SPECULATION_CAP: usize = 8;
-
-        let ahead: Vec<_> = self.servers().iter().map(|s| s.speculate()).collect();
-        Self::joint_speculation(&ahead, horizon, SPECULATION_CAP, |combo| {
-            self.assemble(cfg, combo)
+    /// The cluster configurations this engine will propose next from
+    /// its servers' queued trials: offset k joins every server's k-th
+    /// queued trial, so the sequence ends at the shortest queue. Empty
+    /// for point tuners and for the untuned baseline, which queue
+    /// nothing.
+    fn queued<'a>(&'a self, cfg: &'a SessionConfig) -> impl Iterator<Item = ClusterConfig> + 'a {
+        let mut queues: Vec<_> = self.servers().iter().map(HarmonyServer::queued).collect();
+        std::iter::from_fn(move || {
+            if queues.is_empty() {
+                return None;
+            }
+            let proposals = queues
+                .iter_mut()
+                .map(|q| q.next().cloned())
+                .collect::<Option<Vec<_>>>()?;
+            Some(self.assemble(cfg, &proposals))
         })
-    }
-
-    /// Cross the per-server speculation lists offset by offset: a joint
-    /// candidate exists at offset `k` only while *every* server still
-    /// sees that far ahead, and each combination picks one candidate per
-    /// server (bounded by `cap` combinations per offset).
-    fn joint_speculation(
-        ahead: &[Vec<Vec<Configuration>>],
-        horizon: usize,
-        cap: usize,
-        assemble: impl Fn(&[Configuration]) -> ClusterConfig,
-    ) -> Vec<Vec<ClusterConfig>> {
-        let mut out = Vec::new();
-        for k in 0..horizon {
-            let Some(parts) = ahead
-                .iter()
-                .map(|a| a.get(k).filter(|p| !p.is_empty()))
-                .collect::<Option<Vec<_>>>()
-            else {
-                break;
-            };
-            let mut combos: Vec<Vec<Configuration>> = vec![Vec::new()];
-            for part in parts {
-                let mut next = Vec::with_capacity(cap);
-                'fill: for combo in &combos {
-                    for cand in part.iter() {
-                        if next.len() >= cap {
-                            break 'fill;
-                        }
-                        let mut c = combo.clone();
-                        c.push(cand.clone());
-                        next.push(c);
-                    }
-                }
-                combos = next;
-            }
-            if combos.is_empty() {
-                break;
-            }
-            out.push(combos.iter().map(|combo| assemble(combo)).collect());
-        }
-        out
     }
 
     /// Feed the measured throughput back to the server(s) as a typed
@@ -1525,34 +1481,31 @@ pub(crate) fn drive_tuning(
         if let Some(r) = parts.resilience.as_deref_mut() {
             r.before(&cfg, i, observer);
         }
-        // Speculative parallel evaluation: ask the tuner what it may
-        // propose over the next few iterations and warm the cache on
-        // worker threads. The horizon never crosses the hybrid's phase
-        // switch (the fine engine proposes from a different space).
-        // Resilient sessions do not prefetch, so the bulkhead's cap on
-        // speculation width stays what `ResilienceSettings` documents.
-        let spec_horizon = cfg.eval.speculation_horizon();
-        if spec_horizon > 0 && parts.resilience.is_none() {
-            let phase_end = if i < switch_at { switch_at } else { iterations };
-            let horizon = spec_horizon.min((phase_end - i) as usize);
-            let mut scenarios = Vec::new();
-            for (off, candidates) in engine.speculate(&cfg, horizon).into_iter().enumerate() {
-                let at = i + off as u32;
-                for candidate in candidates {
-                    let mut s = cfg.scenario(candidate, at);
-                    s.lines = engine.lines();
-                    if let Some(workload_at) = parts.workload_at {
-                        s.workload = workload_at(at);
-                    }
-                    scenarios.push(s);
-                }
-            }
-            cfg.eval.prefetch(&scenarios);
-        }
         let t0 = Instant::now();
         let config = engine.propose(&cfg);
         let mut scenario = cfg.scenario(config.clone(), i);
         scenario.lines = engine.lines();
+        // Prefetch: evaluate this scenario and the servers' queued trials
+        // together on worker threads, up to the hybrid's phase switch
+        // (the fine engine proposes from a different space) or the
+        // session end. Resilient sessions do not prefetch: their
+        // retries and re-measurements run one evaluation at a time.
+        if cfg.eval.prefetches() && parts.resilience.is_none() {
+            let phase_end = if i < switch_at { switch_at } else { iterations };
+            let mut batch = Vec::new();
+            for (at, config) in (i + 1..phase_end).zip(engine.queued(&cfg)) {
+                let mut s = cfg.scenario(config, at);
+                s.lines = engine.lines();
+                if let Some(workload_at) = parts.workload_at {
+                    s.workload = workload_at(at);
+                }
+                batch.push(s);
+            }
+            if !batch.is_empty() {
+                batch.insert(0, scenario.clone());
+                cfg.eval.prefetch(&batch);
+            }
+        }
         let sample = match parts.resilience.as_deref_mut() {
             Some(r) => r.evaluate(&cfg, &config, &scenario, i, observer),
             None => {
@@ -1968,15 +1921,68 @@ mod tests {
 
     #[test]
     fn speculative_parallel_tuning_matches_sequential_bit_for_bit() {
-        let plain = tune(&quick_cfg(Workload::Shopping), TuningMethod::Default, 8);
-        let spec = quick_cfg(Workload::Shopping)
-            .eval_settings(EvalSettings::default().cache(true).threads(0));
+        // BestConfig queues whole rounds, so the engine prefetches them.
+        let bestconfig = || quick_cfg(Workload::Shopping).tuner("bestconfig");
+        let plain = tune(&bestconfig(), TuningMethod::Default, 8);
+        let spec = bestconfig().eval_settings(EvalSettings::default().cache(true).threads(0));
         let run = tune(&spec, TuningMethod::Default, 8);
         assert_eq!(plain.wips_series(), run.wips_series());
         assert_eq!(plain.best_wips.to_bits(), run.best_wips.to_bits());
         let c = spec.eval.counters();
-        assert!(c.speculated > 0, "speculation never ran");
-        assert!(c.hits > 0, "speculation never paid off: {c:?}");
+        assert!(c.speculated > 0, "prefetch never ran");
+        assert!(c.hits > 0, "prefetch never paid off: {c:?}");
+    }
+
+    #[test]
+    fn queued_trials_zip_up_to_the_shortest_queue() {
+        // One BestConfig server per tier, with rounds of 4, 6 and 5.
+        let cfg = quick_cfg(Workload::Shopping);
+        let server = |role, samples| {
+            let tuner = harmony::bestconfig::BestConfigTuner::new(binding::role_space(role), 7)
+                .samples_per_round(samples);
+            HarmonyServer::new("tier", Box::new(tuner)).batch_protocol(true)
+        };
+        let mut engine = TuneEngine::Tiers(Box::new([
+            server(Role::Proxy, 4),
+            server(Role::App, 6),
+            server(Role::Db, 5),
+        ]));
+        assert_eq!(engine.queued(&cfg).count(), 0, "nothing queued yet");
+        engine.propose(&cfg);
+        let depths: Vec<usize> = engine.servers().iter().map(|s| s.queued().len()).collect();
+        assert_eq!(depths, [3, 5, 4]);
+        let ahead: Vec<ClusterConfig> = engine.queued(&cfg).collect();
+        assert_eq!(ahead.len(), 3, "the zip stops at the shortest queue");
+        // Offset k is exactly what the engine proposes k iterations on.
+        for expected in &ahead {
+            engine.report(&Measurement::point(1.0), &[]);
+            assert_eq!(&engine.propose(&cfg), expected);
+        }
+        // Point tuners and the untuned baseline queue nothing.
+        let mut simplex = TuneEngine::for_method(&cfg, TuningMethod::Duplication).expect("engine");
+        simplex.propose(&cfg);
+        assert_eq!(simplex.queued(&cfg).count(), 0);
+        assert_eq!(TuneEngine::Baseline.queued(&cfg).count(), 0);
+    }
+
+    #[test]
+    fn hybrid_prefetch_stops_at_the_phase_switch() {
+        // The coarse phase ends at iteration 3, inside a BestConfig
+        // round; the fine phase's line servers propose from another
+        // space. Every prefetched outcome must be one the loop consumes.
+        let bestconfig = || {
+            quick_cfg(Workload::Shopping)
+                .topology(Topology::tiers(2, 2, 2).unwrap())
+                .tuner("bestconfig")
+        };
+        let plain = tune(&bestconfig(), TuningMethod::Hybrid, 9);
+        let cfg = bestconfig().eval_settings(EvalSettings::default().cache(true).threads(2));
+        let run = tune(&cfg, TuningMethod::Hybrid, 9);
+        assert_eq!(plain.wips_series(), run.wips_series());
+        let c = cfg.eval.counters();
+        assert!(c.speculated > 0, "{c:?}");
+        assert_eq!(cfg.eval.len(), 9, "a prefetched outcome went unused: {c:?}");
+        assert_eq!(c.hits + c.misses, 9);
     }
 
     #[test]

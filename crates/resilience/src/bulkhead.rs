@@ -5,10 +5,10 @@ use persist::{PersistError, State};
 
 /// Caps the number of evaluations in flight at once. In the sequential
 /// session loop the permit gate is a formality (one evaluation at a
-/// time), but the same cap bounds *speculative* evaluation width:
+/// time), but the same cap bounds the width of parallel fan-outs:
 /// [`Bulkhead::clamp_threads`] clamps the worker-thread count handed to
-/// `par::parallel_map`-style fan-outs, so one knob governs both the
-/// policy stack and the evaluation engine's parallelism.
+/// `par::parallel_map`-style grids of independent sessions, so one knob
+/// governs both the policy stack and the experiments' parallelism.
 ///
 /// `cap: None` is unbounded — the identity layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn layer_rejects_when_exhausted() {
         // Exhaust the permits from outside the stack, as a concurrent
-        // speculation pass holding them would.
+        // evaluation holding them would.
         let mut saturated = Bulkhead::with_cap(1);
         assert!(saturated.try_acquire());
         let mut stack: Stack<u32> = Stack::new().layer(saturated);

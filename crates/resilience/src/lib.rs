@@ -16,7 +16,7 @@
 //! * [`breaker::CircuitBreaker`] — closed → open → half-open → closed
 //!   per configuration key, with an optional probe-after-skips recovery;
 //! * [`bulkhead::Bulkhead`] — caps concurrent in-flight evaluations and
-//!   clamps speculative worker-thread counts;
+//!   clamps the worker-thread count of parallel fan-outs;
 //! * [`fallback::Fallback`] — graceful degradation: when every inner
 //!   layer gives up, substitute the best sample seen so far instead of
 //!   failing the iteration.

@@ -48,7 +48,7 @@ pub struct SimArgs {
     pub checkpoint_every: Option<u32>,
     /// Resume the interrupted session found in `--checkpoint-dir`.
     pub resume: bool,
-    /// Worker threads for speculative candidate evaluation
+    /// Worker threads for evaluating queued trials ahead
     /// (`None` = 1 = sequential; `Some(0)` = one per core).
     pub eval_threads: Option<usize>,
     /// Disable the measurement memoization cache (on by default in the
@@ -138,8 +138,12 @@ OPTIONS (all subcommands):
   --faults PATH      JSON fault plan to inject (crashes, stalls, slowdowns, noise)
   --fault-seed N     seed for fault noise/jitter draws (default 0xFA17;
                      requires --faults)
-  --eval-threads N   worker threads for speculative candidate evaluation
-                     (default 1 = sequential; 0 = auto, one per core)
+  --eval-threads N   worker threads for evaluating queued trials ahead
+                     (default 1 = sequential; 0 = auto, one per core).
+                     Width > 1 runs batch-native tuners' queued rounds
+                     (bestconfig, classytune) and tuna's confirmations
+                     in parallel; point tuners such as the simplex run
+                     sequentially at any width
   --no-eval-cache    disable measurement memoization (identical results,
                      repeated configurations re-simulate)
   --replication-threads N   worker width for measurement replications

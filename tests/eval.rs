@@ -1,10 +1,12 @@
 //! Integration tests for the evaluation engine: memoized measurements
-//! and speculative parallel candidate evaluation must be *transparent*.
+//! and parallel prefetch of queued trials must be *transparent*.
 //! Whatever the engine configuration — cache on or off, one worker or
 //! one per core, warm or cold — a session produces byte-identical trace
 //! records and bit-equal WIPS. Only the end-of-session `eval` summary
 //! record (and `wall_ms`, as everywhere) reflects the engine, so the
-//! comparisons here strip both.
+//! comparisons here strip both. Prefetch only has work when a tuner
+//! queues trials, so the tests that need it run BestConfig, whose
+//! rounds are queued whole; the simplex queues nothing.
 
 use ah_webtune::prelude::*;
 use obs::Value;
@@ -20,7 +22,7 @@ fn pinned(topology: Topology, population: u32) -> SessionConfig {
 }
 
 /// Drop the trailing `wall_ms` field (host wall-clock time, supposed to
-/// vary) and the `eval` summary record (its hit/miss/speculated counters
+/// vary) and the `eval` summary record (its hit/miss/prefetch counters
 /// describe the engine configuration, not the measurements).
 fn comparable_lines(sink: &MemorySink) -> Vec<String> {
     sink.records
@@ -84,9 +86,10 @@ fn cached_engine_is_byte_identical_for_every_method() {
     }
 }
 
-/// Speculative parallel evaluation (cache + one worker per core) must
-/// consume its pre-computed outcomes in exactly the order and with
-/// exactly the values of the sequential engine.
+/// Parallel prefetch of queued trials (cache + one worker per core)
+/// must consume its pre-computed outcomes in exactly the order and with
+/// exactly the values of the sequential engine. One server (Default)
+/// and two line servers whose queues are zipped (Partitioning).
 #[test]
 fn speculative_parallel_engine_is_byte_identical() {
     for (method, topology) in [
@@ -96,23 +99,47 @@ fn speculative_parallel_engine_is_byte_identical() {
             Topology::tiers(2, 2, 2).expect("topology"),
         ),
     ] {
-        let plain = pinned(topology, 250);
-        let speculative = plain
+        let plain = pinned(topology, 250).tuner("bestconfig");
+        let prefetching = plain
             .clone()
             .eval_settings(EvalSettings::default().cache(true).threads(0));
         let (lines_a, run_a) = traced(&plain, method, 6);
-        let (lines_b, run_b) = traced(&speculative, method, 6);
+        let (lines_b, run_b) = traced(&prefetching, method, 6);
         assert_eq!(
             lines_a, lines_b,
-            "{method:?}: speculation changed the trace bytes"
+            "{method:?}: prefetch changed the trace bytes"
         );
         assert_eq!(run_a.best_wips.to_bits(), run_b.best_wips.to_bits());
         // The engine really did work ahead; it just must not show.
         assert!(
-            speculative.eval.counters().speculated > 0,
-            "{method:?}: no speculative evaluations happened"
+            prefetching.eval.counters().speculated > 0,
+            "{method:?}: nothing was prefetched"
         );
     }
+}
+
+/// TUNA's confirmation runs arrive as one batch, so they are prefetched
+/// too, without changing a traced byte. The seed is not pinned: with a
+/// pinned seed a confirmation run re-measures the same scenario and is
+/// a plain cache hit.
+#[test]
+fn tuna_confirmation_batches_are_prefetched_byte_identically() {
+    let plain = SessionConfig::new(Topology::single(), Workload::Shopping, 1700)
+        .plan(IntervalPlan::tiny())
+        .tuner("tuna");
+    let prefetching = plain
+        .clone()
+        .eval_settings(EvalSettings::default().cache(true).threads(2));
+    let (lines_a, run_a) = traced(&plain, TuningMethod::Default, 12);
+    let (lines_b, run_b) = traced(&prefetching, TuningMethod::Default, 12);
+    assert_eq!(lines_a, lines_b, "prefetch changed the trace bytes");
+    assert_eq!(run_a.best_wips.to_bits(), run_b.best_wips.to_bits());
+    let c = prefetching.eval.counters();
+    assert!(
+        c.speculated > 0,
+        "no confirmation run was prefetched: {c:?}"
+    );
+    assert_eq!(c.hits + c.misses, 12, "{c:?}");
 }
 
 /// Fault noise is applied by the session *after* the cache lookup, so a
@@ -203,11 +230,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Killing a speculating session and resuming restores the memoization
+/// Killing a prefetching session and resuming restores the memoization
 /// cache from the snapshot: the continued run is byte-identical to the
 /// uninterrupted one *and* serves its post-resume iterations as cache
-/// hits, because the pre-crash engine had already evaluated them
-/// speculatively. Crash recovery loses no speculative work.
+/// hits, because the pre-crash engine had already prefetched them with
+/// the first BestConfig round. The resumed session runs at width 1,
+/// which never prefetches, so its hits can only come from the restored
+/// cache. Crash recovery loses no prefetched work.
 #[test]
 fn kill_and_resume_restores_the_warm_cache() {
     const ITERS: u32 = 8;
@@ -215,7 +244,7 @@ fn kill_and_resume_restores_the_warm_cache() {
     // SessionConfig shares its engine Arc — and its counters — which is
     // exactly what this test must not do).
     let engine = || EvalSettings::default().cache(true).threads(0);
-    let base = pinned(Topology::single(), 200);
+    let base = pinned(Topology::single(), 200).tuner("bestconfig");
     let full_cfg = base.clone().eval_settings(engine());
     let (full_lines, full_run) = traced(&full_cfg, TuningMethod::Default, ITERS);
 
@@ -235,7 +264,9 @@ fn kill_and_resume_restores_the_warm_cache() {
         let _ = tune_observed(&killed, TuningMethod::Default, ITERS, &mut observer);
     });
 
-    let resumed_cfg = base.eval_settings(engine()).checkpoint(policy.resume(true));
+    let resumed_cfg = base
+        .eval_settings(EvalSettings::default().cache(true).threads(1))
+        .checkpoint(policy.resume(true));
     let mut resumed_sink = MemorySink::new();
     let mut observer = SessionObserver::with_sink(&mut resumed_sink);
     let run = tune_observed(&resumed_cfg, TuningMethod::Default, ITERS, &mut observer)
@@ -263,7 +294,7 @@ fn kill_and_resume_restores_the_warm_cache() {
     assert_eq!(run.best_config, full_run.best_config);
 
     // The warm-cache proof: the snapshot at iteration 4 already held the
-    // speculated outcomes for the live iterations 5..8, so the resumed
+    // prefetched outcomes for the live iterations 5..8, so the resumed
     // session replays them as hits without ever re-running the DES.
     let counters = resumed_cfg.eval.counters();
     assert_eq!(
@@ -281,46 +312,58 @@ fn kill_and_resume_restores_the_warm_cache() {
 /// is a wall-clock knob, never a results knob. The same seeded session
 /// run with 1, 2, and 8 evaluation *and* replication threads produces
 /// byte-identical traces, bit-equal WIPS, the same best configuration,
-/// and the same session fingerprint.
+/// and the same session fingerprint — for the simplex, which runs
+/// sequentially at any width, and for BestConfig, whose queued rounds
+/// are prefetched.
 #[test]
 fn thread_width_1_2_8_is_byte_identical() {
-    let cfg_at = |w: usize| {
+    let cfg_at = |tuner: &str, w: usize| {
         pinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
+            .tuner(tuner)
             .eval_settings(EvalSettings::default().cache(true).threads(w))
             .replication_threads(w)
     };
-    let runs: Vec<(Vec<String>, TuningRun)> = [1usize, 2, 8]
-        .iter()
-        .map(|&w| traced(&cfg_at(w), TuningMethod::Partitioning, 6))
-        .collect();
-    let (lines_1, run_1) = &runs[0];
-    for (w, (lines, run)) in [2usize, 8].iter().zip(&runs[1..]) {
-        assert_eq!(lines_1, lines, "{w} workers changed the trace bytes");
-        assert_eq!(
-            run_1.best_wips.to_bits(),
-            run.best_wips.to_bits(),
-            "{w} workers changed the best WIPS"
-        );
-        assert_eq!(run_1.best_config, run.best_config);
+    for tuner in ["simplex", "bestconfig"] {
+        let runs: Vec<(Vec<String>, TuningRun)> = [1usize, 2, 8]
+            .iter()
+            .map(|&w| traced(&cfg_at(tuner, w), TuningMethod::Partitioning, 6))
+            .collect();
+        let (lines_1, run_1) = &runs[0];
+        for (w, (lines, run)) in [2usize, 8].iter().zip(&runs[1..]) {
+            assert_eq!(
+                lines_1, lines,
+                "{tuner}: {w} workers changed the trace bytes"
+            );
+            assert_eq!(
+                run_1.best_wips.to_bits(),
+                run.best_wips.to_bits(),
+                "{tuner}: {w} workers changed the best WIPS"
+            );
+            assert_eq!(run_1.best_config, run.best_config);
+        }
     }
     // The session fingerprint is a function of the scenario inputs, so
     // the engine width must not leak into it: a checkpoint written at
     // one width resumes at any other.
-    let fp_at =
-        |w: usize| orchestrator::checkpoint::session_fingerprint(&cfg_at(w), "partitioning", 6, 0);
+    let fp_at = |w: usize| {
+        orchestrator::checkpoint::session_fingerprint(&cfg_at("simplex", w), "partitioning", 6, 0)
+    };
     assert_eq!(fp_at(1), fp_at(2));
     assert_eq!(fp_at(1), fp_at(8));
 }
 
-/// Checkpoint artifacts are width-independent too: two speculating
+/// Checkpoint artifacts are width-independent too: two prefetching
 /// widths write snapshot + journal files that are byte-identical, down
 /// to the serialized memoization cache (every width stores the same
-/// speculated outcomes, merged in the same order).
+/// prefetched outcomes, merged in the same order). A simplex session
+/// queues nothing, so at width 2 it prefetches nothing and writes the
+/// same files as at width 1.
 #[test]
 fn checkpoint_files_are_width_independent() {
-    let run_at = |w: usize| {
-        let dir = temp_dir(&format!("width-{w}"));
+    let run_at = |tuner: &str, w: usize| {
+        let dir = temp_dir(&format!("{tuner}-width-{w}"));
         let cfg = pinned(Topology::single(), 200)
+            .tuner(tuner)
             .eval_settings(EvalSettings::default().cache(true).threads(w))
             .checkpoint(CheckpointPolicy::new(&dir).every(2));
         let run = tune_observed(&cfg, TuningMethod::Default, 6, &mut SessionObserver::none())
@@ -336,31 +379,42 @@ fn checkpoint_files_are_width_independent() {
             .collect();
         files.sort_by(|a, b| a.0.cmp(&b.0));
         std::fs::remove_dir_all(&dir).expect("cleanup");
-        (files, run)
+        (files, run, cfg.eval.counters())
     };
-    let (files_2, run_2) = run_at(2);
-    let (files_8, run_8) = run_at(8);
-    assert!(
-        files_2.iter().any(|(n, _)| n.starts_with("snap-")),
-        "expected at least one snapshot: {:?}",
-        files_2.iter().map(|(n, _)| n).collect::<Vec<_>>()
-    );
     let names = |fs: &[(String, Vec<u8>)]| fs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&files_2), names(&files_8));
-    for ((name, bytes_2), (_, bytes_8)) in files_2.iter().zip(&files_8) {
-        assert_eq!(bytes_2, bytes_8, "{name} differs between widths 2 and 8");
+    for (tuner, [a, b]) in [("bestconfig", [2, 8]), ("simplex", [1, 2])] {
+        let (files_a, run_a, counters_a) = run_at(tuner, a);
+        let (files_b, run_b, counters_b) = run_at(tuner, b);
+        assert!(
+            files_a.iter().any(|(n, _)| n.starts_with("snap-")),
+            "{tuner}: expected at least one snapshot: {:?}",
+            names(&files_a)
+        );
+        assert_eq!(names(&files_a), names(&files_b), "{tuner}");
+        for ((name, bytes_a), (_, bytes_b)) in files_a.iter().zip(&files_b) {
+            assert_eq!(
+                bytes_a, bytes_b,
+                "{tuner}: {name} differs between widths {a} and {b}"
+            );
+        }
+        assert_eq!(run_a.best_wips.to_bits(), run_b.best_wips.to_bits());
+        if tuner == "bestconfig" {
+            assert!(counters_a.speculated > 0, "{counters_a:?}");
+        } else {
+            assert_eq!(counters_b.speculated, 0, "the simplex prefetched");
+            assert_eq!(counters_a, counters_b, "width changed the simplex's engine");
+        }
     }
-    assert_eq!(run_2.best_wips.to_bits(), run_8.best_wips.to_bits());
 }
 
-/// Kill a speculating session mid-run at one width and resume it at a
+/// Kill a prefetching session mid-run at one width and resume it at a
 /// *different* width: the continued trace must still match the
 /// uninterrupted sequential run byte for byte. Crash recovery, the
 /// restored cache, and the worker pool compose without bleeding state.
 #[test]
 fn kill_and_resume_mid_speculation_is_width_independent() {
     const ITERS: u32 = 8;
-    let base = pinned(Topology::single(), 200);
+    let base = pinned(Topology::single(), 200).tuner("bestconfig");
     // Sequential reference (no cache, one worker): ground truth bytes.
     let (full_lines, full_run) = traced(&base, TuningMethod::Default, ITERS);
 
@@ -379,10 +433,10 @@ fn kill_and_resume_mid_speculation_is_width_independent() {
         let mut observer = SessionObserver::with_sink(&mut sink);
         let _ = tune_observed(&killed, TuningMethod::Default, ITERS, &mut observer);
     });
-    // The pre-crash engine was speculating when the kill fired.
+    // The pre-crash engine was prefetching when the kill fired.
     assert!(
         killed.eval.counters().speculated > 0,
-        "the killed session never speculated: {:?}",
+        "the killed session never prefetched: {:?}",
         killed.eval.counters()
     );
 
