@@ -160,6 +160,9 @@ fn report_overhead() {
 /// cost *is* the persistence work; measuring that directly (open + one
 /// journal frame per iteration + one snapshot per cadence) resolves a
 /// ~1% delta that end-to-end differencing would bury in scheduler noise.
+/// It times `maybe_snapshot`, which waits until the snapshot is durable;
+/// a session hands its snapshots to a writer thread and goes on, so this
+/// is an upper bound on what a session pays.
 fn report_checkpoint_overhead() {
     use harmony::strategy::TuningMethod;
     use orchestrator::checkpoint::{session_fingerprint, CheckpointPolicy, Checkpointer};

@@ -1,13 +1,15 @@
 //! Quick deterministic benchmark for CI ("bench-smoke").
 //!
-//! Runs the canonical cold-path scenario, writes `BENCH_5.json`, and
-//! (when `--baseline` points at the committed copy) fails the process
-//! with exit code 1 on a >tolerance normalized regression. Also
-//! re-runs every seeded scenario twice and fails on any fingerprint
-//! mismatch — a determinism smoke test — then replays the battery
-//! through the shared worker pool at width 2 and fails if any pool
-//! fingerprint differs from the sequential one (the multi-core engine
-//! must be a wall-clock knob, never a results knob).
+//! Runs the canonical cold-path scenario, writes a fresh `BENCH_5.json`
+//! (by default `target/bench-smoke/BENCH_5.json`, so a local run never
+//! overwrites the committed baseline), and (when `--baseline` points at
+//! the committed copy) fails the process with exit code 1 on a normalized
+//! regression beyond the tolerance. Also re-runs every seeded scenario
+//! twice and fails on any fingerprint mismatch — a determinism smoke
+//! test — then replays the battery through the shared worker pool at
+//! width 2 and fails if any pool fingerprint differs from the sequential
+//! one (the multi-core engine must be a wall-clock knob, never a results
+//! knob).
 //!
 //! Usage:
 //!   bench_smoke [--out PATH] [--baseline PATH] [--tolerance FRAC]
@@ -28,7 +30,7 @@ struct Cli {
 
 fn parse_cli() -> Cli {
     let mut cli = Cli {
-        out: "BENCH_5.json".into(),
+        out: "target/bench-smoke/BENCH_5.json".into(),
         baseline: None,
         tolerance: smoke::DEFAULT_TOLERANCE,
         rounds: 16,
@@ -139,7 +141,12 @@ fn main() {
     );
 
     // 3. Emit BENCH_5.json (the CI artifact).
-    if let Err(e) = std::fs::write(&cli.out, report.to_json()) {
+    let written = cli
+        .out
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&cli.out, report.to_json()));
+    if let Err(e) = written {
         eprintln!("could not write {}: {e}", cli.out.display());
         std::process::exit(2);
     }

@@ -20,9 +20,10 @@ use crate::resilient::{DetectionEvent, RecoveryAction};
 use crate::session::{ckerr, node_values, IterationRecord, SessionConfig, SessionError};
 use cluster::config::{ClusterConfig, NodeParams, Role, Topology};
 use cluster::params::{DbParams, ProxyParams, WebParams};
-use persist::snapshot::Fields;
+use persist::snapshot::{Fields, Value};
 use persist::{CheckpointStore, PersistError, State};
 use std::path::PathBuf;
+use std::sync::Arc;
 use tpcw::mix::Workload;
 
 /// Where and how often a session checkpoints itself.
@@ -236,7 +237,8 @@ impl Checkpointer {
     }
 
     /// Snapshot `state`, plus `fingerprint` and `iteration`, if
-    /// `next_iteration` hits the cadence.
+    /// `next_iteration` hits the cadence. The snapshot is durable on
+    /// return.
     pub fn maybe_snapshot(
         &mut self,
         next_iteration: u32,
@@ -256,9 +258,13 @@ impl Checkpointer {
 
     /// [`Checkpointer::maybe_snapshot`] for a snapshot assembled field
     /// by field: `fields` adds the session's fields, so bytes encoded
-    /// earlier are copied instead of rebuilt, and `fingerprint` and
+    /// earlier are shared instead of rebuilt, and `fingerprint` and
     /// `iteration` follow them. The file is the one `maybe_snapshot`
-    /// writes for the equivalent map.
+    /// writes for the equivalent map, but it is written on the store's
+    /// writer thread: this returns once the image is handed off. The
+    /// previous write is joined before the image is assembled, so one
+    /// image is alive at a time, and its failure is returned here;
+    /// [`Checkpointer::finish`] joins the last one.
     pub(crate) fn maybe_snapshot_fields(
         &mut self,
         next_iteration: u32,
@@ -268,13 +274,20 @@ impl Checkpointer {
         if !self.due(next_iteration, total_iterations) {
             return Ok(());
         }
+        self.store.wait().map_err(ckerr)?;
         let mut image = Fields::new();
         fields(&mut image);
         image.state("fingerprint", &State::U64(self.fingerprint));
         image.state("iteration", &State::U64(next_iteration as u64));
         self.store
-            .write_snapshot_image(next_iteration as u64, &image.finish())
+            .write_snapshot_fields(next_iteration as u64, image)
             .map_err(ckerr)
+    }
+
+    /// Wait for the snapshot write in flight, if any: once this returns
+    /// `Ok`, every snapshot the session took is durable.
+    pub fn finish(&mut self) -> Result<(), SessionError> {
+        self.store.wait().map_err(ckerr)
     }
 }
 
@@ -384,13 +397,14 @@ pub(crate) fn records_state(records: &[IterationRecord]) -> State {
 
 /// A session's iteration records, each encoded once, by the first
 /// snapshot that holds it: a snapshot's `records` field is a list header
-/// followed by a copy of those bytes, so its cost does not grow with
-/// re-encoding the whole history, and a session that never snapshots
-/// never encodes.
+/// followed by those bytes, shared rather than copied, so its cost does
+/// not grow with re-encoding the whole history, and a session that
+/// never snapshots never encodes.
 pub(crate) struct RecordLog {
     records: Vec<IterationRecord>,
-    /// The encodings of `records[..encoded_count]`, concatenated.
-    encoded: Vec<u8>,
+    /// The encodings of `records[..encoded_count]`, in order, one chunk
+    /// per snapshot that found records not encoded yet.
+    encoded: Vec<Arc<[u8]>>,
     encoded_count: usize,
 }
 
@@ -409,13 +423,19 @@ impl RecordLog {
 
     /// Append the `records` field's encoding, first encoding the records
     /// pushed since the last call.
-    pub(crate) fn encode_into(&mut self, out: &mut Vec<u8>) {
-        for record in &self.records[self.encoded_count..] {
-            record_state(record).encode_into(&mut self.encoded);
+    pub(crate) fn encode_into(&mut self, out: &mut Value<'_>) {
+        if self.encoded_count < self.records.len() {
+            let mut chunk = Vec::new();
+            for record in &self.records[self.encoded_count..] {
+                record_state(record).encode_into(&mut chunk);
+            }
+            self.encoded.push(chunk.into());
+            self.encoded_count = self.records.len();
         }
-        self.encoded_count = self.records.len();
-        State::encode_list_header(self.records.len(), out);
-        out.extend_from_slice(&self.encoded);
+        State::encode_list_header(self.records.len(), out.bytes());
+        for chunk in &self.encoded {
+            out.shared(chunk);
+        }
     }
 
     pub(crate) fn into_records(self) -> Vec<IterationRecord> {
@@ -719,9 +739,10 @@ mod tests {
         let mut log = RecordLog::with_capacity(records.len());
         for (k, r) in records.iter().enumerate() {
             log.push(r.clone());
-            let mut encoded = Vec::new();
-            log.encode_into(&mut encoded);
-            assert_eq!(encoded, records_state(&records[..=k]).encode());
+            let mut fields = Fields::new();
+            fields.encoded("records", |out| log.encode_into(out));
+            let tree = State::map().with("records", records_state(&records[..=k]));
+            assert_eq!(fields.finish(), persist::snapshot::Image::of(&tree));
         }
         let recoveries = vec![RecoveryAction {
             iteration: 3,

@@ -21,7 +21,7 @@
 //!   scenarios share an entry only when the simulation would be
 //!   byte-for-byte identical anyway. Each entry also keeps its snapshot
 //!   encoding once a snapshot has made it, so a checkpointed session
-//!   encodes each entry once and copies the cache into later snapshots;
+//!   encodes each entry once and later snapshots share the encodings;
 //!   a session that never snapshots never encodes.
 //! * **Prefetch** ([`EvalSettings::threads`] ≠ 1, requires the cache)
 //!   — when a batch-native tuner has queued trials (a BestConfig round,
@@ -51,13 +51,14 @@ use cluster::runner::{
     run_iteration, run_iteration_checked, run_iteration_observed, IterationOutcome,
 };
 use obs::Registry;
+use persist::snapshot::Value;
 use persist::{PersistError, State};
 use simkit::time::SimDuration;
 use tpcw::metrics::IterationMetrics;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How the evaluation engine runs measurements. The library default is
 /// fully transparent (no cache, one thread): sessions behave exactly as
@@ -172,12 +173,12 @@ impl std::fmt::Debug for EvalEngine {
 }
 
 /// One cached outcome. `encoded` is its snapshot entry's encoding
-/// ([`entry_state`]), made by the first snapshot that copies the cache
-/// and kept for the later ones; `None` until then, and again after a
+/// ([`entry_state`]), made by the first snapshot that holds the cache
+/// and shared with the later ones; `None` until then, and again after a
 /// restore overwrites the outcome.
 struct Entry {
     outcome: IterationOutcome,
-    encoded: Option<Box<[u8]>>,
+    encoded: Option<Arc<[u8]>>,
 }
 
 impl Entry {
@@ -355,19 +356,18 @@ impl EvalEngine {
         )
     }
 
-    /// Append the encoding of [`EvalEngine::save_cache_state`], copied
-    /// from the entries' stored encodings in key order: what a session
-    /// snapshot's `eval_cache` field holds, without building the tree.
-    /// Entries not encoded yet are encoded here, once, and kept.
-    pub(crate) fn encode_cache_into(&self, out: &mut Vec<u8>) {
+    /// Append the encoding of [`EvalEngine::save_cache_state`], made of
+    /// the entries' stored encodings in key order, shared rather than
+    /// copied: what a session snapshot's `eval_cache` field holds,
+    /// without building the tree. Entries not encoded yet are encoded
+    /// here, once, and kept.
+    pub(crate) fn encode_cache_into(&self, out: &mut Value<'_>) {
         let mut cache = self.lock();
-        State::encode_map_header(1, out);
-        State::encode_key("entries", out);
-        State::encode_list_header(cache.len(), out);
+        State::encode_map_header(1, out.bytes());
+        State::encode_key("entries", out.bytes());
+        State::encode_list_header(cache.len(), out.bytes());
         for (key, Entry { outcome, encoded }) in cache.iter_mut() {
-            let encoded = encoded
-                .get_or_insert_with(|| entry_state(*key, outcome).encode().into_boxed_slice());
-            out.extend_from_slice(encoded);
+            out.shared(encoded.get_or_insert_with(|| entry_state(*key, outcome).encode().into()));
         }
     }
 
@@ -473,6 +473,7 @@ mod tests {
     use super::*;
     use crate::session::SessionConfig;
     use cluster::config::{ClusterConfig, Topology};
+    use persist::snapshot::{Fields, Image};
     use tpcw::metrics::IntervalPlan;
     use tpcw::mix::Workload;
 
@@ -639,10 +640,13 @@ mod tests {
         assert_eq!(restored.counters().hits, 3);
     }
 
-    fn encoded_cache(engine: &EvalEngine) -> Vec<u8> {
-        let mut out = Vec::new();
-        engine.encode_cache_into(&mut out);
-        out
+    /// An image whose one field is the cache as a snapshot holds it,
+    /// and the image of the same field built from the cache's tree.
+    fn encoded_cache(engine: &EvalEngine) -> (Image, Image) {
+        let mut fields = Fields::new();
+        fields.encoded("eval_cache", |out| engine.encode_cache_into(out));
+        let tree = State::map().with("eval_cache", engine.save_cache_state());
+        (fields.finish(), Image::of(&tree))
     }
 
     #[test]
@@ -652,19 +656,18 @@ mod tests {
         for i in [2, 0, 1] {
             let _ = engine.run(&scenario(i), None);
         }
-        // Nothing is encoded until a snapshot copies the cache.
+        // Nothing is encoded until a snapshot holds the cache.
         assert!(engine.lock().values().all(|e| e.encoded.is_none()));
-        assert_eq!(encoded_cache(&engine), engine.save_cache_state().encode());
+        let (encoded, tree) = encoded_cache(&engine);
+        assert_eq!(encoded, tree);
         assert!(engine.lock().values().all(|e| e.encoded.is_some()));
 
         // After a prefetch on two worker threads.
         let speculative = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
         let scenarios: Vec<ClusterScenario> = (3..6).map(scenario).collect();
         assert_eq!(speculative.prefetch(&scenarios), 3);
-        assert_eq!(
-            encoded_cache(&speculative),
-            speculative.save_cache_state().encode()
-        );
+        let (encoded, tree) = encoded_cache(&speculative);
+        assert_eq!(encoded, tree);
 
         // After a restore into a non-empty cache that overwrites a key:
         // the overwritten entry's stored encoding is replaced too.
@@ -684,7 +687,8 @@ mod tests {
         );
         engine.restore_cache(&saved).expect("restore");
         assert_eq!(engine.len(), 4);
-        assert_eq!(encoded_cache(&engine), engine.save_cache_state().encode());
+        let (encoded, tree) = encoded_cache(&engine);
+        assert_eq!(encoded, tree);
         let hit = engine.run(&scenario(0), None);
         assert_eq!(hit.metrics.wips.to_bits(), changed.metrics.wips.to_bits());
         assert_eq!(hit.events, changed.events);

@@ -1591,7 +1591,7 @@ pub(crate) fn drive_tuning(
             }
             ck.append(delta)?;
             // Records and cache entries are encoded once, by the first
-            // snapshot that holds them, and copied into later ones; only
+            // snapshot that holds them, and shared with later ones; only
             // the small fields are encoded afresh.
             ck.maybe_snapshot_fields(i + 1, iterations, |snap| {
                 snap.state("kind", &State::Str("tune".into()));
@@ -1606,6 +1606,11 @@ pub(crate) fn drive_tuning(
                 }
             })?;
         }
+    }
+    // The last snapshot may still be in flight; a session returns only
+    // once it is durable.
+    if let Some(ck) = ckpt.as_mut() {
+        ck.finish()?;
     }
     if cfg.eval.enabled() {
         let activity = cfg.eval.counters().since(&eval_before);
@@ -2059,7 +2064,7 @@ mod tests {
             let bytes = std::fs::read(&path).expect("read");
             let state = persist::snapshot::load(&path).expect("load");
             assert_eq!(
-                persist::snapshot::Image::of(&state).as_bytes(),
+                persist::snapshot::Image::of(&state).to_vec(),
                 &bytes[..],
                 "{path:?} is not the canonical encoding of its state"
             );
@@ -2211,6 +2216,39 @@ mod tests {
             assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
         }
         assert!(!dir.exists(), "a refused session must write nothing");
+    }
+
+    /// A snapshot write that fails on the writer thread is not lost: it
+    /// fails the session at the next snapshot, or at the end of the loop
+    /// when no snapshot is left.
+    #[test]
+    fn a_failed_snapshot_write_fails_the_session() {
+        /// Squats a directory on the `.tmp` of snapshot 4 while
+        /// iteration 3 is traced, before that snapshot is handed off.
+        struct Squatter(std::path::PathBuf);
+        impl TraceSink for Squatter {
+            fn emit(&mut self, record: &TraceRecord) {
+                if let Some(obs::Value::UInt(3)) = record.get("iteration") {
+                    let _ = std::fs::create_dir(self.0.join("snap-00000004.tmp"));
+                }
+            }
+        }
+        for iterations in [6, 8] {
+            let dir = std::env::temp_dir()
+                .join(format!("session-squat-{iterations}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg =
+                quick_cfg(Workload::Shopping).checkpoint(CheckpointPolicy::new(&dir).every(2));
+            let mut sink = Squatter(dir.clone());
+            let mut observer = SessionObserver::with_sink(&mut sink);
+            let err =
+                tune_observed(&cfg, TuningMethod::Default, iterations, &mut observer).unwrap_err();
+            assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
+            assert!(dir.join("snap-00000002.ckpt").exists());
+            assert!(!dir.join("snap-00000004.ckpt").exists());
+            assert!(!dir.join("snap-00000006.ckpt").exists());
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]

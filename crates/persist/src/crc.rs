@@ -49,7 +49,17 @@ static TABLES: [[u32; 256]; SLICES] = build_tables();
 
 /// CRC-32 of `bytes` (IEEE, as used by zip/gzip/Ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_pieces([bytes])
+}
+
+/// CRC-32 of the concatenation of `pieces`, which are never copied
+/// into one buffer.
+pub fn crc32_pieces<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+    !pieces.into_iter().fold(!0u32, update)
+}
+
+/// Fold `bytes` into the running (inverted) CRC `crc`.
+fn update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(SLICES);
     for b in &mut blocks {
         // The running CRC folds into the block's first four bytes; byte
@@ -63,7 +73,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -109,6 +119,19 @@ mod tests {
         // One mebibyte, aligned and not.
         assert_eq!(crc32(&data), crc32_bytewise(&data));
         assert_eq!(crc32(&data[3..]), crc32_bytewise(&data[3..]));
+    }
+
+    #[test]
+    fn pieces_fold_like_their_concatenation() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let whole = crc32(&data);
+        for cut in [0, 1, 15, 16, 17, 500, 999, 1000] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_pieces([a, b]), whole, "cut at {cut}");
+            assert_eq!(crc32_pieces([a, &[][..], b]), whole, "cut at {cut}");
+        }
+        assert_eq!(crc32_pieces(data.chunks(3)), whole);
+        assert_eq!(crc32_pieces(std::iter::empty()), crc32(b""));
     }
 
     #[test]

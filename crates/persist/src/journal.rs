@@ -3,10 +3,11 @@
 //! One journal file holds a sequence of [`frame`](crate::frame)-encoded
 //! [`State`] records. Appends are buffered and flushed to the OS per
 //! record (no per-record fsync — a crash may lose the very last frames,
-//! and recovery's torn-tail tolerance absorbs exactly that). Opening a
-//! journal for appending first *repairs* it: the file is truncated back
-//! to the last clean frame boundary so new frames never land after
-//! garbage.
+//! and recovery's torn-tail tolerance absorbs exactly that). The fsync
+//! before each snapshot is made by the snapshot writer, through
+//! [`Journal::sync_handle`]. Opening a journal for appending first
+//! *repairs* it: the file is truncated back to the last clean frame
+//! boundary so new frames never land after garbage.
 
 use crate::frame;
 use crate::state::State;
@@ -113,11 +114,11 @@ impl Journal {
         Ok(())
     }
 
-    /// Force the journal contents to disk (used before snapshots).
-    pub fn sync(&mut self) -> Result<(), PersistError> {
+    /// Flush buffered frames to the OS and return a second handle on the
+    /// file, so a snapshot writer on another thread can fsync them.
+    pub fn sync_handle(&mut self) -> Result<File, PersistError> {
         self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        Ok(())
+        Ok(self.writer.get_ref().try_clone()?)
     }
 
     pub fn path(&self) -> &Path {

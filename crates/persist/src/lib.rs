@@ -18,10 +18,12 @@
 //! * [`snapshot`] — whole-state snapshot files written atomically
 //!   (temp file + fsync + rename) and verified by checksum on load. A
 //!   snapshot is encoded from a `State` tree or assembled field by field
-//!   from bytes encoded earlier; the file is the same either way.
+//!   from bytes encoded earlier, which it shares rather than copies; the
+//!   file is the same either way.
 //! * [`store::CheckpointStore`] — the on-disk layout tying both
 //!   together: periodic snapshots plus a journal of per-iteration
-//!   deltas. Recovery loads the newest intact snapshot (quarantining
+//!   deltas. Snapshots are sealed and written on a writer thread, one
+//!   at a time. Recovery loads the newest intact snapshot (quarantining
 //!   corrupt ones rather than panicking) and replays the journal tail.
 //!
 //! The crate is deliberately dependency-free and knows nothing about

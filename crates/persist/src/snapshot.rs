@@ -8,21 +8,24 @@
 //!
 //! The file's bytes are an [`Image`]: of a whole [`State`]
 //! ([`Image::of`]), or of a map body assembled field by field from
-//! values encoded now and bytes encoded earlier ([`Fields`]). Both are
-//! written by [`write_image`]. Writes are atomic: the bytes go to a
-//! `.tmp` sibling, are fsynced, and the file is renamed into place
-//! (rename is atomic on POSIX filesystems), so a crash leaves either the
-//! old snapshot or the new one — never a half-written file under the
-//! real name. Loads verify magic and checksum and surface
-//! [`PersistError::Corrupt`] so callers can quarantine the file and fall
-//! back to an older snapshot.
+//! values encoded now and bytes encoded earlier ([`Fields`]). An image
+//! holds bytes encoded earlier as shared pieces, not copies, so building
+//! one costs what is encoded now, and the bytes it shares stay alive as
+//! long as it does. Every image is written by [`write_image`]. Writes
+//! are atomic: the bytes go to a `.tmp` sibling, are fsynced, and the
+//! file is renamed into place (rename is atomic on POSIX filesystems),
+//! so a crash leaves either the old snapshot or the new one — never a
+//! half-written file under the real name. Loads verify magic and
+//! checksum and surface [`PersistError::Corrupt`] so callers can
+//! quarantine the file and fall back to an older snapshot.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_pieces};
 use crate::state::State;
 use crate::PersistError;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Snapshot file magic: format name + version byte.
 pub const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
@@ -30,73 +33,151 @@ pub const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
 /// Bytes before the body: the magic, then the body's CRC.
 const HEADER_LEN: usize = MAGIC.len() + 4;
 
-/// A whole snapshot file: the magic, the body's CRC, then the body.
-/// Only [`Image::of`] and [`Fields::finish`] make one, so the CRC
-/// always matches.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Image(Vec<u8>);
+/// Write buffer of [`write_image`]: it gathers an image's small pieces
+/// into few `write` calls.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// A run of an image's bytes after its head.
+#[derive(Debug)]
+enum Piece {
+    /// Encoded for this image.
+    Owned(Vec<u8>),
+    /// Encoded earlier and shared with whoever keeps it for later images.
+    Shared(Arc<[u8]>),
+}
+
+impl Piece {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Piece::Owned(bytes) => bytes,
+            Piece::Shared(bytes) => bytes,
+        }
+    }
+}
+
+/// A whole snapshot file: the magic, the body's CRC, then the body, in
+/// pieces. Only [`Image::of`] and [`Fields::finish`] make one, so the
+/// CRC always matches.
+#[derive(Debug)]
+pub struct Image {
+    /// The magic, the CRC slot, then the body's first bytes.
+    head: Vec<u8>,
+    /// The rest of the body, in order.
+    rest: Vec<Piece>,
+}
 
 impl Image {
     /// The image of `state`, built in one exactly sized buffer: the body
     /// is encoded straight after a zeroed CRC slot, which is then
     /// patched in place.
     pub fn of(state: &State) -> Image {
-        let mut bytes = Vec::with_capacity(HEADER_LEN + state.encoded_len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&[0; 4]);
-        state.encode_into(&mut bytes);
-        Image::seal(bytes)
+        let mut head = Vec::with_capacity(HEADER_LEN + state.encoded_len());
+        head.extend_from_slice(MAGIC);
+        head.extend_from_slice(&[0; 4]);
+        state.encode_into(&mut head);
+        Image {
+            head,
+            rest: Vec::new(),
+        }
+        .seal()
     }
 
     /// Patch the CRC slot with the checksum of the body after it.
-    fn seal(mut bytes: Vec<u8>) -> Image {
-        let crc = crc32(&bytes[HEADER_LEN..]);
-        bytes[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        Image(bytes)
+    fn seal(mut self) -> Image {
+        let body =
+            std::iter::once(&self.head[HEADER_LEN..]).chain(self.rest.iter().map(Piece::as_slice));
+        let crc = crc32_pieces(body);
+        self.head[MAGIC.len()..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        self
     }
 
-    /// The file's bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+    /// The file's bytes, piece by piece.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.head.as_slice()).chain(self.rest.iter().map(Piece::as_slice))
+    }
+
+    /// The file's bytes, copied into one buffer.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.pieces().flatten().copied().collect()
     }
 }
 
+/// Images are equal when their files are, however they are cut into
+/// pieces.
+impl PartialEq for Image {
+    fn eq(&self, other: &Image) -> bool {
+        self.pieces().flatten().eq(other.pieces().flatten())
+    }
+}
+
+impl Eq for Image {}
+
 /// A snapshot whose body is a map, built one field at a time. A field
 /// is either a [`State`] encoded now or bytes that were encoded earlier,
-/// so a caller that keeps the encodings of a growing history copies
+/// so a caller that keeps the encodings of a growing history shares
 /// them instead of rebuilding and re-encoding a tree. The file is the
 /// one [`Image::of`] writes for the equivalent [`State::Map`], byte for
 /// byte: the field count and the CRC are patched in place by
 /// [`Fields::finish`].
 #[derive(Debug)]
 pub struct Fields {
-    bytes: Vec<u8>,
+    image: Image,
     count: usize,
 }
 
+/// The value of one field added by [`Fields::encoded`]: bytes encoded
+/// now, and bytes encoded earlier that the image shares, in order.
+pub struct Value<'a>(&'a mut Image);
+
+impl Value<'_> {
+    /// Where bytes encoded now go.
+    pub fn bytes(&mut self) -> &mut Vec<u8> {
+        let image = &mut *self.0;
+        if matches!(image.rest.last(), Some(Piece::Shared(_))) {
+            image.rest.push(Piece::Owned(Vec::new()));
+        }
+        match image.rest.last_mut() {
+            Some(Piece::Owned(bytes)) => bytes,
+            _ => &mut image.head,
+        }
+    }
+
+    /// Append `bytes`, encoded earlier, without copying them: the image
+    /// holds a reference until it is dropped.
+    pub fn shared(&mut self, bytes: &Arc<[u8]>) {
+        self.0.rest.push(Piece::Shared(Arc::clone(bytes)));
+    }
+}
+
 impl Fields {
-    /// Start an empty map body. The buffer grows as fields are added;
-    /// sizing it up front from the previous snapshot's length measured
-    /// slower (2-core x86-64, glibc), so there is no capacity hint.
+    /// Start an empty map body.
     pub fn new() -> Fields {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&[0; 4]);
-        State::encode_map_header(0, &mut bytes);
-        Fields { bytes, count: 0 }
+        let mut head = Vec::new();
+        head.extend_from_slice(MAGIC);
+        head.extend_from_slice(&[0; 4]);
+        State::encode_map_header(0, &mut head);
+        Fields {
+            image: Image {
+                head,
+                rest: Vec::new(),
+            },
+            count: 0,
+        }
     }
 
     /// Add the field `key`, encoding `value` now.
     pub fn state(&mut self, key: &str, value: &State) {
-        self.encoded(key, |out| value.encode_into(out));
+        self.encoded(key, |out| value.encode_into(out.bytes()));
     }
 
     /// Add the field `key`, whose value `encode` appends already
     /// encoded: exactly one `State`'s encoding, which may be assembled
-    /// from pieces (see [`State::encode_list_header`]).
-    pub fn encoded(&mut self, key: &str, encode: impl FnOnce(&mut Vec<u8>)) {
-        State::encode_key(key, &mut self.bytes);
-        encode(&mut self.bytes);
+    /// from pieces (see [`State::encode_list_header`]) and may share
+    /// bytes encoded earlier ([`Value::shared`]).
+    pub fn encoded(&mut self, key: &str, encode: impl FnOnce(&mut Value<'_>)) {
+        let mut value = Value(&mut self.image);
+        State::encode_key(key, value.bytes());
+        encode(&mut value);
         self.count += 1;
     }
 
@@ -104,8 +185,8 @@ impl Fields {
     pub fn finish(mut self) -> Image {
         let mut header = Vec::with_capacity(5);
         State::encode_map_header(self.count, &mut header);
-        self.bytes[HEADER_LEN..HEADER_LEN + header.len()].copy_from_slice(&header);
-        Image::seal(self.bytes)
+        self.image.head[HEADER_LEN..HEADER_LEN + header.len()].copy_from_slice(&header);
+        self.image.seal()
     }
 }
 
@@ -126,9 +207,11 @@ pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
 pub fn write_image(path: &Path, image: &Image) -> Result<(), PersistError> {
     let tmp = path.with_extension("tmp");
     {
-        let mut file = File::create(&tmp)?;
-        file.write_all(image.as_bytes())?;
-        file.sync_all()?;
+        let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?);
+        for piece in image.pieces() {
+            file.write_all(piece)?;
+        }
+        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     // Persist the rename itself (directory entry); best-effort on
@@ -220,15 +303,17 @@ mod tests {
         }
         let mut fields = Fields::new();
         fields.state("kind", &State::Str("tune".into()));
-        fields.encoded("empty_map", |out| State::map().encode_into(out));
+        fields.encoded("empty_map", |out| State::map().encode_into(out.bytes()));
         fields.encoded("records", |out| {
-            State::encode_list_header(records.len(), out);
-            out.extend_from_slice(&items);
+            State::encode_list_header(records.len(), out.bytes());
+            out.shared(&Arc::from(&items[..5]));
+            out.shared(&Arc::from(&items[5..]));
         });
-        fields.encoded("none", |out| State::encode_list_header(0, out));
+        fields.encoded("none", |out| State::encode_list_header(0, out.bytes()));
         fields.state("wips", &State::F64(98.5));
         let image = fields.finish();
         assert_eq!(image, Image::of(&tree));
+        assert_eq!(image.to_vec(), Image::of(&tree).to_vec());
 
         let path = temp_path("fields.ckpt");
         write_image(&path, &image).unwrap();

@@ -17,12 +17,29 @@
 //! journal. A `.tmp` file is never trusted either: a snapshot is renamed
 //! into place only after its fsync, so a `.tmp` is a write that was cut
 //! short, and both recovery and a fresh start delete it.
+//!
+//! Who writes: a snapshot is sealed and written on a writer thread, one
+//! thread per snapshot, so the caller's loop goes on while the bytes
+//! reach the disk. [`CheckpointStore::write_snapshot_fields`] flushes
+//! the journal's buffer, hands the image off and returns; the writer
+//! then patches the field count and CRC ([`Fields::finish`]), fsyncs the
+//! journal, writes the `.tmp`, fsyncs it, renames it into place, fsyncs
+//! the directory and prunes to [`KEEP_SNAPSHOTS`] — in that order, so a
+//! snapshot never claims more progress than the journal can prove. At
+//! most one write is in flight: a hand-off first joins the previous one.
+//! [`CheckpointStore::wait`] joins the write in flight and returns its
+//! result, so a failed write is reported at the next snapshot or wait,
+//! never lost. [`CheckpointStore::write_snapshot`], `start_fresh` and
+//! `recover` wait before returning or starting; dropping the store
+//! waits too and discards the result.
 
 use crate::journal::Journal;
-use crate::snapshot::{self, Image};
+use crate::snapshot::{self, Fields, Image};
 use crate::state::State;
 use crate::PersistError;
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 /// Journal file name inside a checkpoint directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
@@ -49,6 +66,57 @@ pub struct Recovery {
 pub struct CheckpointStore {
     dir: PathBuf,
     journal: Option<Journal>,
+    /// The snapshot write in flight, if any.
+    writer: Option<JoinHandle<Result<(), PersistError>>>,
+}
+
+fn snapshot_path(dir: &Path, iteration: u64) -> PathBuf {
+    dir.join(format!("snap-{iteration:08}.ckpt"))
+}
+
+/// Files named `snap-<iteration>.<extension>` in `dir`, sorted oldest →
+/// newest by iteration.
+fn files_with(dir: &Path, extension: &str) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        if let Some(digits) = name
+            .strip_prefix("snap-")
+            .and_then(|rest| rest.strip_suffix(extension))
+            .and_then(|rest| rest.strip_suffix('.'))
+        {
+            if let Ok(iteration) = digits.parse::<u64>() {
+                found.push((iteration, path));
+            }
+        }
+    }
+    found.sort_by_key(|(iteration, _)| *iteration);
+    Ok(found)
+}
+
+/// The writer thread's work for one snapshot: seal the image, fsync the
+/// journal, write the file atomically and prune old snapshots.
+fn write_sealed(
+    dir: &Path,
+    iteration: u64,
+    journal: Option<File>,
+    image: impl FnOnce() -> Image,
+) -> Result<(), PersistError> {
+    let image = image();
+    if let Some(journal) = journal {
+        journal.sync_all()?;
+    }
+    snapshot::write_image(&snapshot_path(dir, iteration), &image)?;
+    let files = files_with(dir, "ckpt")?;
+    if files.len() > KEEP_SNAPSHOTS {
+        for (_, path) in &files[..files.len() - KEEP_SNAPSHOTS] {
+            std::fs::remove_file(path)?;
+        }
+    }
+    Ok(())
 }
 
 impl CheckpointStore {
@@ -58,7 +126,11 @@ impl CheckpointStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir, journal: None })
+        Ok(CheckpointStore {
+            dir,
+            journal: None,
+            writer: None,
+        })
     }
 
     pub fn dir(&self) -> &Path {
@@ -69,41 +141,14 @@ impl CheckpointStore {
         self.dir.join(JOURNAL_FILE)
     }
 
-    fn snapshot_path(&self, iteration: u64) -> PathBuf {
-        self.dir.join(format!("snap-{iteration:08}.ckpt"))
-    }
-
-    /// Files named `snap-<iteration>.<extension>`, sorted oldest →
-    /// newest by iteration.
-    fn files_with(&self, extension: &str) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-        let mut found = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if let Some(digits) = name
-                .strip_prefix("snap-")
-                .and_then(|rest| rest.strip_suffix(extension))
-                .and_then(|rest| rest.strip_suffix('.'))
-            {
-                if let Ok(iteration) = digits.parse::<u64>() {
-                    found.push((iteration, path));
-                }
-            }
-        }
-        found.sort_by_key(|(iteration, _)| *iteration);
-        Ok(found)
-    }
-
     /// Snapshot files present, sorted oldest → newest by iteration.
     fn snapshot_files(&self) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-        self.files_with("ckpt")
+        files_with(&self.dir, "ckpt")
     }
 
     /// Delete the `.tmp` files of snapshot writes that were cut short.
     fn remove_torn_snapshots(&self) -> Result<(), PersistError> {
-        for (_, path) in self.files_with("tmp")? {
+        for (_, path) in files_with(&self.dir, "tmp")? {
             std::fs::remove_file(&path)?;
         }
         Ok(())
@@ -111,6 +156,7 @@ impl CheckpointStore {
 
     /// Wipe any previous session's artifacts and start an empty journal.
     pub fn start_fresh(&mut self) -> Result<(), PersistError> {
+        self.wait()?;
         self.remove_torn_snapshots()?;
         for (_, path) in self.snapshot_files()? {
             std::fs::remove_file(&path)?;
@@ -127,6 +173,7 @@ impl CheckpointStore {
     /// (quarantining corrupt ones), repair and reopen the journal for
     /// appending, and return everything found.
     pub fn recover(&mut self) -> Result<Recovery, PersistError> {
+        self.wait()?;
         self.remove_torn_snapshots()?;
         let mut snapshot_state = None;
         let mut quarantined = Vec::new();
@@ -165,31 +212,68 @@ impl CheckpointStore {
         }
     }
 
-    /// Write `state` as the atomic snapshot for `iteration` (see
-    /// [`CheckpointStore::write_snapshot_image`]).
+    /// Write `state` as the atomic snapshot for `iteration`, durable on
+    /// return: a hand-off (see [`CheckpointStore::write_snapshot_fields`])
+    /// followed by [`CheckpointStore::wait`].
     pub fn write_snapshot(&mut self, iteration: u64, state: &State) -> Result<(), PersistError> {
-        self.write_snapshot_image(iteration, &Image::of(state))
+        let image = Image::of(state);
+        self.hand_off(iteration, move || image)?;
+        self.wait()
     }
 
-    /// Write an atomic snapshot for `iteration` and prune old ones down
-    /// to [`KEEP_SNAPSHOTS`]. The journal is fsynced first so a snapshot
-    /// never claims more progress than the journal can prove.
-    pub fn write_snapshot_image(
+    /// Hand the snapshot for `iteration` to a writer thread and return.
+    /// The writer seals `fields`, fsyncs the journal, writes the file
+    /// atomically and prunes old snapshots down to [`KEEP_SNAPSHOTS`];
+    /// [`CheckpointStore::wait`] returns how that went. A write still in
+    /// flight is joined first, and its error, if any, is returned
+    /// instead of starting this one.
+    pub fn write_snapshot_fields(
         &mut self,
         iteration: u64,
-        image: &Image,
+        fields: Fields,
     ) -> Result<(), PersistError> {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.sync()?;
-        }
-        snapshot::write_image(&self.snapshot_path(iteration), image)?;
-        let files = self.snapshot_files()?;
-        if files.len() > KEEP_SNAPSHOTS {
-            for (_, path) in &files[..files.len() - KEEP_SNAPSHOTS] {
-                std::fs::remove_file(path)?;
-            }
-        }
+        self.hand_off(iteration, move || fields.finish())
+    }
+
+    fn hand_off(
+        &mut self,
+        iteration: u64,
+        image: impl FnOnce() -> Image + Send + 'static,
+    ) -> Result<(), PersistError> {
+        self.wait()?;
+        // Appends flush per record, so the writer's handle sees every
+        // frame appended so far; its fsync covers them.
+        let journal = match self.journal.as_mut() {
+            Some(journal) => Some(journal.sync_handle()?),
+            None => None,
+        };
+        let dir = self.dir.clone();
+        let writer = std::thread::Builder::new()
+            .name("snapshot-writer".into())
+            .spawn(move || write_sealed(&dir, iteration, journal, image))?;
+        self.writer = Some(writer);
         Ok(())
+    }
+
+    /// Join the snapshot write in flight, if any, and return its result.
+    /// A writer that panicked is reported as an I/O error.
+    pub fn wait(&mut self) -> Result<(), PersistError> {
+        match self.writer.take() {
+            None => Ok(()),
+            Some(writer) => writer.join().unwrap_or_else(|_| {
+                Err(PersistError::Io(std::io::Error::other(
+                    "snapshot writer panicked",
+                )))
+            }),
+        }
+    }
+}
+
+impl Drop for CheckpointStore {
+    /// Joins the write in flight, so no write outlives the store; the
+    /// result has nowhere to go and is discarded.
+    fn drop(&mut self) {
+        let _ = self.wait();
     }
 }
 
@@ -344,6 +428,64 @@ mod tests {
         assert!(!tmp.exists(), "a fresh start wipes torn writes too");
         assert!(!dir.join("snap-00000003.ckpt").exists());
         assert!(corrupt.exists(), "quarantined files are left alone");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn fields(i: u64) -> Fields {
+        let mut fields = Fields::new();
+        fields.state("iteration", &State::U64(i));
+        fields
+    }
+
+    #[test]
+    fn a_failed_write_is_reported_by_wait_and_stops_the_next_hand_off() {
+        let dir = temp_dir("squat");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.start_fresh().unwrap();
+        // A directory squatting on the `.tmp` name fails the writer's
+        // create, after the hand-off has returned.
+        let squatter = dir.join("snap-00000002.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        store.write_snapshot_fields(2, fields(2)).unwrap();
+        assert!(matches!(store.wait(), Err(PersistError::Io(_))));
+        assert!(store.wait().is_ok(), "a joined write is reported once");
+
+        // Not waited for, the failure surfaces at the next hand-off,
+        // which then writes nothing.
+        store.write_snapshot_fields(2, fields(2)).unwrap();
+        assert!(matches!(
+            store.write_snapshot_fields(3, fields(3)),
+            Err(PersistError::Io(_))
+        ));
+        assert!(store.wait().is_ok());
+        assert!(store.snapshot_files().unwrap().is_empty());
+
+        std::fs::remove_dir(&squatter).unwrap();
+        store.write_snapshot_fields(3, fields(3)).unwrap();
+        store.wait().unwrap();
+        let written: Vec<u64> = store
+            .snapshot_files()
+            .unwrap()
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(written, vec![3]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_store_finishes_the_write_in_flight() {
+        let dir = temp_dir("drop");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.start_fresh().unwrap();
+        store.append(&record(0)).unwrap();
+        store.write_snapshot_fields(1, fields(1)).unwrap();
+        drop(store);
+        assert_eq!(
+            snapshot::load(&snapshot_path(&dir, 1)).unwrap(),
+            State::map().with("iteration", State::U64(1))
+        );
+        assert!(files_with(&dir, "tmp").unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,7 +8,7 @@
 //! the cluster simulator.
 
 use crate::queue::{BoundedQueue, Offer};
-use crate::stats::{UtilizationTracker, Welford};
+use crate::stats::UtilizationTracker;
 use crate::time::{SimDuration, SimTime};
 
 /// Outcome of offering a job to a [`MultiServer`].
@@ -28,7 +28,6 @@ pub enum Admission {
 struct Waiting<T> {
     job: T,
     demand: SimDuration,
-    enqueued_at: SimTime,
 }
 
 /// A job released from the queue when a server frees up.
@@ -38,8 +37,6 @@ pub struct Dispatched<T> {
     pub job: T,
     /// Its service demand, echoed back for completion scheduling.
     pub demand: SimDuration,
-    /// How long it waited in the queue.
-    pub waited: SimDuration,
 }
 
 /// `c`-server FCFS station with a bounded FIFO queue and utilization
@@ -50,7 +47,6 @@ pub struct MultiServer<T> {
     busy: u32,
     queue: BoundedQueue<Waiting<T>>,
     util: UtilizationTracker,
-    wait: Welford,
     started: u64,
     completed: u64,
 }
@@ -68,7 +64,6 @@ impl<T> MultiServer<T> {
                 None => BoundedQueue::unbounded(),
             },
             util: UtilizationTracker::new(start, servers as f64),
-            wait: Welford::new(),
             started: 0,
             completed: 0,
         }
@@ -80,14 +75,9 @@ impl<T> MultiServer<T> {
             self.busy += 1;
             self.util.set_busy(now, self.busy as f64);
             self.started += 1;
-            self.wait.record(0.0);
             Admission::Started
         } else {
-            match self.queue.offer(Waiting {
-                job,
-                demand,
-                enqueued_at: now,
-            }) {
+            match self.queue.offer(Waiting { job, demand }) {
                 Offer::Accepted => Admission::Enqueued,
                 Offer::Rejected(_) => Admission::Rejected,
             }
@@ -102,13 +92,10 @@ impl<T> MultiServer<T> {
         self.completed += 1;
         if let Some(w) = self.queue.take() {
             // Server goes straight to the next job; busy count unchanged.
-            let waited = now.since(w.enqueued_at);
-            self.wait.record(waited.as_secs_f64());
             self.started += 1;
             Some(Dispatched {
                 job: w.job,
                 demand: w.demand,
-                waited,
             })
         } else {
             self.busy = self.busy.saturating_sub(1);
@@ -132,13 +119,10 @@ impl<T> MultiServer<T> {
             match self.queue.take() {
                 Some(w) => {
                     self.busy += 1;
-                    let waited = now.since(w.enqueued_at);
-                    self.wait.record(waited.as_secs_f64());
                     self.started += 1;
                     dispatched.push(Dispatched {
                         job: w.job,
                         demand: w.demand,
-                        waited,
                     });
                 }
                 None => break,
@@ -182,7 +166,6 @@ impl<T> MultiServer<T> {
         self.util.utilization(now)
     }
 
-    /// Mean queueing delay (seconds) of jobs started so far.
     /// Publish this resource's busy-time and queue state into `registry`
     /// under `prefix`: utilization/busy/queue gauges plus throughput
     /// counters. Counters accumulate across calls on a shared registry.
@@ -202,10 +185,6 @@ impl<T> MultiServer<T> {
         registry
             .counter(&format!("{prefix}.rejected"))
             .add(self.rejected());
-    }
-
-    pub fn mean_wait_secs(&self) -> f64 {
-        self.wait.mean()
     }
 
     /// Restart the utilization window (iteration boundary).
@@ -240,7 +219,6 @@ mod tests {
         let d = m.complete(S(1)).expect("waiter dispatched");
         assert_eq!(d.job, 2);
         assert_eq!(d.demand, D(2));
-        assert_eq!(d.waited, D(1));
         let d = m.complete(S(3)).expect("waiter dispatched");
         assert_eq!(d.job, 3);
         assert!(m.complete(S(6)).is_none());
@@ -294,14 +272,5 @@ mod tests {
         assert_eq!(m.busy(), 1);
         // Now a new offer must queue: only 1 server and it is busy.
         assert_eq!(m.offer(S(4), 9, D(1)), Admission::Enqueued);
-    }
-
-    #[test]
-    fn mean_wait_counts_immediate_starts_as_zero() {
-        let mut m: MultiServer<u32> = MultiServer::new(SimTime::ZERO, 1, None);
-        m.offer(S(0), 1, D(4));
-        m.offer(S(0), 2, D(1));
-        m.complete(S(4)); // job 2 waited 4s
-        assert!((m.mean_wait_secs() - 2.0).abs() < 1e-9);
     }
 }

@@ -6,6 +6,8 @@
 //! interrupted process leaves), resumes it, and requires the continued
 //! run to be **byte-identical** — same trace records, same best
 //! configuration, bit-equal WIPS — to an uninterrupted pinned-seed run.
+//! A panic unwinds, and unwinding joins the snapshot writer, so one test
+//! also kills the CLI for real, with a write cut short wherever it was.
 
 use ah_webtune::prelude::*;
 use obs::Value;
@@ -13,6 +15,8 @@ use orchestrator::resilient::run_resilient_session_observed;
 use orchestrator::session::tune_observed;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn pinned(topology: Topology, population: u32) -> SessionConfig {
     SessionConfig::new(topology, Workload::Shopping, population)
@@ -332,4 +336,133 @@ fn resume_with_mismatched_session_is_refused() {
     .unwrap_err();
     assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The `iteration` field of a trace line, if it has one.
+fn iteration_of(line: &str) -> Option<u64> {
+    let at = line.find("\"iteration\":")? + "\"iteration\":".len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+/// A cohort `tune` of the CLI, snapshotting every iteration into
+/// `dir/ck` and tracing to `dir/trace.jsonl`.
+fn cli_tune(dir: &Path, resume: bool) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ah-webtune"));
+    cmd.args([
+        "tune",
+        "--load-model",
+        "cohort",
+        "--topology",
+        "2x2x2",
+        "--population",
+        "1000000",
+        "--plan",
+        "tiny",
+        "--iterations",
+        "120",
+        "--checkpoint-every",
+        "1",
+    ])
+    .arg("--checkpoint-dir")
+    .arg(dir.join("ck"))
+    .arg("--trace")
+    .arg(dir.join("trace.jsonl"))
+    .stdout(Stdio::null());
+    if resume {
+        cmd.arg("--resume");
+    }
+    cmd
+}
+
+fn trace_lines(dir: &Path) -> Vec<String> {
+    std::fs::read_to_string(dir.join("trace.jsonl"))
+        .expect("trace")
+        .lines()
+        .map(|l| strip_wall_ms(l.to_string()))
+        .collect()
+}
+
+/// The `eval` record counts the iterations of its own process, so it is
+/// the one record that differs between a resumed and a one-shot run.
+fn without_eval(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .filter(|l| !l.starts_with("{\"kind\":\"eval\""))
+        .cloned()
+        .collect()
+}
+
+/// Acceptance for the background snapshot writer: SIGKILL the CLI once
+/// its trace holds k iteration records — wherever that lands, a snapshot
+/// write may be in flight on its writer thread — and resume it. The
+/// spliced trace equals the uninterrupted run's apart from `wall_ms`,
+/// the `resume` record and the `eval` record, and no `.tmp` survives.
+#[test]
+fn sigkilled_cli_resumes_to_the_uninterrupted_trace() {
+    let reference_dir = temp_dir("sigkill-reference");
+    std::fs::create_dir_all(&reference_dir).expect("dir");
+    let status = cli_tune(&reference_dir, false).status().expect("run");
+    assert!(status.success(), "{status}");
+    let reference = trace_lines(&reference_dir);
+
+    for k in [1, 8, 33] {
+        let dir = temp_dir(&format!("sigkill-{k}"));
+        std::fs::create_dir_all(&dir).expect("dir");
+        let mut child = cli_tune(&dir, false).spawn().expect("spawn");
+        let trace = dir.join("trace.jsonl");
+        loop {
+            let traced = std::fs::read_to_string(&trace).unwrap_or_default();
+            let complete = &traced[..traced.rfind('\n').map_or(0, |at| at + 1)];
+            if complete
+                .lines()
+                .filter(|l| l.starts_with("{\"kind\":\"iteration\""))
+                .count()
+                >= k
+            {
+                break;
+            }
+            if let Some(status) = child.try_wait().expect("poll") {
+                panic!("the run ended before k={k} iteration records: {status}");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        child.kill().expect("SIGKILL");
+        let status = child.wait().expect("reap");
+        assert!(!status.success(), "the kill at k={k} landed after the run");
+
+        let status = cli_tune(&dir, true).status().expect("resume");
+        assert!(status.success(), "resume at k={k}: {status}");
+        let lines = trace_lines(&dir);
+        let resumes: Vec<usize> = (0..lines.len())
+            .filter(|&at| lines[at].starts_with("{\"kind\":\"resume\""))
+            .collect();
+        assert_eq!(resumes.len(), 1, "one resume record at k={k}");
+        let at = resumes[0];
+        let from = iteration_of(&lines[at]).expect("resume iteration");
+        assert!(from + 1 >= k as u64, "resumed from {from} at k={k}");
+        // Everything traced before the kill is the reference's prefix;
+        // the records of iterations the journal had not kept yet are
+        // traced again after the resume record.
+        assert_eq!(lines[..at], reference[..at], "pre-kill trace at k={k}");
+        let mut spliced = lines[..boundary(&lines[..at], from)].to_vec();
+        spliced.extend_from_slice(&lines[at + 1..]);
+        assert_eq!(
+            without_eval(&spliced),
+            without_eval(&reference),
+            "spliced trace at k={k}"
+        );
+        let torn: Vec<_> = std::fs::read_dir(dir.join("ck"))
+            .expect("checkpoint dir")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("snap-") && n.ends_with(".tmp"))
+            .collect();
+        assert!(torn.is_empty(), "left behind at k={k}: {torn:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+    std::fs::remove_dir_all(&reference_dir).expect("cleanup");
 }
