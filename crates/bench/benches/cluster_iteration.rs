@@ -239,14 +239,18 @@ fn report_checkpoint_overhead() {
     );
 }
 
-/// Head-to-head: the evaluation engine must deliver >= 1.5x on a
-/// multi-candidate replay while producing the *same* WIPS series bit
-/// for bit. Two 30-iteration sessions of each kind:
+/// Head-to-head: the evaluation engine against plain sequential
+/// evaluation, asserting the *same* WIPS series bit for bit, on
+/// 30-iteration sessions of two kinds:
 ///
-/// * `sequential` / `warm replay` — a simplex session with no engine,
-///   then the same session twice on one cache: the second run is what
-///   a resumed run gets after `persist` restores the cache, every
-///   candidate is a hit and the DES never runs;
+/// * `pinned sequential` / `pinned memoized` — a pinned-seed simplex
+///   session shaped like the CLI's (two default replications, then the
+///   tuning iterations) with no engine, then with a cold cache. A pinned
+///   session measures everything on one seed, so the second replication
+///   and the tuner's first proposal, the default configuration again,
+///   are cache hits, as is any configuration the simplex revisits. An
+///   unpinned session's revisits carry new seeds and never hit, so it
+///   is not timed here;
 /// * `sequential bestconfig` / `queued prefetch` — a BestConfig session
 ///   with no engine, then with a cold cache and one worker per core, so
 ///   each queued round is evaluated as one batch on the shared pool (a
@@ -273,20 +277,37 @@ fn report_eval_speedup() {
         .expect(what);
         (run, t.elapsed())
     };
-    let (plain, sequential) = tune(&cfg, "sequential tune");
-
-    let warm_cfg = cfg
-        .clone()
-        .eval_settings(EvalSettings::default().cache(true));
-    let _ = tune(&warm_cfg, "cache warm-up");
-    let before = warm_cfg.eval.counters();
-    let (replayed, warm) = tune(&warm_cfg, "warm replay");
-    let warm_counters = warm_cfg.eval.counters().since(&before);
-    assert_eq!(
-        plain.wips_series(),
-        replayed.wips_series(),
-        "warm replay engine changed the measured WIPS series"
-    );
+    // Five alternating rounds, medians reported: a hit saves one DES
+    // run of ~3 ms, which one timing of each side loses in host noise.
+    // The memoized side starts from a cold cache every round.
+    let pinned = cfg.clone().pin_seed(true);
+    let pinned_session = |cfg: &SessionConfig| {
+        let t = Instant::now();
+        let (default_wips, _) = cfg.measure_default(2);
+        let (run, _) = tune(cfg, "pinned session");
+        ((default_wips.to_bits(), run.wips_series()), t.elapsed())
+    };
+    let (mut sequential, mut memo) = (Vec::new(), Vec::new());
+    let mut memo_counters = Default::default();
+    for _ in 0..5 {
+        let (plain, t) = pinned_session(&pinned);
+        sequential.push(t);
+        let memo_cfg = pinned
+            .clone()
+            .eval_settings(EvalSettings::default().cache(true));
+        let (memoized, t) = pinned_session(&memo_cfg);
+        memo.push(t);
+        assert_eq!(
+            plain, memoized,
+            "the memoizing cache changed the measured WIPS"
+        );
+        memo_counters = memo_cfg.eval.counters();
+    }
+    let median = |mut times: Vec<Duration>| {
+        times.sort();
+        times[times.len() / 2]
+    };
+    let (sequential, memo) = (median(sequential), median(memo));
 
     let bestconfig = cfg.clone().tuner("bestconfig");
     let (batch_plain, batch_sequential) = tune(&bestconfig, "sequential bestconfig tune");
@@ -302,15 +323,15 @@ fn report_eval_speedup() {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "iteration/eval warm-replay speedup ({iters}-iteration simplex session): {:.1}x \
-         (target >= 1.5x; sequential {:.0} ms, warm cache {:.2} ms, \
-         hit rate {:.0}% [{} hits / {} misses])",
-        sequential.as_secs_f64() / warm.as_secs_f64().max(1e-9),
+        "iteration/eval pinned memoization (2 default replications + {iters}-iteration pinned \
+         simplex session, cold cache, median of 5 alternating runs): {:.2}x (sequential \
+         {:.0} ms, memoized {:.0} ms, hit rate {:.0}% [{} hits / {} misses])",
+        sequential.as_secs_f64() / memo.as_secs_f64().max(1e-9),
         ms(sequential),
-        ms(warm),
-        warm_counters.hit_rate() * 100.0,
-        warm_counters.hits,
-        warm_counters.misses
+        ms(memo),
+        memo_counters.hit_rate() * 100.0,
+        memo_counters.hits,
+        memo_counters.misses
     );
     println!(
         "iteration/eval queued prefetch ({iters}-iteration bestconfig session, {cores} core(s), \

@@ -1,36 +1,59 @@
-//! The evaluation engine: memoized, optionally parallel measurement.
+//! The evaluation engine: measured outcomes kept while a lookup can
+//! still use them, and optionally parallel measurement.
 //!
 //! The tuning loop spends essentially all of its wall-clock time inside
-//! the DES — one full warm-up/measure/cool-down run per iteration — and
-//! the simplex routinely revisits configurations it has already measured
-//! (re-seeded init vertices after a restart, shrink points that project
-//! onto an existing vertex, baseline sweeps re-running the defaults).
-//! Because every run is a *pure function of its [`ClusterScenario`]*
+//! the DES — one full warm-up/measure/cool-down run per iteration.
+//! Every run is a *pure function of its [`ClusterScenario`]*
 //! (deterministic in the scenario seed, with fault windows baked into
-//! the scenario itself), measurements can be memoized and replayed
-//! bit-exactly, and the trials a tuner has already queued can be
-//! evaluated ahead on worker threads without perturbing the search.
+//! the scenario itself), so an outcome can be replayed bit-exactly
+//! whenever the same scenario is asked for again, and the trials a
+//! tuner has already queued can be evaluated ahead on worker threads
+//! without perturbing the search.
 //!
-//! Two independent switches:
+//! Whether a scenario is asked for again depends on the seed. An
+//! unpinned session gives every iteration its own seed, as the paper
+//! measures every iteration in its own window: when the simplex
+//! revisits a configuration it measures a new sample, under a new key.
+//! (`cohort-control` makes 1,002 lookups and `fig4-shopping` 32, and
+//! no two of either share a key.) A pinned session
+//! ([`crate::session::SessionConfig::pin_seed`]) runs every measurement
+//! on one seed, so each revisit is the same scenario: the default
+//! baseline's replications and the tuner's first proposal, the default
+//! again, and any configuration the simplex measures twice. (After two
+//! default replications, a pinned single-node Shopping session with 400
+//! EBs hits in 10 of 400 tuning iterations, the first among them.)
+//! Hence two lookups, chosen by the session from `pin_seed`
+//! (`SessionConfig::lookup`):
+//!
+//! * **Consuming** ([`EvalEngine::run`], unpinned sessions) — a hit
+//!   takes the stored outcome out of the cache, a miss runs the DES and
+//!   stores nothing, and an empty cache is not fingerprinted at all.
+//!   The only outcomes an unpinned lookup can find are prefetched
+//!   trials, each asked for once, so the cache holds just the
+//!   prefetched trials not yet measured: nothing at width 1.
+//! * **Memoizing** ([`EvalEngine::run_memoized`], pinned sessions) — a
+//!   hit returns a copy of the stored outcome, and a miss runs the DES
+//!   and stores the result up to [`EvalSettings::capacity`].
+//!
+//! The switches:
 //!
 //! * **Cache** ([`EvalSettings::cache`]) — a fingerprint-keyed map from
-//!   scenario to [`IterationOutcome`]. A hit returns the stored outcome
-//!   bit-exactly; a miss runs the DES and stores the result. Keys cover
-//!   the *entire* scenario (configuration, topology, workload, seed,
-//!   fault timeline, work lines, …) via its `Debug` rendering, so two
-//!   scenarios share an entry only when the simulation would be
-//!   byte-for-byte identical anyway. Each entry also keeps its snapshot
-//!   encoding once a snapshot has made it, so a checkpointed session
-//!   encodes each entry once and later snapshots share the encodings;
-//!   a session that never snapshots never encodes.
+//!   scenario to [`IterationOutcome`]. Keys cover the *entire* scenario
+//!   (configuration, topology, workload, seed, fault timeline, work
+//!   lines, …) via its `Debug` rendering, so two scenarios share an
+//!   entry only when the simulation would be byte-for-byte identical
+//!   anyway. Each entry also keeps its snapshot encoding once a
+//!   snapshot has made it, so a checkpointed session encodes each entry
+//!   once and later snapshots share the encodings; a session that never
+//!   snapshots never encodes.
 //! * **Prefetch** ([`EvalSettings::threads`] ≠ 1, requires the cache)
 //!   — when a batch-native tuner has queued trials (a BestConfig round,
 //!   TUNA's confirmation runs), the session evaluates the current
 //!   scenario and the queued ones concurrently on the process-wide
-//!   worker pool ([`crate::par::shared_pool`]) before the sequential
-//!   loop consumes them as cache hits. Queued trials are certain
-//!   proposals, so no prefetched work is wasted, and none can change a
-//!   result: the consuming lookup is keyed by the scenario the loop
+//!   worker pool ([`crate::par::shared_pool`]) and stores the outcomes,
+//!   which the sequential loop's lookups then find. Queued trials are
+//!   certain proposals, so no prefetched work is wasted, and none can
+//!   change a result: the lookup is keyed by the scenario the loop
 //!   actually built. Point tuners such as the simplex queue nothing and
 //!   run sequentially at any width. The counters keep their historical
 //!   names: `speculated` counts prefetched outcomes.
@@ -66,14 +89,17 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// (`--no-eval-cache` opts out) and exposes `--eval-threads N`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalSettings {
-    /// Memoize outcomes by scenario fingerprint.
+    /// Keep outcomes by scenario fingerprint: prefetched trials until
+    /// they are looked up, and, in a pinned session, every measured
+    /// outcome.
     pub cache: bool,
     /// Worker threads for evaluating queued trials ahead: `1` (the
     /// default) disables prefetch entirely, `0` uses one thread per
     /// available core, anything else is an explicit thread count.
     pub threads: usize,
     /// Maximum cached entries; once full, new outcomes are no longer
-    /// stored (deterministic, unlike an eviction policy).
+    /// stored (deterministic, unlike an eviction policy). Consumed
+    /// entries free their room.
     pub capacity: usize,
 }
 
@@ -88,7 +114,7 @@ impl Default for EvalSettings {
 }
 
 impl EvalSettings {
-    /// Builder: enable/disable the memoization cache.
+    /// Builder: enable/disable the cache.
     pub fn cache(mut self, on: bool) -> Self {
         self.cache = on;
         self
@@ -111,9 +137,9 @@ impl EvalSettings {
 /// Cumulative engine activity (monotone counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounters {
-    /// Consuming lookups served from the cache.
+    /// Lookups served from the cache.
     pub hits: u64,
-    /// Consuming lookups that ran the DES.
+    /// Lookups that ran the DES, an empty cache's included.
     pub misses: u64,
     /// Prefetched queued trials whose outcome was *stored* for the
     /// sequential loop to consume. The name predates prefetch and is
@@ -138,7 +164,7 @@ impl EvalCounters {
         }
     }
 
-    /// Fraction of consuming lookups served from the cache.
+    /// Fraction of lookups served from the cache.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -149,7 +175,7 @@ impl EvalCounters {
     }
 }
 
-/// Deterministic memoization cache + parallel prefetch of queued trials.
+/// Deterministic outcome cache + parallel prefetch of queued trials.
 ///
 /// Shared across everything a [`crate::session::SessionConfig`] is
 /// cloned into (retry/re-measurement probes included) via `Arc`; all
@@ -262,11 +288,36 @@ impl EvalEngine {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Evaluate one scenario through the cache. A hit returns the stored
-    /// outcome bit-exactly and skips engine-metric publication (the
-    /// simulation did not run); a miss runs the DES — publishing metrics
-    /// when a registry is attached — and stores the result.
+    /// The consuming lookup, for sessions whose seed is not pinned. A
+    /// hit takes the stored outcome out of the cache and skips
+    /// engine-metric publication (the simulation did not run); a miss
+    /// runs the DES — publishing metrics when a registry is attached —
+    /// and stores nothing, since no later lookup asks for the same
+    /// scenario. An empty cache is not fingerprinted.
     pub fn run(&self, scenario: &ClusterScenario, registry: Option<&Registry>) -> IterationOutcome {
+        if !self.settings.cache {
+            return run_raw(scenario, registry);
+        }
+        if !self.is_empty() {
+            let key = scenario_fingerprint(scenario);
+            if let Some(hit) = self.lock().remove(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return hit.outcome;
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        run_raw(scenario, registry)
+    }
+
+    /// The memoizing lookup, for pinned sessions, which revisit
+    /// configurations on one seed. A hit returns the stored outcome
+    /// bit-exactly and skips engine-metric publication; a miss runs the
+    /// DES and stores the result up to the capacity cap.
+    pub fn run_memoized(
+        &self,
+        scenario: &ClusterScenario,
+        registry: Option<&Registry>,
+    ) -> IterationOutcome {
         if !self.settings.cache {
             return run_raw(scenario, registry);
         }
@@ -286,7 +337,7 @@ impl EvalEngine {
 
     /// Evaluate `scenarios` ahead on the shared worker pool
     /// ([`crate::par::shared_pool`]), caching the results for the
-    /// sequential loop to consume. Already-cached and duplicate
+    /// sequential loop's lookups to find. Already-cached and duplicate
     /// scenarios are skipped; scenarios that fail validation are
     /// dropped so the consuming path re-runs them and reports the error
     /// with its usual context. Returns the number of evaluations
@@ -372,7 +423,10 @@ impl EvalEngine {
     }
 
     /// Merge entries saved by [`EvalEngine::save_cache_state`] back in
-    /// (resume with a warm cache). Respects the capacity cap.
+    /// (resume with a warm cache). Every entry is kept, since any may be
+    /// a prefetched trial the resumed session asks for; an entry no
+    /// lookup asks for stays until the session ends. Respects the
+    /// capacity cap.
     pub fn restore_cache(&self, state: &State) -> Result<(), PersistError> {
         let entries = state.field_list("entries")?;
         let mut cache = self.lock();
@@ -503,8 +557,8 @@ mod tests {
     fn cache_hit_is_bit_identical_and_counted() {
         let engine = EvalEngine::new(EvalSettings::default().cache(true));
         let s = scenario(0);
-        let a = engine.run(&s, None);
-        let b = engine.run(&s, None);
+        let a = engine.run_memoized(&s, None);
+        let b = engine.run_memoized(&s, None);
         assert_eq!(a.metrics.wips.to_bits(), b.metrics.wips.to_bits());
         assert_eq!(a.line_wips, b.line_wips);
         assert_eq!(a.events, b.events);
@@ -512,6 +566,32 @@ mod tests {
         assert_eq!((c.hits, c.misses), (1, 1));
         assert_eq!(engine.len(), 1);
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn consuming_lookup_takes_hits_and_stores_no_misses() {
+        let engine = EvalEngine::new(EvalSettings::default().cache(true));
+        let s = scenario(0);
+        // A miss in an empty cache is counted and stores nothing.
+        let a = engine.run(&s, None);
+        assert!(engine.is_empty());
+        assert_eq!((engine.counters().hits, engine.counters().misses), (0, 1));
+        // Beside a stored outcome, a miss of another key stores nothing
+        // either, and leaves the stored one alone.
+        let _ = engine.run_memoized(&s, None);
+        let _ = engine.run(&scenario(1), None);
+        assert_eq!(engine.len(), 1);
+        assert_eq!((engine.counters().hits, engine.counters().misses), (0, 3));
+        // A hit returns the stored outcome and removes its entry, so the
+        // next lookup of the same scenario simulates again.
+        let b = engine.run(&s, None);
+        assert_eq!(a.metrics.wips.to_bits(), b.metrics.wips.to_bits());
+        assert_eq!(a.events, b.events);
+        assert!(engine.is_empty());
+        assert_eq!((engine.counters().hits, engine.counters().misses), (1, 3));
+        let _ = engine.run(&s, None);
+        assert_eq!((engine.counters().hits, engine.counters().misses), (1, 4));
+        assert!(engine.is_empty());
     }
 
     #[test]
@@ -529,11 +609,11 @@ mod tests {
     fn capacity_bounds_the_cache() {
         let engine = EvalEngine::new(EvalSettings::default().cache(true).capacity(2));
         for i in 0..4 {
-            let _ = engine.run(&scenario(i), None);
+            let _ = engine.run_memoized(&scenario(i), None);
         }
         assert_eq!(engine.len(), 2);
         // The first two entries still hit.
-        let _ = engine.run(&scenario(0), None);
+        let _ = engine.run_memoized(&scenario(0), None);
         assert_eq!(engine.counters().hits, 1);
     }
 
@@ -606,15 +686,17 @@ mod tests {
     fn cache_state_roundtrip_is_bit_exact() {
         let engine = EvalEngine::new(EvalSettings::default().cache(true));
         let scenarios: Vec<ClusterScenario> = (0..3).map(scenario).collect();
-        let originals: Vec<IterationOutcome> =
-            scenarios.iter().map(|s| engine.run(s, None)).collect();
+        let originals: Vec<IterationOutcome> = scenarios
+            .iter()
+            .map(|s| engine.run_memoized(s, None))
+            .collect();
         let saved = engine.save_cache_state();
         let decoded = State::decode(&saved.encode()).expect("decode");
         let restored = EvalEngine::new(EvalSettings::default().cache(true));
         restored.restore_cache(&decoded).expect("restore");
         assert_eq!(restored.len(), 3);
         for (s, orig) in scenarios.iter().zip(&originals) {
-            let hit = restored.run(s, None);
+            let hit = restored.run_memoized(s, None);
             assert_eq!(hit.metrics.wips.to_bits(), orig.metrics.wips.to_bits());
             assert_eq!(
                 hit.metrics.mean_response_secs.to_bits(),
@@ -654,7 +736,7 @@ mod tests {
         // After misses.
         let engine = EvalEngine::new(EvalSettings::default().cache(true));
         for i in [2, 0, 1] {
-            let _ = engine.run(&scenario(i), None);
+            let _ = engine.run_memoized(&scenario(i), None);
         }
         // Nothing is encoded until a snapshot holds the cache.
         assert!(engine.lock().values().all(|e| e.encoded.is_none()));
@@ -672,7 +754,7 @@ mod tests {
         // After a restore into a non-empty cache that overwrites a key:
         // the overwritten entry's stored encoding is replaced too.
         let key = scenario_fingerprint(&scenario(0));
-        let mut changed = engine.run(&scenario(0), None);
+        let mut changed = engine.run_memoized(&scenario(0), None);
         changed.metrics.wips += 1.0;
         changed.events += 1;
         let saved = State::map().with(
@@ -689,7 +771,7 @@ mod tests {
         assert_eq!(engine.len(), 4);
         let (encoded, tree) = encoded_cache(&engine);
         assert_eq!(encoded, tree);
-        let hit = engine.run(&scenario(0), None);
+        let hit = engine.run_memoized(&scenario(0), None);
         assert_eq!(hit.metrics.wips.to_bits(), changed.metrics.wips.to_bits());
         assert_eq!(hit.events, changed.events);
     }

@@ -817,9 +817,8 @@ fn evaluate_attempt(
                     let retry_cfg = cfg
                         .clone()
                         .base_seed(cfg.base_seed ^ remeasure_salt(remeasures));
-                    out = retry_cfg
-                        .eval
-                        .run(&retry_cfg.scenario(config.clone(), iteration), registry);
+                    out =
+                        retry_cfg.lookup(&retry_cfg.scenario(config.clone(), iteration), registry);
                     let shifted = start + SimDuration::from_micros(remeasures as u64);
                     scale_wips(&mut out, injector.wips_noise(shifted, wf.noise));
                 }
@@ -841,7 +840,7 @@ fn evaluate_attempt(
             .base_seed(cfg.base_seed ^ remeasure_salt(ctx.attempt));
         let mut scenario = retry_cfg.scenario(config.clone(), iteration);
         scenario.faults = steady_state_timeline(injector, cfg, iteration);
-        let out = cfg.eval.run(&scenario, registry);
+        let out = cfg.lookup(&scenario, registry);
         // A retry re-measures in the post-crash steady state; it holds the
         // cluster for one more window but sees no further stalls.
         ctx.advance(cfg.plan.total());

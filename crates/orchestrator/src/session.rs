@@ -126,7 +126,7 @@ pub struct SessionConfig {
     /// periodically into a directory, optionally resuming from it.
     /// `None` (the default) writes nothing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Evaluation engine: memoized measurements and parallel prefetch of
+    /// Evaluation engine: cached measurements and parallel prefetch of
     /// queued trials, shared (via `Arc`) across clones of this
     /// config. The default is fully transparent — no cache, one thread —
     /// so sessions behave exactly as if the engine did not exist.
@@ -262,7 +262,7 @@ impl SessionConfig {
         self
     }
 
-    /// Builder: replace the evaluation engine (memoization cache +
+    /// Builder: replace the evaluation engine (outcome cache +
     /// parallel prefetch of queued trials). Clones made after
     /// this call share the new engine.
     pub fn eval_settings(mut self, settings: EvalSettings) -> Self {
@@ -377,6 +377,23 @@ impl SessionConfig {
         self.measure(&self.scenario(config, iteration), iteration, None)
     }
 
+    /// Look `scenario` up in the evaluation engine, the one place that
+    /// picks the lookup: a pinned session revisits configurations on one
+    /// seed, so its lookups memoize; an unpinned session's outcomes are
+    /// never asked for again, so its lookups take prefetched outcomes
+    /// out of the cache and store nothing (see [`crate::eval`]).
+    pub(crate) fn lookup(
+        &self,
+        scenario: &ClusterScenario,
+        registry: Option<&Registry>,
+    ) -> IterationOutcome {
+        if self.pin_seed {
+            self.eval.run_memoized(scenario, registry)
+        } else {
+            self.eval.run(scenario, registry)
+        }
+    }
+
     /// Run iteration `iteration`'s scenario through the evaluation
     /// engine, publishing engine and per-tier resource metrics when a
     /// registry is attached. An active noise spike multiplies the
@@ -390,7 +407,7 @@ impl SessionConfig {
         iteration: u32,
         registry: Option<&Registry>,
     ) -> IterationOutcome {
-        let mut out = self.eval.run(scenario, registry);
+        let mut out = self.lookup(scenario, registry);
         if let Some(plan) = &self.fault_plan {
             let injector = FaultInjector::new(plan, self.fault_seed);
             let (start, end) = FaultClock::window_of(self.plan.total(), iteration);
@@ -1974,7 +1991,9 @@ mod tests {
     fn hybrid_prefetch_stops_at_the_phase_switch() {
         // The coarse phase ends at iteration 3, inside a BestConfig
         // round; the fine phase's line servers propose from another
-        // space. Every prefetched outcome must be one the loop consumes.
+        // space. Every prefetched outcome must be one the loop consumes,
+        // and the unpinned session's lookups take each one out of the
+        // cache, so the session ends with it empty.
         let bestconfig = || {
             quick_cfg(Workload::Shopping)
                 .topology(Topology::tiers(2, 2, 2).unwrap())
@@ -1986,7 +2005,7 @@ mod tests {
         assert_eq!(plain.wips_series(), run.wips_series());
         let c = cfg.eval.counters();
         assert!(c.speculated > 0, "{c:?}");
-        assert_eq!(cfg.eval.len(), 9, "a prefetched outcome went unused: {c:?}");
+        assert_eq!(cfg.eval.len(), 0, "a prefetched outcome went unused: {c:?}");
         assert_eq!(c.hits + c.misses, 9);
     }
 
@@ -2103,9 +2122,12 @@ mod tests {
         ];
         // The hybrid switches engines at iteration 2 of 6, so the two
         // snapshots it leaves (after iterations 2 and 4) straddle it.
+        // The seed is pinned so the cache keeps every outcome and the
+        // snapshots carry entries.
         let cfg = quick_cfg(Workload::Shopping)
             .topology(Topology::tiers(2, 2, 2).unwrap())
             .population(400)
+            .pin_seed(true)
             .eval_settings(EvalSettings::default().cache(true))
             .checkpoint(CheckpointPolicy::new(&dir).every(2));
         let run = tune(&cfg, TuningMethod::Hybrid, 6);
@@ -2138,7 +2160,6 @@ mod tests {
         // fields sit between `records` and `eval_cache`.
         let total = IntervalPlan::tiny().total().as_secs_f64();
         let cfg = cfg
-            .pin_seed(true)
             .eval_settings(EvalSettings::default().cache(true))
             .fault_plan(FaultPlan::new().crash(total + 2.0, 2));
         let settings = crate::resilient::ResilienceSettings {
@@ -2169,6 +2190,67 @@ mod tests {
             "iteration",
         ];
         assert_eq!(check_snapshots(&dir, &resilient, &run.records), 2);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn resume_keeps_the_consumed_outcomes_an_older_snapshot_carries() {
+        // An unpinned session's snapshots used to carry every outcome it
+        // had measured. Such a checkpoint still resumes: no lookup asks
+        // for those outcomes again, so they stay in the cache until the
+        // session ends, and the session measures what it would have.
+        let dir = std::env::temp_dir().join(format!("session-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = quick_cfg(Workload::Shopping)
+            .eval_settings(EvalSettings::default().cache(true))
+            .checkpoint(CheckpointPolicy::new(&dir).every(2));
+        let run = tune(&cfg, TuningMethod::Default, 6);
+        assert!(cfg.eval.is_empty());
+
+        // The cache such a session held after iterations 0 and 1: replay
+        // the tuner and memoize its two scenarios.
+        let stale = EvalEngine::new(EvalSettings::default().cache(true));
+        let mut engine = TuneEngine::for_method(&cfg, TuningMethod::Default).expect("engine");
+        for (i, record) in run.records.iter().take(2).enumerate() {
+            let mut scenario = cfg.scenario(engine.propose(&cfg), i as u32);
+            scenario.lines = engine.lines();
+            let out = stale.run_memoized(&scenario, None);
+            assert_eq!(out.metrics.wips.to_bits(), record.wips.to_bits());
+            engine.report(
+                &cfg.measurement_from(out.metrics.wips, out.metrics.completed),
+                &out.line_wips,
+            );
+        }
+
+        // Cut the directory back to a kill during iteration 3 (snapshot 2
+        // and the journal's first three deltas), with snapshot 2 carrying
+        // that cache.
+        let snap_2 = dir.join("snap-00000002.ckpt");
+        let mut kept = persist::snapshot::load(&snap_2).expect("snapshot 2");
+        kept.set("eval_cache", stale.save_cache_state());
+        let mut store = persist::CheckpointStore::open(&dir).expect("store");
+        let journal = store.recover().expect("recover").journal;
+        store.start_fresh().expect("wipe");
+        for record in journal.iter().take(4) {
+            store.append(record).expect("append");
+        }
+        drop(store);
+        persist::snapshot::write(&snap_2, &kept).expect("snapshot 2 with outcomes");
+
+        let resumed_cfg = cfg
+            .clone()
+            .eval_settings(EvalSettings::default().cache(true))
+            .checkpoint(CheckpointPolicy::new(&dir).every(2).resume(true));
+        let resumed = tune(&resumed_cfg, TuningMethod::Default, 6);
+        assert_eq!(resumed.records, run.records);
+        assert_eq!(resumed.best_wips.to_bits(), run.best_wips.to_bits());
+        let c = resumed_cfg.eval.counters();
+        assert_eq!((c.hits, c.misses), (0, 3), "{c:?}");
+        assert_eq!(resumed_cfg.eval.len(), 2, "the restored outcomes stay");
+        // The snapshot the resumed session wrote carries them on.
+        let snap_4 = persist::snapshot::load(&dir.join("snap-00000004.ckpt")).expect("snapshot 4");
+        let cached = snap_4.require("eval_cache").expect("eval_cache");
+        assert_eq!(cached.field_list("entries").expect("entries").len(), 2);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -144,8 +144,11 @@ OPTIONS (all subcommands):
                      (bestconfig, classytune) and tuna's confirmations
                      in parallel; point tuners such as the simplex run
                      sequentially at any width
-  --no-eval-cache    disable measurement memoization (identical results,
-                     repeated configurations re-simulate)
+  --no-eval-cache    disable the eval cache (identical results). CLI
+                     sessions never pin the seed, so the cache only
+                     holds prefetched trials until they are measured;
+                     without it nothing is prefetched, and at
+                     --eval-threads 1 the trace has no eval record
   --replication-threads N   worker width for measurement replications
                      (default 1 = sequential; 0 = auto, one per core);
                      any width produces bit-identical statistics

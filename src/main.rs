@@ -88,9 +88,11 @@ fn session_of(sim: &SimArgs) -> SessionConfig {
         }
         cfg = cfg.checkpoint(policy);
     }
-    // The CLI caches measurements by default (identical results either
-    // way; see the eval module's determinism argument) — the library
-    // default stays off so programmatic sessions opt in explicitly.
+    // The CLI turns the eval cache on by default (identical results
+    // either way; see the eval module's determinism argument). Its
+    // sessions are unpinned, so the cache holds only prefetched trials
+    // until they are measured. The library default stays off so
+    // programmatic sessions opt in explicitly.
     cfg = cfg.eval_settings(
         orchestrator::EvalSettings::default()
             .cache(!sim.no_eval_cache)

@@ -14,6 +14,7 @@ use orchestrator::resilient::run_resilient_session_observed;
 use orchestrator::session::tune_observed;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn pinned(topology: Topology, population: u32) -> SessionConfig {
     SessionConfig::new(topology, Workload::Shopping, population)
@@ -303,6 +304,150 @@ fn kill_and_resume_restores_the_warm_cache() {
         "every post-resume iteration must be served from the restored cache: {counters:?}"
     );
     assert_eq!(counters.misses, 0, "{counters:?}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+// -- unpinned sessions keep only what a later lookup can use ---------------
+
+fn unpinned(topology: Topology, population: u32) -> SessionConfig {
+    SessionConfig::new(topology, Workload::Shopping, population).plan(IntervalPlan::tiny())
+}
+
+/// Notes the cache's size at every `iteration` record, which the session
+/// emits right after the iteration's lookup.
+struct CacheSizes {
+    engine: Arc<EvalEngine>,
+    sizes: Vec<usize>,
+}
+
+impl TraceSink for CacheSizes {
+    fn emit(&mut self, record: &TraceRecord) {
+        if record.kind() == "iteration" {
+            self.sizes.push(self.engine.len());
+        }
+    }
+}
+
+/// The `eval_cache` entry count of every snapshot in `dir`, by file name.
+fn snapshot_cache_sizes(dir: &std::path::Path) -> Vec<(String, usize)> {
+    let mut sizes: Vec<(String, usize)> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("ckpt"))
+        .map(|p| {
+            let state = persist::snapshot::load(&p).expect("snapshot");
+            let cache = state.require("eval_cache").expect("eval_cache");
+            let entries = cache.field_list("entries").expect("entries").len();
+            (
+                p.file_name()
+                    .expect("file name")
+                    .to_string_lossy()
+                    .into_owned(),
+                entries,
+            )
+        })
+        .collect();
+    sizes.sort();
+    sizes
+}
+
+/// Every iteration of an unpinned session has its own seed, so no
+/// outcome is asked for twice: at width 1 the cache stays empty through
+/// the whole session and every snapshot's `eval_cache` lists no entries,
+/// while the lookups are still counted.
+#[test]
+fn unpinned_checkpointed_session_keeps_no_outcomes() {
+    let dir = temp_dir("unpinned");
+    let cfg = unpinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
+        .eval_settings(EvalSettings::default().cache(true))
+        .checkpoint(CheckpointPolicy::new(&dir).every(2));
+    let mut sink = CacheSizes {
+        engine: cfg.eval.clone(),
+        sizes: Vec::new(),
+    };
+    let mut observer = SessionObserver::with_sink(&mut sink);
+    tune_observed(&cfg, TuningMethod::Hybrid, 7, &mut observer).expect("checkpointed session");
+    assert_eq!(sink.sizes, [0; 7], "an outcome outlived its lookup");
+    assert_eq!(
+        snapshot_cache_sizes(&dir),
+        [
+            ("snap-00000004.ckpt".to_string(), 0),
+            ("snap-00000006.ckpt".to_string(), 0)
+        ]
+    );
+    let c = cfg.eval.counters();
+    assert_eq!((c.hits, c.misses), (0, 7), "{c:?}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// An unpinned prefetching BestConfig session consumes every prefetched
+/// outcome and ends with an empty cache. Killed mid-round, its last
+/// snapshot holds the round's outcomes not yet measured; resumed at
+/// width 1, which never prefetches, it serves every post-resume
+/// iteration from them, and its trace equals the uninterrupted run's.
+#[test]
+fn unpinned_kill_and_resume_serves_the_restored_prefetch() {
+    const ITERS: u32 = 8;
+    let base = unpinned(Topology::single(), 200).tuner("bestconfig");
+    let full_cfg = base
+        .clone()
+        .eval_settings(EvalSettings::default().cache(true).threads(2));
+    let (full_lines, full_run) = traced(&full_cfg, TuningMethod::Default, ITERS);
+    let c = full_cfg.eval.counters();
+    assert!(c.speculated > 0, "nothing was prefetched: {c:?}");
+    assert!(full_cfg.eval.is_empty(), "a prefetched outcome went unused");
+
+    let k = 5u64;
+    let dir = temp_dir("unpinned-warm");
+    let policy = CheckpointPolicy::new(&dir).every(2);
+    let killed = base
+        .clone()
+        .eval_settings(EvalSettings::default().cache(true).threads(2))
+        .checkpoint(policy.clone());
+    let mut sink = KillSink {
+        inner: MemorySink::new(),
+        kill_at: k,
+    };
+    run_killed(|| {
+        let mut observer = SessionObserver::with_sink(&mut sink);
+        let _ = tune_observed(&killed, TuningMethod::Default, ITERS, &mut observer);
+    });
+
+    let resumed_cfg = base
+        .eval_settings(EvalSettings::default().cache(true).threads(1))
+        .checkpoint(policy.resume(true));
+    let mut resumed_sink = MemorySink::new();
+    let mut observer = SessionObserver::with_sink(&mut resumed_sink);
+    let run = tune_observed(&resumed_cfg, TuningMethod::Default, ITERS, &mut observer)
+        .expect("resumed session");
+    let resumed = comparable_lines(&resumed_sink);
+    assert!(
+        resumed[0].starts_with("{\"kind\":\"resume\""),
+        "{}",
+        resumed[0]
+    );
+    let boundary = full_lines
+        .iter()
+        .position(|l| l.contains(&format!("\"iteration\":{k},")))
+        .expect("iteration k in the reference trace");
+    assert_eq!(
+        &resumed[1..],
+        &full_lines[boundary..],
+        "post-resume trace must match the uninterrupted run"
+    );
+    assert_eq!(run.best_wips.to_bits(), full_run.best_wips.to_bits());
+    assert_eq!(run.best_config, full_run.best_config);
+
+    // The snapshot after iteration 3 held the round's outcomes for
+    // iterations 4..8. Iteration 4 is replayed from the journal without
+    // a lookup, so its outcome is the one left at the end.
+    let counters = resumed_cfg.eval.counters();
+    assert_eq!(
+        (counters.hits, counters.misses),
+        (u64::from(ITERS) - k, 0),
+        "every post-resume iteration must be served from the restored cache"
+    );
+    assert_eq!(resumed_cfg.eval.len(), 1);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
