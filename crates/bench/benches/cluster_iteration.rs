@@ -239,33 +239,23 @@ fn report_checkpoint_overhead() {
     );
 }
 
-/// Head-to-head: the evaluation engine against plain sequential
-/// evaluation, asserting the *same* WIPS series bit for bit, on
-/// 30-iteration sessions of two kinds:
-///
-/// * `pinned sequential` / `pinned memoized` — a pinned-seed simplex
-///   session shaped like the CLI's (two default replications, then the
-///   tuning iterations) with no engine, then with a cold cache. A pinned
-///   session measures everything on one seed, so the second replication
-///   and the tuner's first proposal, the default configuration again,
-///   are cache hits, as is any configuration the simplex revisits. An
-///   unpinned session's revisits carry new seeds and never hit, so it
-///   is not timed here;
-/// * `sequential bestconfig` / `queued prefetch` — a BestConfig session
-///   with no engine, then with a cold cache and one worker per core, so
-///   each queued round is evaluated as one batch on the shared pool (a
-///   wash on single-core hosts, where there is nobody to overlap the
-///   batch with). The simplex queues nothing, so it is not timed here.
+/// Head-to-head: queued prefetch against plain sequential evaluation,
+/// asserting the *same* WIPS series bit for bit. A 30-iteration
+/// BestConfig session runs with no engine, then with a cold cache and one
+/// worker per core, so each queued round is evaluated as one batch on the
+/// shared pool (a wash on single-core hosts, where there is nobody to
+/// overlap the batch with). The simplex queues nothing, so it is not
+/// timed here.
 fn report_eval_speedup() {
     use harmony::strategy::TuningMethod;
     use orchestrator::eval::EvalSettings;
     use orchestrator::session::{tune_observed, SessionObserver};
     use std::time::{Duration, Instant};
 
-    let topology = Topology::single();
-    let cfg = SessionConfig::new(topology, Workload::Shopping, 400).plan(IntervalPlan::tiny());
     let iters = 30u32;
-
+    let bestconfig = SessionConfig::new(Topology::single(), Workload::Shopping, 400)
+        .plan(IntervalPlan::tiny())
+        .tuner("bestconfig");
     let tune = |cfg: &SessionConfig, what: &str| {
         let t = Instant::now();
         let run = tune_observed(
@@ -275,75 +265,46 @@ fn report_eval_speedup() {
             &mut SessionObserver::none(),
         )
         .expect(what);
-        (run, t.elapsed())
+        (run.wips_series(), t.elapsed())
     };
-    // Five alternating rounds, medians reported: a hit saves one DES
-    // run of ~3 ms, which one timing of each side loses in host noise.
-    // The memoized side starts from a cold cache every round.
-    let pinned = cfg.clone().pin_seed(true);
-    let pinned_session = |cfg: &SessionConfig| {
-        let t = Instant::now();
-        let (default_wips, _) = cfg.measure_default(2);
-        let (run, _) = tune(cfg, "pinned session");
-        ((default_wips.to_bits(), run.wips_series()), t.elapsed())
-    };
-    let (mut sequential, mut memo) = (Vec::new(), Vec::new());
-    let mut memo_counters = Default::default();
+    // Five alternating rounds, medians reported: one timing of each side
+    // cannot tell a regression from host noise. The prefetching side
+    // starts from a cold cache every round.
+    let (mut sequential, mut prefetching) = (Vec::new(), Vec::new());
+    let mut counters = Default::default();
     for _ in 0..5 {
-        let (plain, t) = pinned_session(&pinned);
+        let (plain, t) = tune(&bestconfig, "sequential bestconfig tune");
         sequential.push(t);
-        let memo_cfg = pinned
+        let cfg = bestconfig
             .clone()
-            .eval_settings(EvalSettings::default().cache(true));
-        let (memoized, t) = pinned_session(&memo_cfg);
-        memo.push(t);
+            .eval_settings(EvalSettings::default().cache(true).threads(0));
+        let (prefetched, t) = tune(&cfg, "queued prefetch tune");
+        prefetching.push(t);
         assert_eq!(
-            plain, memoized,
-            "the memoizing cache changed the measured WIPS"
+            plain, prefetched,
+            "queued prefetch changed the measured WIPS series"
         );
-        memo_counters = memo_cfg.eval.counters();
+        counters = cfg.eval.counters();
     }
     let median = |mut times: Vec<Duration>| {
         times.sort();
         times[times.len() / 2]
     };
-    let (sequential, memo) = (median(sequential), median(memo));
-
-    let bestconfig = cfg.clone().tuner("bestconfig");
-    let (batch_plain, batch_sequential) = tune(&bestconfig, "sequential bestconfig tune");
-    let prefetch_cfg = bestconfig.eval_settings(EvalSettings::default().cache(true).threads(0));
-    let (prefetched, prefetch) = tune(&prefetch_cfg, "queued prefetch tune");
-    let prefetch_counters = prefetch_cfg.eval.counters();
-    assert_eq!(
-        batch_plain.wips_series(),
-        prefetched.wips_series(),
-        "queued prefetch changed the measured WIPS series"
-    );
+    let (sequential, prefetch) = (median(sequential), median(prefetching));
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "iteration/eval pinned memoization (2 default replications + {iters}-iteration pinned \
-         simplex session, cold cache, median of 5 alternating runs): {:.2}x (sequential \
-         {:.0} ms, memoized {:.0} ms, hit rate {:.0}% [{} hits / {} misses])",
-        sequential.as_secs_f64() / memo.as_secs_f64().max(1e-9),
-        ms(sequential),
-        ms(memo),
-        memo_counters.hit_rate() * 100.0,
-        memo_counters.hits,
-        memo_counters.misses
-    );
-    println!(
         "iteration/eval queued prefetch ({iters}-iteration bestconfig session, {cores} core(s), \
-         cold cache): {:.2}x (sequential {:.0} ms, prefetching {:.0} ms, hit rate {:.0}% \
-         [{} hits / {} misses], {} prefetched)",
-        batch_sequential.as_secs_f64() / prefetch.as_secs_f64().max(1e-9),
-        ms(batch_sequential),
+         cold cache, median of 5 alternating runs): {:.2}x (sequential {:.0} ms, prefetching \
+         {:.0} ms, hit rate {:.0}% [{} hits / {} misses], {} prefetched)",
+        sequential.as_secs_f64() / prefetch.as_secs_f64().max(1e-9),
+        ms(sequential),
         ms(prefetch),
-        prefetch_counters.hit_rate() * 100.0,
-        prefetch_counters.hits,
-        prefetch_counters.misses,
-        prefetch_counters.speculated
+        counters.hit_rate() * 100.0,
+        counters.hits,
+        counters.misses,
+        counters.speculated
     );
 }
 

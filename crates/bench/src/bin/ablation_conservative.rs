@@ -14,7 +14,7 @@ use harmony::server::HarmonyServer;
 use harmony::simplex::SimplexTuner;
 use orchestrator::binding;
 use orchestrator::experiments::population_for;
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, TextTable};
 use orchestrator::session::SessionConfig;
 use tpcw::mix::Workload;
@@ -36,8 +36,8 @@ fn main() {
     .base_seed(opts.seed);
     let (default_wips, _) = base.measure_default(opts.effort.reps);
 
-    let variants = [false, true];
-    let runs = parallel_map(&variants, 0, |&conservative| {
+    let iterations = opts.effort.iterations;
+    let runs = shared_pool().run_batch(vec![false, true], 0, move |&conservative| {
         let space = binding::full_space(&base.topology);
         let tuner = SimplexTuner::new(space.clone()).conservative(conservative);
         let mut server = HarmonyServer::new(
@@ -50,7 +50,7 @@ fn main() {
         );
         let mut series = Vec::new();
         let mut extremeness_sum = 0.0;
-        for i in 0..opts.effort.iterations {
+        for i in 0..iterations {
             let proposal = server.next_config();
             extremeness_sum += space.extremeness(&proposal);
             let config = binding::config_from_full(&base.topology, &proposal);
@@ -58,11 +58,7 @@ fn main() {
             server.report(wips);
             series.push(wips);
         }
-        (
-            conservative,
-            series,
-            extremeness_sum / opts.effort.iterations as f64,
-        )
+        (conservative, series, extremeness_sum / iterations as f64)
     });
 
     let mut table = TextTable::new([

@@ -13,7 +13,7 @@ use harmony::simplex::SimplexTuner;
 use harmony::tuner::Tuner;
 use orchestrator::binding;
 use orchestrator::experiments::population_for;
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, TextTable};
 use orchestrator::session::SessionConfig;
 use tpcw::mix::Workload;
@@ -47,19 +47,20 @@ fn main() {
     .base_seed(opts.seed);
     let (default_wips, _) = base.measure_default(opts.effort.reps);
 
-    let names = [
+    let names = vec![
         "simplex",
         "simplex-conservative",
         "coordinate",
         "annealing",
         "random",
     ];
-    let runs = parallel_map(&names, 0, |&name| {
-        let mut server = HarmonyServer::new(name, make_tuner(name, opts.seed));
+    let (iterations, seed) = (opts.effort.iterations, opts.seed);
+    let runs = shared_pool().run_batch(names, 0, move |&name| {
+        let mut server = HarmonyServer::new(name, make_tuner(name, seed));
         let mut best = f64::NEG_INFINITY;
         let mut best_iter = 0;
         let mut series = Vec::new();
-        for i in 0..opts.effort.iterations {
+        for i in 0..iterations {
             let proposal = server.next_config();
             let config = binding::config_from_full(&base.topology, &proposal);
             let wips = base.evaluate(config, i).metrics.wips;

@@ -3,7 +3,7 @@
 use bench::args;
 use obs::{TraceRecord, TraceSink};
 use orchestrator::experiments::fig7::{self, Fig7Variant};
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, sparkline, TextTable};
 
 fn main() {
@@ -12,8 +12,9 @@ fn main() {
         "== Figure 7: automatic cluster reconfiguration (effort: {}, seed: {}) ==\n",
         opts.effort_name, opts.seed
     );
-    let variants = [Fig7Variant::ProxyToApp, Fig7Variant::AppToProxy];
-    let results = parallel_map(&variants, 0, |&v| fig7::run(v, &opts.effort, opts.seed));
+    let variants = vec![Fig7Variant::ProxyToApp, Fig7Variant::AppToProxy];
+    let (effort, seed) = (opts.effort, opts.seed);
+    let results = shared_pool().run_batch(variants, 0, move |&v| fig7::run(v, &effort, seed));
 
     let mut table = TextTable::new([
         "Experiment",

@@ -9,7 +9,7 @@
 use bench::args;
 use cluster::config::{ClusterConfig, Topology};
 use cluster::pricing::PriceList;
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, TextTable};
 use orchestrator::session::SessionConfig;
 use simkit::ci::replication_ci;
@@ -57,7 +57,9 @@ fn main() {
         Topology::tiers(2, 2, 2).unwrap(),
         Topology::tiers(3, 2, 2).unwrap(),
     ];
-    let results = parallel_map(&candidates, 0, |t| saturated_wips(t, &opts));
+    let sweep = opts.clone();
+    let results =
+        shared_pool().run_batch(candidates.to_vec(), 0, move |t| saturated_wips(t, &sweep));
 
     let mut table = TextTable::new(["Layout", "Saturated WIPS (95% CI)", "System cost", "$/WIPS"]);
     for (t, (wips, hw, _pop)) in candidates.iter().zip(&results) {

@@ -3,7 +3,7 @@
 
 use bench::args;
 use orchestrator::experiments::sensitivity;
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, TextTable};
 use tpcw::mix::Workload;
 
@@ -14,10 +14,10 @@ fn main() {
          (effort: {}, seed: {}) ==\n",
         opts.effort_name, opts.seed
     );
-    let workloads = [Workload::Browsing, Workload::Ordering];
-    let results = parallel_map(&workloads, 0, |&w| {
-        sensitivity::run(w, &opts.effort, opts.seed)
-    });
+    let workloads = vec![Workload::Browsing, Workload::Ordering];
+    let (effort, seed) = (opts.effort, opts.seed);
+    let results =
+        shared_pool().run_batch(workloads, 0, move |&w| sensitivity::run(w, &effort, seed));
 
     for r in &results {
         println!(

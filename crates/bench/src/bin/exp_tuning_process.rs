@@ -7,7 +7,7 @@
 
 use bench::args;
 use orchestrator::experiments::tuning_process;
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, sparkline, TextTable};
 use tpcw::mix::Workload;
 
@@ -17,9 +17,10 @@ fn main() {
         "== §III.A tuning process (effort: {}, seed: {}) ==\n",
         opts.effort_name, opts.seed
     );
-    let workloads = [Workload::Browsing, Workload::Ordering];
-    let results = parallel_map(&workloads, 0, |&w| {
-        tuning_process::run(w, &opts.effort, opts.seed).0
+    let workloads = vec![Workload::Browsing, Workload::Ordering];
+    let (effort, seed) = (opts.effort, opts.seed);
+    let results = shared_pool().run_batch(workloads, 0, move |&w| {
+        tuning_process::run(w, &effort, seed).0
     });
 
     let mut table = TextTable::new([

@@ -4,7 +4,7 @@
 use cluster::config::ClusterConfig;
 use orchestrator::experiments::tuning_process::TuningProcessResult;
 use orchestrator::experiments::{tuning_process, Effort};
-use orchestrator::par::parallel_map;
+use orchestrator::par::shared_pool;
 use tpcw::mix::Workload;
 
 /// Tune each workload on the single-line topology (in parallel) and return
@@ -14,16 +14,16 @@ pub fn tune_all_workloads(
     effort: &Effort,
     seed: u64,
 ) -> ([TuningProcessResult; 3], [ClusterConfig; 3]) {
-    let workloads: Vec<Workload> = Workload::ALL.to_vec();
-    let mut outs = parallel_map(&workloads, 0, |&w| {
-        let (summary, run) = tuning_process::run(w, effort, seed ^ (w as u64) << 16);
+    let effort = *effort;
+    let mut outs = shared_pool().run_batch(Workload::ALL.to_vec(), 0, move |&w| {
+        let (summary, run) = tuning_process::run(w, &effort, seed ^ (w as u64) << 16);
         (summary, run.best_config)
     });
     match (outs.pop(), outs.pop(), outs.pop()) {
         (Some((r2, c2)), Some((r1, c1)), Some((r0, c0))) => ([r0, r1, r2], [c0, c1, c2]),
-        // parallel_map returns exactly one output per input, in input
+        // run_batch returns exactly one output per input, in input
         // order, and Workload::ALL has three entries.
-        _ => unreachable!("parallel_map preserves length"),
+        _ => unreachable!("run_batch preserves length"),
     }
 }
 

@@ -84,11 +84,6 @@ impl AppState {
     pub fn refused(&self) -> u64 {
         self.refused
     }
-
-    /// Threads currently held (HTTP + AJP).
-    pub fn threads_busy(&self) -> u32 {
-        self.http_pool.busy() + self.ajp_pool.busy()
-    }
 }
 
 #[cfg(test)]

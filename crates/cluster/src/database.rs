@@ -157,11 +157,6 @@ impl DbState {
             binlog_spill,
         }
     }
-
-    /// Connections currently waiting for a slot.
-    pub fn conn_wait_len(&self) -> usize {
-        self.conn_pool.queue_len()
-    }
 }
 
 #[cfg(test)]

@@ -64,5 +64,5 @@ pub use params::{
 };
 pub use pricing::PriceList;
 pub use runner::{run_iteration, IterationOutcome};
-pub use runner::{run_iteration_checked, run_iteration_checked_observed, EvalError};
+pub use runner::{run_iteration_checked, EvalError};
 pub use spec::NodeSpec;

@@ -68,16 +68,6 @@ impl ProxyState {
         SimDuration::from_micros(300 + 2 * chain)
     }
 
-    /// CPU cost to serve a hit (header construction, socket writes).
-    pub fn serve_cpu(&self) -> SimDuration {
-        SimDuration::from_micros(200)
-    }
-
-    /// CPU overhead to forward a miss to the app tier and relay back.
-    pub fn forward_cpu(&self) -> SimDuration {
-        SimDuration::from_micros(400)
-    }
-
     /// Look up a cacheable object. Updates store recency and statistics.
     pub fn lookup(&mut self, object: ObjectId) -> CacheOutcome {
         if self.mem_store.get(object) {
@@ -131,10 +121,6 @@ impl ProxyState {
 
     pub fn mem_used_bytes(&self) -> u64 {
         self.mem_store.used_bytes()
-    }
-
-    pub fn disk_objects(&self) -> usize {
-        self.disk_store.len()
     }
 }
 

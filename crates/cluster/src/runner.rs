@@ -123,14 +123,6 @@ pub fn run_iteration_checked(scenario: &ClusterScenario) -> Result<IterationOutc
     run_iteration_inner(scenario, None)
 }
 
-/// [`run_iteration_observed`] with error returns instead of panics.
-pub fn run_iteration_checked_observed(
-    scenario: &ClusterScenario,
-    registry: &obs::Registry,
-) -> Result<IterationOutcome, EvalError> {
-    run_iteration_inner(scenario, Some(registry))
-}
-
 /// Execute one iteration and publish per-tier resource metrics into
 /// `registry`: CPU/disk/NIC utilization and queue depth per node, cache
 /// hit ratios on the proxy tier, engine event counts, and cluster-level

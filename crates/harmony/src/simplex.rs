@@ -398,7 +398,7 @@ impl Tuner for SimplexTuner {
 
     /// Fresh search from the original seed: full-size initial steps, an
     /// empty simplex, and no best-seen memory. Unlike the internal
-    /// degeneracy [`restart`](Self::restart), this forgets everything —
+    /// degeneracy `restart`, this forgets everything —
     /// it is meant for workload changes, where the old optimum is stale.
     fn reset(&mut self) {
         let seed = self.space.default_config();

@@ -8,12 +8,13 @@
 //! graceful degradation). The contract per cell: finish or degrade —
 //! never panic, never hang, never report a non-finite throughput.
 //!
-//! The grid fans out across cores with [`parallel_map`]; the same
-//! [`Bulkhead`] that caps in-flight evaluations inside the stack clamps
-//! the fan-out width, so one knob governs both layers of parallelism.
+//! The grid fans out across cores on the shared worker pool
+//! ([`crate::par::shared_pool`]); the same [`Bulkhead`] that caps
+//! in-flight evaluations inside the stack clamps the fan-out width, so
+//! one knob governs both layers of parallelism.
 
 use super::{scale_pop, Effort};
-use crate::par::parallel_map;
+use crate::par::shared_pool;
 use crate::resilient::{run_resilient_session_observed, ResilienceSettings};
 use crate::session::{SessionConfig, SessionError, SessionObserver};
 use cluster::config::Topology;
@@ -115,15 +116,16 @@ pub fn run(effort: &Effort, seed: u64) -> Result<ChaosResult, SessionError> {
     let plans = faults::library::all(effort.plan.total().as_secs_f64(), topology.len());
     let plan_names: Vec<&'static str> = plans.iter().map(|p| p.name).collect();
 
-    let grid: Vec<(&'static str, &faults::ChaosPlan)> = tuners
+    let grid: Vec<(&'static str, faults::ChaosPlan)> = tuners
         .iter()
-        .flat_map(|&t| plans.iter().map(move |p| (t, p)))
+        .flat_map(|&t| plans.iter().map(move |p| (t, p.clone())))
         .collect();
     // One knob for both layers of parallelism: the stack's bulkhead cap
     // also clamps the grid fan-out (0 = one worker per core, clamped).
     let threads = Bulkhead::new(settings.bulkhead).clamp_threads(0);
-    let outs = parallel_map(&grid, threads, |&(tuner, chaos)| {
-        let cfg = SessionConfig::new(topology.clone(), Workload::Shopping, scale_pop(600, effort))
+    let (effort, population) = (*effort, scale_pop(600, effort));
+    let outs = shared_pool().run_batch(grid, threads, move |&(tuner, ref chaos)| {
+        let cfg = SessionConfig::new(topology.clone(), Workload::Shopping, population)
             .plan(effort.plan)
             .base_seed(seed)
             .tuner(tuner)

@@ -21,7 +21,7 @@
 
 use super::{scale_pop, Effort};
 use crate::experiments::chaos;
-use crate::par::parallel_map;
+use crate::par::shared_pool;
 use crate::resilient::{run_resilient_session_observed, ResilienceSettings, ResilientRun};
 use crate::session::{SessionConfig, SessionError, SessionObserver};
 use detect::DetectorConfig;
@@ -181,6 +181,7 @@ fn missed_hard_crashes(run: &ResilientRun, horizon_s: f64, span_s: f64) -> usize
 
 /// Run the sweep and the oracle-vs-detector comparison.
 pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
+    let effort = *effort;
     let topology = chaos::topology();
     let window_s = effort.plan.total().as_secs_f64();
     let span_s = window_s * effort.iterations as f64;
@@ -193,8 +194,9 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
     );
     let plan_names: Vec<&'static str> = plans.iter().map(|&(n, _)| n).collect();
 
+    let population = scale_pop(600, &effort);
     let cfg_for = |plan: &FaultPlan| {
-        let cfg = SessionConfig::new(topology.clone(), Workload::Shopping, scale_pop(600, effort))
+        let cfg = SessionConfig::new(topology.clone(), Workload::Shopping, population)
             .plan(effort.plan)
             .base_seed(seed);
         if plan.is_empty() {
@@ -204,15 +206,15 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
         }
     };
 
-    let grid: Vec<(f64, &(&'static str, FaultPlan))> = PHI_THRESHOLDS
+    let grid: Vec<(f64, &'static str, SessionConfig)> = PHI_THRESHOLDS
         .iter()
-        .flat_map(|&phi| plans.iter().map(move |p| (phi, p)))
+        .flat_map(|&phi| plans.iter().map(move |p| (phi, p.0, cfg_for(&p.1))))
         .collect();
-    let threads = Bulkhead::new(chaos::settings(effort).bulkhead).clamp_threads(0);
-    let outs = parallel_map(&grid, threads, |&(phi, &(name, ref plan))| {
+    let threads = Bulkhead::new(chaos::settings(&effort).bulkhead).clamp_threads(0);
+    let outs = shared_pool().run_batch(grid, threads, move |&(phi, name, ref cfg)| {
         run_resilient_session_observed(
-            &cfg_for(plan),
-            &settings(effort, phi),
+            cfg,
+            &settings(&effort, phi),
             effort.iterations,
             &mut SessionObserver::none(),
         )
@@ -239,14 +241,14 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
     let storm = library::crash_storm(window_s, topology.len());
     let oracle = run_resilient_session_observed(
         &cfg_for(&storm),
-        &chaos::settings(effort),
+        &chaos::settings(&effort),
         effort.iterations,
         &mut SessionObserver::none(),
     )?;
     let default_phi = DetectorConfig::default().phi_threshold;
     let detector = run_resilient_session_observed(
         &cfg_for(&storm),
-        &settings(effort, default_phi),
+        &settings(&effort, default_phi),
         effort.iterations,
         &mut SessionObserver::none(),
     )?;

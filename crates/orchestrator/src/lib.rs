@@ -16,13 +16,13 @@
 //!   failure-driven reconfiguration;
 //! * [`checkpoint`] — crash-safe session persistence: write-ahead
 //!   journal, periodic snapshots, and deterministic resume;
-//! * [`eval`] — the evaluation engine: memoized measurements and
-//!   parallel prefetch of a tuner's queued trials;
+//! * [`eval`] — the evaluation engine: parallel prefetch of a tuner's
+//!   queued trials and the cache that hands their outcomes to the loop;
 //! * [`export`] — CSV export; [`report`] — text tables and sparklines
 //!   for the regenerators;
 //! * [`experiments`] — one typed runner per paper table/figure;
-//! * [`par`] — the shared worker pool (index-keyed merge, bit-identical
-//!   at any width) and scoped fan-out of independent runs.
+//! * [`par`] — the shared worker pool, the one batch primitive for
+//!   independent runs (index-keyed merge, bit-identical at any width).
 //!
 //! Each mode has one entry point, and each takes a [`SessionObserver`]
 //! ([`SessionObserver::none`] observes nothing): [`tune_observed`],

@@ -5,109 +5,30 @@
 //! simulations: replicas over seeds, the 3×3 matrix of Figure 4, the four
 //! Table 4 methods — and the evaluation engine prefetches a tuner's
 //! queued trials the same way (see `crate::eval`). Those fan out
-//! across cores — no `unsafe`, no leaked scoped threads, no external
-//! crates, results returned in input order.
+//! across cores — no `unsafe`, no external crates, results returned in
+//! input order.
 //!
-//! Two execution fronts share the same claim/merge discipline (an
-//! `AtomicUsize` hands each item index to exactly one worker; results
-//! merge into an index-keyed slot vector, so output order never depends
-//! on scheduling):
+//! There is one batch primitive, [`WorkerPool::run_batch`] on the
+//! process-wide [`shared_pool`], over *owned* items: prefetch of queued
+//! trials, measurement replications, the experiment grids and the bench
+//! sweeps all schedule onto the same workers instead of each call
+//! spawning its own. An `AtomicUsize` hands each item index to exactly
+//! one runner and results merge into an index-keyed slot vector, so
+//! output order never depends on scheduling. The caller participates as
+//! one of the `width` runners, so a batch submitted from inside a pool
+//! job can never deadlock — the submitting thread drains the batch
+//! itself if every pool worker is busy.
 //!
-//! * [`parallel_map`] — scoped threads for *borrowed* inputs and
-//!   closures. Threads live only for the call; write-once [`OnceLock`]
-//!   slots hold results without a lock per item.
-//! * [`WorkerPool::run_batch`] / [`shared_pool`] — one persistent,
-//!   process-wide pool for *owned* batches: prefetch of queued trials,
-//!   measurement replications, and whole scenario sweeps
-//!   all schedule onto the same workers instead of each call spawning
-//!   its own. The caller participates as one of the `width` runners, so
-//!   a batch submitted from inside a pool job can never deadlock — the
-//!   submitting thread drains the batch itself if every pool worker is
-//!   busy.
-//!
-//! Determinism: for both fronts the result vector is a pure function of
-//! `(items, f)` — thread count and scheduling affect only wall-clock
-//! time. The byte-identity suite in `tests/eval.rs` holds seeded
-//! sessions to that contract at 1, 2, and 8 threads.
+//! Determinism: the result vector is a pure function of `(items, f)` —
+//! width and scheduling affect only wall-clock time. The byte-identity
+//! suite in `tests/eval.rs` holds seeded sessions to that contract at 1,
+//! 2, and 8 threads.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-
-/// Map `f` over `items` in parallel, preserving order. Uses up to
-/// `max_threads` worker threads (0 = number of available cores).
-///
-/// An explicit `max_threads == 1` never spawns: the mapping runs on the
-/// calling thread. Memory is bounded by the output vector itself —
-/// workers write each result straight into its write-once slot (no
-/// channel, so a fast producer can never buffer the whole result set
-/// twice; no per-item mutex, so storing a result is a single atomic
-/// release).
-///
-/// A panic in `f` propagates to the caller when the scope joins.
-pub fn parallel_map<I, O, F>(items: &[I], max_threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send + Sync,
-    F: Fn(&I) -> O + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = effective_threads(max_threads, items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<O>> = (0..items.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
-                    break;
-                }
-                let out = f(&items[idx]);
-                // `idx` is claimed by exactly one worker, so this set
-                // always wins; the Err arm (already set) is unreachable
-                // and its value is simply dropped.
-                let _ = slots[idx].set(out);
-            });
-        }
-        // `std::thread::scope` joins every worker here and re-raises the
-        // first panic, so a half-filled result can never be observed.
-    });
-    slots
-        .into_iter()
-        .map(OnceLock::into_inner)
-        .map(|o| {
-            #[allow(clippy::expect_used)]
-            o.expect("every index processed: scope joined all workers")
-        })
-        .collect()
-}
-
-/// Worker-thread count for `work` independent tasks under a
-/// `max_threads` request: an explicit request is honoured exactly (never
-/// silently inflated), `0` means one thread per available core, and the
-/// result is clamped to `[1, work]` — more workers than tasks would only
-/// spawn idle threads. `available_parallelism` failure (exotic
-/// platforms, restricted cgroups) degrades to sequential, never panics.
-pub fn effective_threads(max_threads: usize, work: usize) -> usize {
-    let cap = if max_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        max_threads
-    };
-    cap.min(work).max(1)
-}
 
 /// Resolve a thread-count *request* to a concrete width: `0` (auto)
 /// becomes the shared pool's size (one worker per core), anything else
@@ -344,50 +265,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, 8, |&x| x * x);
-        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u64> = parallel_map(&Vec::<u64>::new(), 4, |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_thread_path() {
-        let items = vec![1, 2, 3];
-        let out = parallel_map(&items, 1, |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn single_thread_request_never_spawns() {
-        // Regression: an explicit 1-thread request must run on the
-        // calling thread, not on one spawned worker.
-        let caller = std::thread::current().id();
-        let items = vec![1, 2, 3];
-        let ids = parallel_map(&items, 1, |_| std::thread::current().id());
-        assert!(ids.iter().all(|id| *id == caller));
-    }
-
-    #[test]
-    fn explicit_thread_request_is_honoured() {
-        // Regression: `effective_threads` must never inflate an explicit
-        // request (e.g. to the core count) — only clamp it to the work.
-        assert_eq!(effective_threads(3, 100), 3);
-        assert_eq!(effective_threads(3, 2), 2);
-        assert_eq!(effective_threads(1, 100), 1);
-        assert_eq!(effective_threads(64, 1), 1);
-        // 0 = auto: at least one thread, never more than the work.
-        assert!(effective_threads(0, 100) >= 1);
-        assert_eq!(effective_threads(0, 1), 1);
-    }
-
-    #[test]
     fn resolved_threads_maps_zero_to_pool_size() {
         assert_eq!(resolved_threads(0), shared_pool().size());
         assert_eq!(resolved_threads(3), 3);
@@ -395,60 +272,15 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_items() {
-        let items = vec![5];
-        let out = parallel_map(&items, 64, |&x| x * 2);
-        assert_eq!(out, vec![10]);
-    }
-
-    #[test]
-    fn panic_in_worker_propagates() {
-        let items: Vec<u64> = (0..32).collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |&x| {
-                if x == 13 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        }));
-        assert!(caught.is_err(), "panic must not be swallowed");
-    }
-
-    #[test]
-    fn heavy_work_is_actually_parallel_safe() {
-        // Hash chains: result must be independent of scheduling.
-        let items: Vec<u64> = (0..64).collect();
-        let f = |&x: &u64| {
-            let mut h = x;
-            for _ in 0..10_000 {
-                h = h.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17) ^ x;
-            }
-            h
-        };
-        let seq: Vec<u64> = items.iter().map(f).collect();
-        let par = parallel_map(&items, 0, f);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn write_once_slots_fill_under_contention() {
-        // Regression for the OnceLock slot scheme: many tiny items and
-        // more threads than cores maximize claim churn; every slot must
-        // still be written exactly once and read back in order.
-        let items: Vec<u64> = (0..500).collect();
-        let out = parallel_map(&items, 16, |&x| x + 7);
-        let expected: Vec<u64> = items.iter().map(|x| x + 7).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn pool_batch_preserves_order() {
         let pool = WorkerPool::new(4);
-        let items: Vec<u64> = (0..200).collect();
-        let out = pool.run_batch(items.clone(), 4, |&x| x * 3);
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        assert_eq!(out, expected);
+        // More items than runners, and more runners than items.
+        for (n, width) in [(200u64, 4), (1, 64), (3, 16)] {
+            let items: Vec<u64> = (0..n).collect();
+            let out = pool.run_batch(items.clone(), width, |&x| x * 3);
+            let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+            assert_eq!(out, expected, "{n} items at width {width}");
+        }
     }
 
     #[test]

@@ -377,23 +377,6 @@ impl SessionConfig {
         self.measure(&self.scenario(config, iteration), iteration, None)
     }
 
-    /// Look `scenario` up in the evaluation engine, the one place that
-    /// picks the lookup: a pinned session revisits configurations on one
-    /// seed, so its lookups memoize; an unpinned session's outcomes are
-    /// never asked for again, so its lookups take prefetched outcomes
-    /// out of the cache and store nothing (see [`crate::eval`]).
-    pub(crate) fn lookup(
-        &self,
-        scenario: &ClusterScenario,
-        registry: Option<&Registry>,
-    ) -> IterationOutcome {
-        if self.pin_seed {
-            self.eval.run_memoized(scenario, registry)
-        } else {
-            self.eval.run(scenario, registry)
-        }
-    }
-
     /// Run iteration `iteration`'s scenario through the evaluation
     /// engine, publishing engine and per-tier resource metrics when a
     /// registry is attached. An active noise spike multiplies the
@@ -407,7 +390,7 @@ impl SessionConfig {
         iteration: u32,
         registry: Option<&Registry>,
     ) -> IterationOutcome {
-        let mut out = self.lookup(scenario, registry);
+        let mut out = self.eval.run(scenario, registry);
         if let Some(plan) = &self.fault_plan {
             let injector = FaultInjector::new(plan, self.fault_seed);
             let (start, end) = FaultClock::window_of(self.plan.total(), iteration);
@@ -1437,6 +1420,14 @@ pub(crate) fn drive_tuning(
                         engine = TuneEngine::fine_phase(&cfg, &best.config)?;
                     }
                     let config = engine.propose(&cfg);
+                    // The live iteration took its prefetched outcome, if
+                    // the snapshot carries one; no later lookup asks for
+                    // it, so take it out too.
+                    if !cfg.eval.is_empty() {
+                        let mut scenario = cfg.scenario(config.clone(), i);
+                        scenario.lines = engine.lines();
+                        cfg.eval.take(&scenario);
+                    }
                     // Only resilient deltas can say the tuner was told
                     // the sample was worthless, and they must say it.
                     let valid = match parts.resilience.as_deref_mut() {
@@ -1607,9 +1598,9 @@ pub(crate) fn drive_tuning(
                 r.journal_into(&mut delta, sample.valid);
             }
             ck.append(delta)?;
-            // Records and cache entries are encoded once, by the first
-            // snapshot that holds them, and shared with later ones; only
-            // the small fields are encoded afresh.
+            // Records are encoded once, by the first snapshot that holds
+            // them, and shared with later ones; the other fields are
+            // encoded afresh.
             ck.maybe_snapshot_fields(i + 1, iterations, |snap| {
                 snap.state("kind", &State::Str("tune".into()));
                 snap.state("engine", &engine.save_state());
@@ -1619,7 +1610,7 @@ pub(crate) fn drive_tuning(
                     r.save_into(snap, &cfg.topology);
                 }
                 if cfg.eval.cache_enabled() {
-                    snap.encoded("eval_cache", |out| cfg.eval.encode_cache_into(out));
+                    snap.state("eval_cache", &cfg.eval.save_cache_state());
                 }
             })?;
         }
@@ -2072,14 +2063,21 @@ mod tests {
     /// Check every snapshot a session left in `dir`: it is the
     /// canonical encoding of what it decodes to, its fields come in
     /// `keys` order, its records are the run's first k and its eval
-    /// cache restores. Returns how many it checked.
-    fn check_snapshots(dir: &std::path::Path, keys: &[&str], records: &[IterationRecord]) -> usize {
-        let mut checked = 0;
-        for entry in std::fs::read_dir(dir).expect("dir") {
-            let path = entry.expect("entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("ckpt") {
-                continue;
-            }
+    /// cache restores. Returns each snapshot's eval-cache entry count,
+    /// in file-name order.
+    fn check_snapshots(
+        dir: &std::path::Path,
+        keys: &[&str],
+        records: &[IterationRecord],
+    ) -> Vec<usize> {
+        let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+            .expect("dir")
+            .map(|entry| entry.expect("entry").path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("ckpt"))
+            .collect();
+        paths.sort();
+        let mut cache_sizes = Vec::new();
+        for path in paths {
             let bytes = std::fs::read(&path).expect("read");
             let state = persist::snapshot::load(&path).expect("load");
             assert_eq!(
@@ -2100,11 +2098,10 @@ mod tests {
             let entries = cached.field_list("entries").expect("entries").len();
             let engine = EvalEngine::new(EvalSettings::default().cache(true));
             engine.restore_cache(cached).expect("eval cache restores");
-            assert!(entries > 0, "{path:?}: empty eval cache");
             assert_eq!(engine.len(), entries, "{path:?}: every entry restores");
-            checked += 1;
+            cache_sizes.push(entries);
         }
-        checked
+        cache_sizes
     }
 
     #[test]
@@ -2122,16 +2119,18 @@ mod tests {
         ];
         // The hybrid switches engines at iteration 2 of 6, so the two
         // snapshots it leaves (after iterations 2 and 4) straddle it.
-        // The seed is pinned so the cache keeps every outcome and the
-        // snapshots carry entries.
+        // BestConfig's line servers queue a round at iteration 2 that is
+        // prefetched on two workers, so snapshot 4 carries the outcomes
+        // of iterations 4 and 5.
+        let prefetching = EvalSettings::default().cache(true).threads(2);
         let cfg = quick_cfg(Workload::Shopping)
             .topology(Topology::tiers(2, 2, 2).unwrap())
             .population(400)
-            .pin_seed(true)
-            .eval_settings(EvalSettings::default().cache(true))
+            .tuner("bestconfig")
+            .eval_settings(prefetching)
             .checkpoint(CheckpointPolicy::new(&dir).every(2));
         let run = tune(&cfg, TuningMethod::Hybrid, 6);
-        assert_eq!(check_snapshots(&dir, &plain, &run.records), 2);
+        assert_eq!(check_snapshots(&dir, &plain, &run.records), [0, 2]);
 
         // Cut the directory back to a kill during iteration 3 (snapshot 2
         // and the journal's first three deltas) and resume: snapshot 4 is
@@ -2148,16 +2147,14 @@ mod tests {
         drop(store);
         std::fs::write(&snap_2, kept).expect("restore snapshot 2");
         let policy = CheckpointPolicy::new(&dir).every(2).resume(true);
-        let fresh = cfg
-            .clone()
-            .eval_settings(EvalSettings::default().cache(true))
-            .checkpoint(policy);
+        let fresh = cfg.clone().eval_settings(prefetching).checkpoint(policy);
         let resumed = tune(&fresh, TuningMethod::Hybrid, 6);
         assert_eq!(resumed.records, run.records);
-        assert_eq!(check_snapshots(&dir, &plain, &run.records), 2);
+        assert_eq!(check_snapshots(&dir, &plain, &run.records), [0, 2]);
 
         // A detector-mode resilient session under a crash: the resilient
-        // fields sit between `records` and `eval_cache`.
+        // fields sit between `records` and `eval_cache`, which is empty
+        // because resilient sessions do not prefetch.
         let total = IntervalPlan::tiny().total().as_secs_f64();
         let cfg = cfg
             .eval_settings(EvalSettings::default().cache(true))
@@ -2189,7 +2186,7 @@ mod tests {
             "fingerprint",
             "iteration",
         ];
-        assert_eq!(check_snapshots(&dir, &resilient, &run.records), 2);
+        assert_eq!(check_snapshots(&dir, &resilient, &run.records), [0, 0]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -2197,8 +2194,10 @@ mod tests {
     fn resume_keeps_the_consumed_outcomes_an_older_snapshot_carries() {
         // An unpinned session's snapshots used to carry every outcome it
         // had measured. Such a checkpoint still resumes: no lookup asks
-        // for those outcomes again, so they stay in the cache until the
-        // session ends, and the session measures what it would have.
+        // for those outcomes again, and the journal replay takes out only
+        // the outcomes of the iterations it replays, so they stay in the
+        // cache until the session ends, and the session measures what it
+        // would have.
         let dir = std::env::temp_dir().join(format!("session-stale-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = quick_cfg(Workload::Shopping)
@@ -2208,19 +2207,22 @@ mod tests {
         assert!(cfg.eval.is_empty());
 
         // The cache such a session held after iterations 0 and 1: replay
-        // the tuner and memoize its two scenarios.
-        let stale = EvalEngine::new(EvalSettings::default().cache(true));
+        // the tuner and prefetch its two scenarios.
+        let stale = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
         let mut engine = TuneEngine::for_method(&cfg, TuningMethod::Default).expect("engine");
+        let mut measured = Vec::new();
         for (i, record) in run.records.iter().take(2).enumerate() {
             let mut scenario = cfg.scenario(engine.propose(&cfg), i as u32);
             scenario.lines = engine.lines();
-            let out = stale.run_memoized(&scenario, None);
+            let out = crate::eval::run_raw(&scenario, None);
             assert_eq!(out.metrics.wips.to_bits(), record.wips.to_bits());
             engine.report(
                 &cfg.measurement_from(out.metrics.wips, out.metrics.completed),
                 &out.line_wips,
             );
+            measured.push(scenario);
         }
+        assert_eq!(stale.prefetch(&measured), 2);
 
         // Cut the directory back to a kill during iteration 3 (snapshot 2
         // and the journal's first three deltas), with snapshot 2 carrying

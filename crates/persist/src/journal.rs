@@ -1,6 +1,6 @@
 //! The append-only write-ahead journal.
 //!
-//! One journal file holds a sequence of [`frame`](crate::frame)-encoded
+//! One journal file holds a sequence of [`frame`]-encoded
 //! [`State`] records. Appends are buffered and flushed to the OS per
 //! record (no per-record fsync — a crash may lose the very last frames,
 //! and recovery's torn-tail tolerance absorbs exactly that). The fsync

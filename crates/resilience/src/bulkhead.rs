@@ -6,9 +6,10 @@ use persist::{PersistError, State};
 /// Caps the number of evaluations in flight at once. In the sequential
 /// session loop the permit gate is a formality (one evaluation at a
 /// time), but the same cap bounds the width of parallel fan-outs:
-/// [`Bulkhead::clamp_threads`] clamps the worker-thread count handed to
-/// `par::parallel_map`-style grids of independent sessions, so one knob
-/// governs both the policy stack and the experiments' parallelism.
+/// [`Bulkhead::clamp_threads`] clamps the batch width handed to the
+/// worker pool (`par::WorkerPool::run_batch`) for grids of independent
+/// sessions, so one knob governs both the policy stack and the
+/// experiments' parallelism.
 ///
 /// `cap: None` is unbounded — the identity layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

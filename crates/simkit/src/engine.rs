@@ -177,10 +177,6 @@ impl<M: Model> Simulation<M> {
         self.sched.at(time, event);
     }
 
-    pub fn schedule_after(&mut self, delay: SimDuration, event: M::Event) {
-        self.sched.after(delay, event);
-    }
-
     /// Execute exactly one event, if any. Returns the event time.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.sched.calendar.pop()?;
@@ -218,11 +214,6 @@ impl<M: Model> Simulation<M> {
     pub fn run_for(&mut self, span: SimDuration) -> StopReason {
         let horizon = self.now() + span;
         self.run_until(horizon)
-    }
-
-    /// Consume the simulation and return the model.
-    pub fn into_model(self) -> M {
-        self.model
     }
 }
 

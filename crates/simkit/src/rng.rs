@@ -153,11 +153,6 @@ impl SimRng {
         lo.wrapping_add(self.next_below(span as u64) as i64)
     }
 
-    /// Uniform f64 in `[lo, hi)`.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {

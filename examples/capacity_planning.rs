@@ -12,7 +12,7 @@
 use ah_webtune::cluster::config::{ClusterConfig, Topology};
 use ah_webtune::cluster::model::ClusterScenario;
 use ah_webtune::cluster::runner::run_iteration;
-use ah_webtune::orchestrator::par::parallel_map;
+use ah_webtune::orchestrator::par::shared_pool;
 use ah_webtune::orchestrator::report::TextTable;
 use ah_webtune::tpcw::metrics::IntervalPlan;
 use ah_webtune::tpcw::mix::Workload;
@@ -29,7 +29,7 @@ fn main() {
     let single = Topology::single();
     let populations = [400u32, 800, 1200, 1600, 2000];
     println!("Load sweep, 1 proxy / 1 app / 1 db, shopping mix:");
-    let sweep = parallel_map(&populations, 0, |&p| {
+    let sweep = shared_pool().run_batch(populations.to_vec(), 0, move |&p| {
         measure(&single, Workload::Shopping, p)
     });
     let mut table = TextTable::new(["Browsers", "WIPS", "WIPS per browser"]);
@@ -52,10 +52,11 @@ fn main() {
     let population = 2_200;
     println!("Where should the fourth machine go at {population} browsers?");
     let mut table = TextTable::new(["Layout", "Browsing", "Shopping", "Ordering"]);
-    let cells: Vec<(usize, usize)> = (0..3).flat_map(|c| (0..3).map(move |w| (c, w))).collect();
-    let results = parallel_map(&cells, 0, |&(c, w)| {
-        measure(&candidates[c].1, Workload::ALL[w], population)
-    });
+    let cells: Vec<(Topology, Workload)> = candidates
+        .iter()
+        .flat_map(|(_, t)| Workload::ALL.map(|w| (t.clone(), w)))
+        .collect();
+    let results = shared_pool().run_batch(cells, 0, move |(t, w)| measure(t, *w, population));
     for (c, candidate) in candidates.iter().enumerate() {
         let row: Vec<String> = (0..3)
             .map(|w| format!("{:.1}", results[c * 3 + w]))

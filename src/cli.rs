@@ -51,8 +51,9 @@ pub struct SimArgs {
     /// Worker threads for evaluating queued trials ahead
     /// (`None` = 1 = sequential; `Some(0)` = one per core).
     pub eval_threads: Option<usize>,
-    /// Disable the measurement memoization cache (on by default in the
-    /// CLI; the library default is off).
+    /// Disable the eval cache, which hands prefetched trials' outcomes
+    /// to the loop (on by default in the CLI; the library default is
+    /// off).
     pub no_eval_cache: bool,
     /// Worker width for measurement replications
     /// (`None` = 1 = sequential; `Some(0)` = one per core). Bit-identical
@@ -144,10 +145,9 @@ OPTIONS (all subcommands):
                      (bestconfig, classytune) and tuna's confirmations
                      in parallel; point tuners such as the simplex run
                      sequentially at any width
-  --no-eval-cache    disable the eval cache (identical results). CLI
-                     sessions never pin the seed, so the cache only
-                     holds prefetched trials until they are measured;
-                     without it nothing is prefetched, and at
+  --no-eval-cache    disable the eval cache (identical results). The
+                     cache only holds prefetched trials until they are
+                     measured; without it nothing is prefetched, and at
                      --eval-threads 1 the trace has no eval record
   --replication-threads N   worker width for measurement replications
                      (default 1 = sequential; 0 = auto, one per core);

@@ -1,5 +1,5 @@
-//! Integration tests for the evaluation engine: memoized measurements
-//! and parallel prefetch of queued trials must be *transparent*.
+//! Integration tests for the evaluation engine: the outcome cache and
+//! parallel prefetch of queued trials must be *transparent*.
 //! Whatever the engine configuration — cache on or off, one worker or
 //! one per core, warm or cold — a session produces byte-identical trace
 //! records and bit-equal WIPS. Only the end-of-session `eval` summary
@@ -121,8 +121,8 @@ fn speculative_parallel_engine_is_byte_identical() {
 
 /// TUNA's confirmation runs arrive as one batch, so they are prefetched
 /// too, without changing a traced byte. The seed is not pinned: with a
-/// pinned seed a confirmation run re-measures the same scenario and is
-/// a plain cache hit.
+/// pinned seed the confirmation runs of one configuration are one
+/// scenario, which prefetch evaluates only once.
 #[test]
 fn tuna_confirmation_batches_are_prefetched_byte_identically() {
     let plain = SessionConfig::new(Topology::single(), Workload::Shopping, 1700)
@@ -231,30 +231,32 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Killing a prefetching session and resuming restores the memoization
-/// cache from the snapshot: the continued run is byte-identical to the
-/// uninterrupted one *and* serves its post-resume iterations as cache
-/// hits, because the pre-crash engine had already prefetched them with
-/// the first BestConfig round. The resumed session runs at width 1,
-/// which never prefetches, so its hits can only come from the restored
-/// cache. Crash recovery loses no prefetched work.
-#[test]
-fn kill_and_resume_restores_the_warm_cache() {
+/// Kill a prefetching BestConfig session built on `base` mid-round and
+/// resume it at width 1, which never prefetches. The uninterrupted run
+/// consumes every prefetched outcome and ends with an empty cache. The
+/// killed run's last snapshot holds the round's outcomes not yet
+/// measured, so the resumed session serves every post-resume iteration
+/// from them, and its trace equals the uninterrupted run's. The journal
+/// replay takes out the outcome of the iteration it replays, so the
+/// resumed session ends with an empty cache too.
+fn kill_and_resume_serves_the_restored_prefetch(base: SessionConfig, tag: &str) {
     const ITERS: u32 = 8;
     // `eval_settings` installs a *fresh* engine each time (cloning a
     // SessionConfig shares its engine Arc — and its counters — which is
-    // exactly what this test must not do).
-    let engine = || EvalSettings::default().cache(true).threads(0);
-    let base = pinned(Topology::single(), 200).tuner("bestconfig");
-    let full_cfg = base.clone().eval_settings(engine());
+    // exactly what this check must not do).
+    let prefetching = || EvalSettings::default().cache(true).threads(2);
+    let full_cfg = base.clone().eval_settings(prefetching());
     let (full_lines, full_run) = traced(&full_cfg, TuningMethod::Default, ITERS);
+    let c = full_cfg.eval.counters();
+    assert!(c.speculated > 0, "nothing was prefetched: {c:?}");
+    assert!(full_cfg.eval.is_empty(), "a prefetched outcome went unused");
 
     let k = 5u64;
-    let dir = temp_dir("warm");
+    let dir = temp_dir(tag);
     let policy = CheckpointPolicy::new(&dir).every(2);
     let killed = base
         .clone()
-        .eval_settings(engine())
+        .eval_settings(prefetching())
         .checkpoint(policy.clone());
     let mut sink = KillSink {
         inner: MemorySink::new(),
@@ -273,7 +275,6 @@ fn kill_and_resume_restores_the_warm_cache() {
     let run = tune_observed(&resumed_cfg, TuningMethod::Default, ITERS, &mut observer)
         .expect("resumed session");
     let resumed = comparable_lines(&resumed_sink);
-
     assert!(
         resumed[0].starts_with("{\"kind\":\"resume\""),
         "{}",
@@ -294,20 +295,37 @@ fn kill_and_resume_restores_the_warm_cache() {
     assert_eq!(run.best_wips.to_bits(), full_run.best_wips.to_bits());
     assert_eq!(run.best_config, full_run.best_config);
 
-    // The warm-cache proof: the snapshot at iteration 4 already held the
-    // prefetched outcomes for the live iterations 5..8, so the resumed
-    // session replays them as hits without ever re-running the DES.
+    // The snapshot after iteration 3 held the round's outcomes for
+    // iterations 4..8. Iteration 4 is replayed from the journal, which
+    // takes its outcome out; 5..8 are served as hits.
     let counters = resumed_cfg.eval.counters();
     assert_eq!(
-        counters.hits,
-        u64::from(ITERS) - k,
-        "every post-resume iteration must be served from the restored cache: {counters:?}"
+        (counters.hits, counters.misses),
+        (u64::from(ITERS) - k, 0),
+        "every post-resume iteration must be served from the restored cache"
     );
-    assert_eq!(counters.misses, 0, "{counters:?}");
+    assert!(
+        resumed_cfg.eval.is_empty(),
+        "a restored outcome outlived the resume"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-// -- unpinned sessions keep only what a later lookup can use ---------------
+/// Killing a prefetching pinned-seed session and resuming restores the
+/// eval cache from the snapshot: the continued run is byte-identical to
+/// the uninterrupted one *and* serves its post-resume iterations as
+/// cache hits, because the pre-crash engine had already prefetched them
+/// with the first BestConfig round. Crash recovery loses no prefetched
+/// work and keeps none it cannot use.
+#[test]
+fn kill_and_resume_restores_the_warm_cache() {
+    kill_and_resume_serves_the_restored_prefetch(
+        pinned(Topology::single(), 200).tuner("bestconfig"),
+        "warm",
+    );
+}
+
+// -- sessions keep only what a later lookup can use ------------------------
 
 fn unpinned(topology: Topology, population: u32) -> SessionConfig {
     SessionConfig::new(topology, Workload::Shopping, population).plan(IntervalPlan::tiny())
@@ -354,101 +372,50 @@ fn snapshot_cache_sizes(dir: &std::path::Path) -> Vec<(String, usize)> {
 /// Every iteration of an unpinned session has its own seed, so no
 /// outcome is asked for twice: at width 1 the cache stays empty through
 /// the whole session and every snapshot's `eval_cache` lists no entries,
-/// while the lookups are still counted.
+/// while the lookups are still counted. A pinned session runs the same
+/// lookup, so it keeps nothing either, although it revisits scenarios.
 #[test]
 fn unpinned_checkpointed_session_keeps_no_outcomes() {
-    let dir = temp_dir("unpinned");
-    let cfg = unpinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
-        .eval_settings(EvalSettings::default().cache(true))
-        .checkpoint(CheckpointPolicy::new(&dir).every(2));
-    let mut sink = CacheSizes {
-        engine: cfg.eval.clone(),
-        sizes: Vec::new(),
-    };
-    let mut observer = SessionObserver::with_sink(&mut sink);
-    tune_observed(&cfg, TuningMethod::Hybrid, 7, &mut observer).expect("checkpointed session");
-    assert_eq!(sink.sizes, [0; 7], "an outcome outlived its lookup");
-    assert_eq!(
-        snapshot_cache_sizes(&dir),
-        [
-            ("snap-00000004.ckpt".to_string(), 0),
-            ("snap-00000006.ckpt".to_string(), 0)
-        ]
-    );
-    let c = cfg.eval.counters();
-    assert_eq!((c.hits, c.misses), (0, 7), "{c:?}");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+    for pin in [false, true] {
+        let dir = temp_dir(&format!("unpinned-{pin}"));
+        let cfg = unpinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
+            .pin_seed(pin)
+            .eval_settings(EvalSettings::default().cache(true))
+            .checkpoint(CheckpointPolicy::new(&dir).every(2));
+        let mut sink = CacheSizes {
+            engine: cfg.eval.clone(),
+            sizes: Vec::new(),
+        };
+        let mut observer = SessionObserver::with_sink(&mut sink);
+        tune_observed(&cfg, TuningMethod::Hybrid, 7, &mut observer).expect("checkpointed session");
+        assert_eq!(
+            sink.sizes, [0; 7],
+            "pinned {pin}: an outcome outlived its lookup"
+        );
+        assert_eq!(
+            snapshot_cache_sizes(&dir),
+            [
+                ("snap-00000004.ckpt".to_string(), 0),
+                ("snap-00000006.ckpt".to_string(), 0)
+            ],
+            "pinned {pin}"
+        );
+        let c = cfg.eval.counters();
+        assert_eq!((c.hits, c.misses), (0, 7), "pinned {pin}: {c:?}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
 
-/// An unpinned prefetching BestConfig session consumes every prefetched
-/// outcome and ends with an empty cache. Killed mid-round, its last
-/// snapshot holds the round's outcomes not yet measured; resumed at
-/// width 1, which never prefetches, it serves every post-resume
-/// iteration from them, and its trace equals the uninterrupted run's.
+/// Every iteration of an unpinned session has its own seed, so the
+/// restored prefetch is the only place a resumed session can find its
+/// post-resume outcomes: killed and resumed, it is served from them all
+/// the same, and keeps none at the end.
 #[test]
 fn unpinned_kill_and_resume_serves_the_restored_prefetch() {
-    const ITERS: u32 = 8;
-    let base = unpinned(Topology::single(), 200).tuner("bestconfig");
-    let full_cfg = base
-        .clone()
-        .eval_settings(EvalSettings::default().cache(true).threads(2));
-    let (full_lines, full_run) = traced(&full_cfg, TuningMethod::Default, ITERS);
-    let c = full_cfg.eval.counters();
-    assert!(c.speculated > 0, "nothing was prefetched: {c:?}");
-    assert!(full_cfg.eval.is_empty(), "a prefetched outcome went unused");
-
-    let k = 5u64;
-    let dir = temp_dir("unpinned-warm");
-    let policy = CheckpointPolicy::new(&dir).every(2);
-    let killed = base
-        .clone()
-        .eval_settings(EvalSettings::default().cache(true).threads(2))
-        .checkpoint(policy.clone());
-    let mut sink = KillSink {
-        inner: MemorySink::new(),
-        kill_at: k,
-    };
-    run_killed(|| {
-        let mut observer = SessionObserver::with_sink(&mut sink);
-        let _ = tune_observed(&killed, TuningMethod::Default, ITERS, &mut observer);
-    });
-
-    let resumed_cfg = base
-        .eval_settings(EvalSettings::default().cache(true).threads(1))
-        .checkpoint(policy.resume(true));
-    let mut resumed_sink = MemorySink::new();
-    let mut observer = SessionObserver::with_sink(&mut resumed_sink);
-    let run = tune_observed(&resumed_cfg, TuningMethod::Default, ITERS, &mut observer)
-        .expect("resumed session");
-    let resumed = comparable_lines(&resumed_sink);
-    assert!(
-        resumed[0].starts_with("{\"kind\":\"resume\""),
-        "{}",
-        resumed[0]
+    kill_and_resume_serves_the_restored_prefetch(
+        unpinned(Topology::single(), 200).tuner("bestconfig"),
+        "unpinned-warm",
     );
-    let boundary = full_lines
-        .iter()
-        .position(|l| l.contains(&format!("\"iteration\":{k},")))
-        .expect("iteration k in the reference trace");
-    assert_eq!(
-        &resumed[1..],
-        &full_lines[boundary..],
-        "post-resume trace must match the uninterrupted run"
-    );
-    assert_eq!(run.best_wips.to_bits(), full_run.best_wips.to_bits());
-    assert_eq!(run.best_config, full_run.best_config);
-
-    // The snapshot after iteration 3 held the round's outcomes for
-    // iterations 4..8. Iteration 4 is replayed from the journal without
-    // a lookup, so its outcome is the one left at the end.
-    let counters = resumed_cfg.eval.counters();
-    assert_eq!(
-        (counters.hits, counters.misses),
-        (u64::from(ITERS) - k, 0),
-        "every post-resume iteration must be served from the restored cache"
-    );
-    assert_eq!(resumed_cfg.eval.len(), 1);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 // -- thread-width independence (1 / 2 / 8 workers) -------------------------
@@ -499,8 +466,8 @@ fn thread_width_1_2_8_is_byte_identical() {
 
 /// Checkpoint artifacts are width-independent too: two prefetching
 /// widths write snapshot + journal files that are byte-identical, down
-/// to the serialized memoization cache (every width stores the same
-/// prefetched outcomes, merged in the same order). A simplex session
+/// to the serialized eval cache (every width stores the same prefetched
+/// outcomes, merged in the same order). A simplex session
 /// queues nothing, so at width 2 it prefetches nothing and writes the
 /// same files as at width 1.
 #[test]
