@@ -4,7 +4,7 @@
 
 use bench::harness::{measure, Criterion};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cluster::config::{ClusterConfig, Topology};
 use cluster::model::ClusterScenario;
@@ -101,6 +101,44 @@ fn bench_faults(c: &mut Criterion) {
     g.finish();
 }
 
+/// Time two sides in `rounds` alternating rounds and return each side's
+/// median. `time(side)` runs side 0 or 1 once and returns its time. The
+/// side that goes first alternates from round to round, so both sample
+/// the same stretches of host noise; one timing of each side cannot
+/// tell a few percent of overhead from that noise.
+fn alternating_medians(rounds: usize, mut time: impl FnMut(usize) -> Duration) -> [Duration; 2] {
+    let mut samples = [Vec::new(), Vec::new()];
+    for round in 0..rounds {
+        for side in [round % 2, 1 - round % 2] {
+            samples[side].push(time(side));
+        }
+    }
+    samples.map(|mut times| {
+        times.sort();
+        times[times.len() / 2]
+    })
+}
+
+/// Print the overhead of `with` over `plain`: the median time of one
+/// call of each, over calls that alternate between the two sides.
+fn report_overhead_of(what: &str, mut plain: impl FnMut() -> f64, mut with: impl FnMut() -> f64) {
+    const ROUNDS: usize = 101;
+    let [plain, with] = alternating_medians(ROUNDS, |side| {
+        let f: &mut dyn FnMut() -> f64 = if side == 0 { &mut plain } else { &mut with };
+        let t = Instant::now();
+        black_box(f());
+        t.elapsed()
+    });
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "{what}: {:+.2}% (target < 5%; median of {ROUNDS} alternating calls a side: plain \
+         {:.3} ms, with {:.3} ms)",
+        (with.as_secs_f64() / plain.as_secs_f64() - 1.0) * 100.0,
+        ms(plain),
+        ms(with)
+    );
+}
+
 /// Head-to-head: the fault injector must cost < 5% on the no-fault path.
 /// Attaching an *empty* fault plan leaves the DES untouched — the only
 /// added work is projecting the plan onto each measurement window — so
@@ -109,26 +147,12 @@ fn report_injector_overhead() {
     let topology = Topology::single();
     let cfg =
         SessionConfig::new(topology.clone(), Workload::Shopping, 400).plan(IntervalPlan::tiny());
+    let faulted = cfg.clone().fault_plan(FaultPlan::new());
     let config = ClusterConfig::defaults(&topology);
-    let min_time = Duration::from_millis(400);
-    let plain = measure(
-        || black_box(cfg.evaluate(config.clone(), 3).metrics.wips),
-        min_time,
-        20,
-    );
-    let faulted_cfg = cfg.clone().fault_plan(FaultPlan::new());
-    let faulted = measure(
-        || black_box(faulted_cfg.evaluate(config.clone(), 3).metrics.wips),
-        min_time,
-        20,
-    );
-    let delta = faulted.secs_per_iter() / plain.secs_per_iter() - 1.0;
-    println!(
-        "iteration/faults injector overhead (no-fault path): {:+.2}% (target < 5%; \
-         plain {:.3} ms, with empty plan {:.3} ms)",
-        delta * 100.0,
-        plain.secs_per_iter() * 1e3,
-        faulted.secs_per_iter() * 1e3
+    report_overhead_of(
+        "iteration/faults injector overhead (no-fault path, with an empty plan)",
+        || cfg.evaluate(config.clone(), 3).metrics.wips,
+        || faulted.evaluate(config.clone(), 3).metrics.wips,
     );
 }
 
@@ -136,20 +160,11 @@ fn report_injector_overhead() {
 /// Printed as a percentage so regressions are visible in bench output.
 fn report_overhead() {
     let s = scenario(Topology::single(), Workload::Shopping, 400);
-    let min_time = Duration::from_millis(400);
-    let plain = measure(|| black_box(run_iteration(&s).metrics.wips), min_time, 20);
     let reg = Registry::new();
-    let observed = measure(
-        || black_box(run_iteration_observed(&s, &reg).metrics.wips),
-        min_time,
-        20,
-    );
-    let delta = observed.secs_per_iter() / plain.secs_per_iter() - 1.0;
-    println!(
-        "iteration/metrics overhead: {:+.2}% (plain {:.3} ms, observed {:.3} ms)",
-        delta * 100.0,
-        plain.secs_per_iter() * 1e3,
-        observed.secs_per_iter() * 1e3
+    report_overhead_of(
+        "iteration/metrics overhead (with a live registry)",
+        || run_iteration(&s).metrics.wips,
+        || run_iteration_observed(&s, &reg).metrics.wips,
     );
 }
 
@@ -250,7 +265,6 @@ fn report_eval_speedup() {
     use harmony::strategy::TuningMethod;
     use orchestrator::eval::EvalSettings;
     use orchestrator::session::{tune_observed, SessionObserver};
-    use std::time::{Duration, Instant};
 
     let iters = 30u32;
     let bestconfig = SessionConfig::new(Topology::single(), Workload::Shopping, 400)
@@ -267,30 +281,33 @@ fn report_eval_speedup() {
         .expect(what);
         (run.wips_series(), t.elapsed())
     };
-    // Five alternating rounds, medians reported: one timing of each side
-    // cannot tell a regression from host noise. The prefetching side
-    // starts from a cold cache every round.
-    let (mut sequential, mut prefetching) = (Vec::new(), Vec::new());
+    // The prefetching side starts from a cold cache every round, and
+    // every run of either side must measure the same WIPS series.
+    let mut series: Option<Vec<f64>> = None;
     let mut counters = Default::default();
-    for _ in 0..5 {
-        let (plain, t) = tune(&bestconfig, "sequential bestconfig tune");
-        sequential.push(t);
-        let cfg = bestconfig
-            .clone()
-            .eval_settings(EvalSettings::default().cache(true).threads(0));
-        let (prefetched, t) = tune(&cfg, "queued prefetch tune");
-        prefetching.push(t);
-        assert_eq!(
-            plain, prefetched,
-            "queued prefetch changed the measured WIPS series"
-        );
-        counters = cfg.eval.counters();
-    }
-    let median = |mut times: Vec<Duration>| {
-        times.sort();
-        times[times.len() / 2]
-    };
-    let (sequential, prefetch) = (median(sequential), median(prefetching));
+    let [sequential, prefetch] = alternating_medians(5, |side| {
+        let (cfg, what) = if side == 0 {
+            (bestconfig.clone(), "sequential bestconfig tune")
+        } else {
+            let settings = EvalSettings::default().cache(true).threads(0);
+            (
+                bestconfig.clone().eval_settings(settings),
+                "queued prefetch tune",
+            )
+        };
+        let (wips, t) = tune(&cfg, what);
+        match &series {
+            Some(first) => assert_eq!(
+                first, &wips,
+                "queued prefetch changed the measured WIPS series"
+            ),
+            None => series = Some(wips),
+        }
+        if side == 1 {
+            counters = cfg.eval.counters();
+        }
+        t
+    });
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -1,6 +1,6 @@
 //! One reduced-size Criterion benchmark per paper artifact, so
 //! `cargo bench` exercises every table/figure code path end to end.
-//! (Full-fidelity regeneration is done by the `exp_*` binaries with
+//! (Full-fidelity regeneration is done by `exp` with
 //! `--effort paper`; these benches use smoke effort.)
 
 use bench::harness::Criterion;

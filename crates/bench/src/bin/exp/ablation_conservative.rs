@@ -8,32 +8,15 @@
 //! on the browsing workload, where the paper observed the extreme-value
 //! variance.
 
-use bench::args;
-use cluster::config::Topology;
+use bench::args::Options;
 use harmony::server::HarmonyServer;
 use harmony::simplex::SimplexTuner;
 use orchestrator::binding;
-use orchestrator::experiments::population_for;
 use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, TextTable};
-use orchestrator::session::SessionConfig;
-use tpcw::mix::Workload;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Ablation: conservative stepping vs plain simplex \
-         (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
-    let workload = Workload::Browsing;
-    let base = SessionConfig::new(
-        Topology::single(),
-        workload,
-        population_for(workload, &opts.effort),
-    )
-    .plan(opts.effort.plan)
-    .base_seed(opts.seed);
+pub fn run(opts: &Options) {
+    let base = super::ablation_tuners::browsing_session(opts);
     let (default_wips, _) = base.measure_default(opts.effort.reps);
 
     let iterations = opts.effort.iterations;

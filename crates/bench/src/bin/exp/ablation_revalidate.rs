@@ -6,31 +6,15 @@
 //! iteration re-measures the incumbent) and compares the raw best against
 //! the noise-corrected estimate and against a fresh-seed re-measurement.
 
-use bench::args;
-use cluster::config::Topology;
+use bench::args::Options;
 use harmony::revalidate::Revalidating;
 use harmony::simplex::SimplexTuner;
 use harmony::tuner::Tuner;
 use orchestrator::binding;
-use orchestrator::experiments::population_for;
 use orchestrator::report::{fmt_f, TextTable};
-use orchestrator::session::SessionConfig;
-use tpcw::mix::Workload;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Ablation: best-configuration revalidation (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
-    let workload = Workload::Browsing;
-    let base = SessionConfig::new(
-        Topology::single(),
-        workload,
-        population_for(workload, &opts.effort),
-    )
-    .plan(opts.effort.plan)
-    .base_seed(opts.seed);
+pub fn run(opts: &Options) {
+    let base = super::ablation_tuners::browsing_session(opts);
 
     let space = binding::full_space(&base.topology);
     let mut tuner = Revalidating::new(SimplexTuner::new(space), 5);

@@ -4,13 +4,10 @@
 //! it buys over uniform random search and cyclic coordinate descent on the
 //! real 23-parameter tuning problem (browsing workload, single work line).
 
-use bench::args;
+use bench::args::Options;
 use cluster::config::Topology;
-use harmony::annealing::SimulatedAnnealing;
-use harmony::baseline::{CoordinateDescent, RandomSearch};
+use harmony::registry::make_tuner;
 use harmony::server::HarmonyServer;
-use harmony::simplex::SimplexTuner;
-use harmony::tuner::Tuner;
 use orchestrator::binding;
 use orchestrator::experiments::population_for;
 use orchestrator::par::shared_pool;
@@ -18,33 +15,21 @@ use orchestrator::report::{fmt_f, fmt_pct, TextTable};
 use orchestrator::session::SessionConfig;
 use tpcw::mix::Workload;
 
-fn make_tuner(name: &str, seed: u64) -> Box<dyn Tuner + Send> {
-    let space = binding::full_space(&Topology::single());
-    match name {
-        "simplex" => Box::new(SimplexTuner::new(space)),
-        "simplex-conservative" => Box::new(SimplexTuner::new(space).conservative(true)),
-        "random" => Box::new(RandomSearch::new(space, seed)),
-        "coordinate" => Box::new(CoordinateDescent::new(space)),
-        "annealing" => Box::new(SimulatedAnnealing::new(space, seed)),
-        _ => unreachable!(),
-    }
-}
-
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Ablation: tuning algorithms on the 23-parameter browsing problem \
-         (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+/// The session the simplex ablations tune: the browsing mix on one work
+/// line, at `opts`' effort and seed.
+pub fn browsing_session(opts: &Options) -> SessionConfig {
     let workload = Workload::Browsing;
-    let base = SessionConfig::new(
+    SessionConfig::new(
         Topology::single(),
         workload,
         population_for(workload, &opts.effort),
     )
     .plan(opts.effort.plan)
-    .base_seed(opts.seed);
+    .base_seed(opts.seed)
+}
+
+pub fn run(opts: &Options) {
+    let base = browsing_session(opts);
     let (default_wips, _) = base.measure_default(opts.effort.reps);
 
     let names = vec![
@@ -56,7 +41,9 @@ fn main() {
     ];
     let (iterations, seed) = (opts.effort.iterations, opts.seed);
     let runs = shared_pool().run_batch(names, 0, move |&name| {
-        let mut server = HarmonyServer::new(name, make_tuner(name, seed));
+        let space = binding::full_space(&base.topology);
+        let tuner = make_tuner(name, space, seed).expect("every name here is registered");
+        let mut server = HarmonyServer::new(name, tuner);
         let mut best = f64::NEG_INFINITY;
         let mut best_iter = 0;
         let mut series = Vec::new();

@@ -11,78 +11,23 @@
 //! one (the multi-core engine must be a wall-clock knob, never a results
 //! knob).
 //!
-//! Usage:
-//!   bench_smoke [--out PATH] [--baseline PATH] [--tolerance FRAC]
-//!               [--rounds N] [--iters M]
+//! Flags: `--out PATH` (default `target/bench-smoke/BENCH_5.json`),
+//! `--baseline PATH`, `--tolerance FRAC` (default 10%), `--rounds N`
+//! (default 16), `--iters M` (default 15).
 
+use bench::args::Options;
 use bench::smoke::{
     self, extract_f64, fingerprint, fingerprint_scenarios, gate, SmokeReport, Verdict,
 };
 use cluster::runner::run_iteration;
 
-struct Cli {
-    out: std::path::PathBuf,
-    baseline: Option<std::path::PathBuf>,
-    tolerance: f64,
-    rounds: u32,
-    iters: u32,
-}
-
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        out: "target/bench-smoke/BENCH_5.json".into(),
-        baseline: None,
-        tolerance: smoke::DEFAULT_TOLERANCE,
-        rounds: 16,
-        iters: 15,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => cli.out = val("--out").into(),
-            "--baseline" => cli.baseline = Some(val("--baseline").into()),
-            "--tolerance" => {
-                cli.tolerance = val("--tolerance").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --tolerance");
-                    std::process::exit(2);
-                })
-            }
-            "--rounds" => {
-                cli.rounds = val("--rounds").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --rounds");
-                    std::process::exit(2);
-                })
-            }
-            "--iters" => {
-                cli.iters = val("--iters").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --iters");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_smoke [--out PATH] [--baseline PATH] \
-                     [--tolerance FRAC] [--rounds N] [--iters M]"
-                );
-                std::process::exit(2);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    cli
-}
-
-fn main() {
-    let cli = parse_cli();
+pub fn run(opts: &Options) {
+    let out = opts
+        .out
+        .clone()
+        .unwrap_or_else(|| "target/bench-smoke/BENCH_5.json".into());
+    let tolerance = opts.tolerance.unwrap_or(smoke::DEFAULT_TOLERANCE);
+    let (rounds, iters) = (opts.rounds.unwrap_or(16), opts.iters.unwrap_or(15));
 
     // 1. Determinism: every seeded scenario, run twice, must
     //    fingerprint identically.
@@ -127,12 +72,12 @@ fn main() {
 
     // 2. Timing: cold-path scenario + pure-CPU reference spin,
     //    interleaved so both minimums sample the same noise windows.
-    let (ms_per_iter, spin_ms) = smoke::measure_interleaved(cli.rounds, cli.iters);
+    let (ms_per_iter, spin_ms) = smoke::measure_interleaved(rounds, iters);
     let report = SmokeReport {
         ms_per_iter,
         spin_ms,
-        rounds: cli.rounds,
-        iters_per_round: cli.iters,
+        rounds,
+        iters_per_round: iters,
         fingerprints,
     };
     println!(
@@ -141,25 +86,24 @@ fn main() {
     );
 
     // 3. Emit BENCH_5.json (the CI artifact).
-    let written = cli
-        .out
+    let written = out
         .parent()
         .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&cli.out, report.to_json()));
+        .and_then(|()| std::fs::write(&out, report.to_json()));
     if let Err(e) = written {
-        eprintln!("could not write {}: {e}", cli.out.display());
+        eprintln!("could not write {}: {e}", out.display());
         std::process::exit(2);
     }
-    println!("wrote {}", cli.out.display());
+    println!("wrote {}", out.display());
 
     // 4. Regression gate against the committed baseline.
-    if let Some(path) = &cli.baseline {
+    if let Some(path) = &opts.baseline {
         let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("could not read baseline {}: {e}", path.display());
             std::process::exit(2);
         });
-        // Baselines are allowed to carry sections this binary does not
-        // know about (other bench binaries merge their own sections into
+        // Baselines are allowed to carry sections this tool does not
+        // know about (other experiments merge their own sections into
         // the same file), and a baseline from a different schema epoch
         // may not carry ours. Missing key -> warn and skip the gate; a
         // gate that cannot run is not a regression.
@@ -171,17 +115,17 @@ fn main() {
             );
             return;
         };
-        match gate(report.normalized(), base, cli.tolerance) {
+        match gate(report.normalized(), base, tolerance) {
             Verdict::Pass(change) => println!(
                 "gate: PASS ({:+.1}% vs baseline, tolerance {:.0}%)",
                 change * 100.0,
-                cli.tolerance * 100.0
+                tolerance * 100.0
             ),
             Verdict::Regression(change) => {
                 eprintln!(
                     "gate: FAIL — normalized cost {:+.1}% vs baseline (tolerance {:.0}%)",
                     change * 100.0,
-                    cli.tolerance * 100.0
+                    tolerance * 100.0
                 );
                 std::process::exit(1);
             }

@@ -3,6 +3,7 @@
 //! experiment — a diagnostic for picking the operating point (see
 //! DESIGN.md §4).
 
+use bench::args::Options;
 use cluster::model::ClusterScenario;
 use cluster::params::{DbParams, ProxyParams, WebParams};
 use cluster::runner::run_iteration;
@@ -52,7 +53,7 @@ fn hand_tuned(workload: Workload) -> (ProxyParams, WebParams, DbParams) {
     (p, w, d)
 }
 
-fn main() {
+pub fn run(_: &Options) {
     let plan = IntervalPlan::fast();
     let topology = Topology::single();
     for workload in Workload::ALL {

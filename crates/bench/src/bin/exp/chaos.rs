@@ -8,23 +8,12 @@
 //! be conformant (finish or degrade — never panic, hang, or report a
 //! non-finite throughput); a non-conformant cell fails the run.
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::chaos;
 use orchestrator::report::{fmt_f, TextTable};
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Chaos conformance matrix (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
-    let result = match chaos::run(&opts.effort, opts.seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+pub fn run(opts: &Options) {
+    let result = crate::or_exit(chaos::run(&opts.effort, opts.seed));
     println!(
         "Ran {} tuners x {} chaos plans ({} iterations each).\n",
         result.tuners.len(),

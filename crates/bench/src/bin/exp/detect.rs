@@ -12,23 +12,12 @@
 //! undetected, the clean plan false-positives, or detector-gated
 //! recovery costs more than one extra iteration over the oracle.
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::detect;
 use orchestrator::report::{fmt_f, TextTable};
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Failure-detector sweep (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
-    let result = match detect::run(&opts.effort, opts.seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+pub fn run(opts: &Options) {
+    let result = crate::or_exit(detect::run(&opts.effort, opts.seed));
     println!(
         "Swept {} phi thresholds x {} plans ({} iterations each; detection horizon {}s).\n",
         result.thresholds.len(),

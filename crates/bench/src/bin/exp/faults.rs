@@ -6,34 +6,23 @@
 //! WIPS dips when the node dies and recovers after the failure-driven
 //! reconfiguration pulls a spare into the wounded tier.
 
-use bench::args;
+use bench::args::Options;
 use obs::TraceSink;
 use orchestrator::experiments::faults;
 use orchestrator::report::sparkline;
 use orchestrator::session::SessionObserver;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Fault injection: dip and recover (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let plan = opts.maybe_fault_plan();
     let mut sink = opts.maybe_trace_sink();
     let mut observer = SessionObserver::new(sink.as_mut().map(|s| s as &mut dyn TraceSink), None);
-    let r = match faults::run_custom(
+    let r = crate::or_exit(faults::run_custom(
         &opts.effort,
         opts.seed,
         plan,
         opts.fault_seed,
         &mut observer,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    ));
 
     println!("WIPS per iteration:");
     println!("  {}", sparkline(&r.wips_series));

@@ -1,18 +1,14 @@
 //! Figure 4 (EXP-F4): applying each workload's best configuration to the
 //! other workloads — no universal configuration exists.
 
-use bench::{args, tuned};
+use bench::args::Options;
+use bench::tuned;
 use obs::{TraceRecord, TraceSink};
-use orchestrator::experiments::{fig4, table3};
+use orchestrator::experiments::fig4;
 use orchestrator::report::{fmt_f, fmt_pct, TextTable};
 use tpcw::mix::Workload;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Figure 4: cross-workload configuration matrix (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     println!(
         "Tuning all three workloads ({} iterations each)...",
         opts.effort.iterations
@@ -82,37 +78,5 @@ fn main() {
 
     // Table 3 falls out of the same tuning runs — print it too.
     println!("\n== Table 3: tuned parameters (same runs) ==\n");
-    let rows = table3::build(&configs);
-    let mut t3 = TextTable::new([
-        "Tunable parameter",
-        "Default",
-        "Browsing",
-        "Shopping",
-        "Ordering",
-    ]);
-    let mut section = "";
-    for row in &rows {
-        if row.section != section {
-            section = row.section;
-            t3.row([
-                format!("-- {} --", row.section),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
-        }
-        t3.row([
-            row.name.to_string(),
-            row.default.to_string(),
-            row.tuned[0].to_string(),
-            row.tuned[1].to_string(),
-            row.tuned[2].to_string(),
-        ]);
-    }
-    println!("{}", t3.render());
-    println!("Directional claims:");
-    for (claim, holds) in table3::directional_checks(&rows) {
-        println!("  [{}] {}", if holds { "ok" } else { "MISS" }, claim);
-    }
+    super::table3::print(&configs, "Directional claims:");
 }

@@ -1,16 +1,11 @@
 //! Figure 5 (EXP-F5): tuning responsiveness to changing workloads.
 
-use bench::args;
+use bench::args::Options;
 use obs::{TraceRecord, TraceSink};
 use orchestrator::experiments::fig5;
 use orchestrator::report::sparkline;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Figure 5: responsiveness to changing workloads (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let r = fig5::run(&opts.effort, opts.seed);
 
     println!(

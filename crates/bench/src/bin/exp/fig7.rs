@@ -1,17 +1,12 @@
 //! Figure 7 (EXP-F7A / EXP-F7B): automatic cluster reconfiguration.
 
-use bench::args;
+use bench::args::Options;
 use obs::{TraceRecord, TraceSink};
 use orchestrator::experiments::fig7::{self, Fig7Variant};
 use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, sparkline, TextTable};
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Figure 7: automatic cluster reconfiguration (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let variants = vec![Fig7Variant::ProxyToApp, Fig7Variant::AppToProxy];
     let (effort, seed) = (opts.effort, opts.seed);
     let results = shared_pool().run_batch(variants, 0, move |&v| fig7::run(v, &effort, seed));
@@ -36,14 +31,8 @@ fn main() {
         };
         table.row([
             name.to_string(),
-            format!(
-                "{}p/{}a/{}d",
-                r.initial_layout.0, r.initial_layout.1, r.initial_layout.2
-            ),
-            format!(
-                "{}p/{}a/{}d",
-                r.final_layout.0, r.final_layout.1, r.final_layout.2
-            ),
+            layout(r.initial_layout),
+            layout(r.final_layout),
             moved,
             fmt_f(r.before_wips, 1),
             fmt_f(r.after_wips, 1),
@@ -67,20 +56,8 @@ fn main() {
             };
             let rec = TraceRecord::new("fig7_variant")
                 .field("variant", variant)
-                .field(
-                    "layout_before",
-                    format!(
-                        "{}p/{}a/{}d",
-                        r.initial_layout.0, r.initial_layout.1, r.initial_layout.2
-                    ),
-                )
-                .field(
-                    "layout_after",
-                    format!(
-                        "{}p/{}a/{}d",
-                        r.final_layout.0, r.final_layout.1, r.final_layout.2
-                    ),
-                )
+                .field("layout_before", layout(r.initial_layout))
+                .field("layout_after", layout(r.final_layout))
                 .field(
                     "reconfig_iteration",
                     r.reconfig_iteration.map(f64::from).unwrap_or(-1.0),
@@ -97,4 +74,9 @@ fn main() {
     println!("Paper shape: (a) one node moves proxy->app after the workload turns to");
     println!("ordering, throughput +62%; (b) one node moves app->proxy under browsing,");
     println!("throughput +70%. Gains combine the extra tier capacity with re-tuning.");
+}
+
+/// A layout as `(proxy, app, db)` node counts, e.g. `4p/2a/5d`.
+fn layout((p, a, d): (usize, usize, usize)) -> String {
+    format!("{p}p/{a}a/{d}d")
 }

@@ -14,17 +14,17 @@
 //!    [`REPS_MIN_SPEEDUP`]× faster.
 //!
 //! Every speedup is a wall-time ratio measured on the host that runs
-//! the binary, never a projection: with fewer than 2 cores there is
+//! it, never a projection: with fewer than 2 cores there is
 //! nothing to measure, and it exits 2 ("needs ≥ 2 cores").
 //!
 //! The sections are merged into `--out` (default `BENCH_6.json`) with
-//! `bench::scale::merge_top_level`, so every other section of an
+//! `bench::scale::merge_into_file`, so every other section of an
 //! existing file, such as `population_scaling`, is kept byte for byte.
 //!
-//! Usage:
-//!   exp_par [--out PATH] [--rounds N]
+//! Flags: `--out PATH` (default `BENCH_6.json`), `--rounds N` (default 5).
 
-use bench::scale::merge_top_level;
+use bench::args::Options;
+use bench::scale::merge_into_file;
 use bench::smoke::{fingerprint_scenarios, pool_fingerprints};
 use cluster::runner::run_iteration;
 use orchestrator::par::shared_pool;
@@ -39,45 +39,6 @@ const REPS: u32 = 8;
 const POOL_MIN_SPEEDUP: f64 = 1.3;
 /// Least width-2 speedup the 8-replication sweep must show.
 const REPS_MIN_SPEEDUP: f64 = 1.2;
-
-struct Cli {
-    out: std::path::PathBuf,
-    rounds: u32,
-}
-
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        out: "BENCH_6.json".into(),
-        rounds: 5,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => cli.out = val("--out").into(),
-            "--rounds" => {
-                cli.rounds = val("--rounds").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --rounds");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: exp_par [--out PATH] [--rounds N]");
-                std::process::exit(2);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    cli
-}
 
 /// Minimum wall time of `f(width)` at widths 1 and 2 over `rounds`
 /// rounds, in ms. The widths alternate within each round, so host noise
@@ -108,11 +69,12 @@ fn section(what: &str, label: &str, ms: [f64; 2], min: f64) -> String {
     )
 }
 
-fn main() {
-    let cli = parse_cli();
+pub fn run(opts: &Options) {
+    let out = opts.out.clone().unwrap_or_else(|| "BENCH_6.json".into());
+    let rounds = opts.rounds.unwrap_or(5);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 2 {
-        eprintln!("exp_par needs ≥ 2 cores to measure a width-2 speedup; this host has {cores}");
+        eprintln!("exp par needs ≥ 2 cores to measure a width-2 speedup; this host has {cores}");
         std::process::exit(2);
     }
     println!("== Deterministic multi-core evaluation engine (cores on this host: {cores}) ==\n");
@@ -145,7 +107,7 @@ fn main() {
         .into_iter()
         .map(|(_, s)| s)
         .collect();
-    let pool_ms = time_widths(cli.rounds, |w| {
+    let pool_ms = time_widths(rounds, |w| {
         std::hint::black_box(
             shared_pool().run_batch(batch.clone(), w, |s| run_iteration(s).events),
         );
@@ -170,7 +132,7 @@ fn main() {
     let cfg = SessionConfig::new(topology, Workload::Shopping, 600)
         .plan(IntervalPlan::tiny())
         .pin_seed(true);
-    let reps_ms = time_widths(cli.rounds, |w| {
+    let reps_ms = time_widths(rounds, |w| {
         std::hint::black_box(cfg.clone().replication_threads(w).measure_default(REPS));
     });
     println!("\nreplication sweep ({REPS} replications, 2p2a2d Shopping):");
@@ -187,7 +149,7 @@ fn main() {
         .map(|(name, fp)| format!("    \"{name}\": \"{fp:016x}\""))
         .collect::<Vec<_>>()
         .join(",\n");
-    let rounds = cli.rounds.max(1);
+    let rounds = rounds.max(1);
     let sections = [
         ("schema", "\"bench-par-v2\"".to_string()),
         ("cores_on_build_host", cores.to_string()),
@@ -224,21 +186,11 @@ fn main() {
             ),
         ),
     ];
-    let mut doc = std::fs::read_to_string(&cli.out).unwrap_or_else(|_| "{\n}\n".to_string());
-    for (key, value) in &sections {
-        doc = merge_top_level(&doc, key, value).unwrap_or_else(|| {
-            eprintln!(
-                "could not merge into {}: not a JSON object",
-                cli.out.display()
-            );
-            std::process::exit(2);
-        });
-    }
-    if let Err(e) = std::fs::write(&cli.out, doc) {
-        eprintln!("could not write {}: {e}", cli.out.display());
+    if let Err(e) = merge_into_file(&out, &out, &sections) {
+        eprintln!("{e}");
         std::process::exit(2);
     }
-    println!("\nwrote par sections -> {}", cli.out.display());
+    println!("\nwrote par sections -> {}", out.display());
 
     // 5. Gates, after the artifact is on disk so CI can upload the
     //    evidence of a failure.

@@ -6,7 +6,7 @@
 //! (population sweep until WIPS stops growing) and prices the system,
 //! reporting throughput, cost, and $/WIPS with 95% confidence intervals.
 
-use bench::args;
+use bench::args::Options;
 use cluster::config::{ClusterConfig, Topology};
 use cluster::pricing::PriceList;
 use orchestrator::par::shared_pool;
@@ -15,7 +15,7 @@ use orchestrator::session::SessionConfig;
 use simkit::ci::replication_ci;
 use tpcw::mix::Workload;
 
-fn saturated_wips(topology: &Topology, opts: &args::Options) -> (f64, f64, u32) {
+fn saturated_wips(topology: &Topology, opts: &Options) -> (f64, f64, u32) {
     // Sweep the population upward until WIPS gains fall under 5%.
     let mut population = 600u32;
     let mut last = 0.0f64;
@@ -42,13 +42,7 @@ fn saturated_wips(topology: &Topology, opts: &args::Options) -> (f64, f64, u32) 
     (best_ci.0, best_ci.1, population)
 }
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Price/performance (Dollars/WIPS) across cluster sizes \
-         (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let prices = PriceList::hpdc04();
     let candidates = [
         Topology::tiers(1, 1, 1).unwrap(),

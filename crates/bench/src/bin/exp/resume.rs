@@ -6,22 +6,11 @@
 //! reports whether the spliced run was byte-identical to the
 //! uninterrupted one (same trace records, bit-equal best WIPS).
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::resume;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Kill-and-resume: crash-safe persistence (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
-    let r = match resume::run(&opts.effort, opts.seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+pub fn run(opts: &Options) {
+    let r = crate::or_exit(resume::run(&opts.effort, opts.seed));
 
     println!(
         "{} iterations per session, journal append every iteration, snapshot every {}",

@@ -17,10 +17,14 @@
 //! the 10k events win. `--effort full` (the weekly artifact) adds the
 //! 1k -> 1M cohort curve with per-browser comparison points up to 100k.
 //!
-//! Usage:
-//!   exp_scale [--effort smoke|full] [--out PATH] [--base PATH] [--bins N]
+//! Flags: `--effort smoke|full` (default `smoke`), `--out PATH` and
+//! `--base PATH` (both default `BENCH_6.json`), `--bins N` (default
+//! [`DEFAULT_COHORT_BINS`]).
 
-use bench::scale::{merge_top_level, point_json, run_point, wips_rel_err, ScalePoint, SCALE_SEED};
+use bench::args::Options;
+use bench::scale::{
+    merge_into_file, point_json, run_point, wips_rel_err, ScalePoint, SCALE_SEED,
+};
 use cluster::model::{LoadModel, DEFAULT_COHORT_BINS};
 
 /// Stated CI bounds on |cohort WIPS - per-browser WIPS| / per-browser
@@ -39,63 +43,6 @@ const EVENTS_WIN_10K_MIN: f64 = 10.0;
 /// 1000x; cohort events/sim-sec must grow by less than 100x.
 const SUBLINEAR_MAX_RATIO: f64 = 100.0;
 
-struct Cli {
-    effort: String,
-    out: std::path::PathBuf,
-    base: std::path::PathBuf,
-    bins: u32,
-}
-
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        effort: "smoke".to_string(),
-        out: "BENCH_6.json".into(),
-        base: "BENCH_6.json".into(),
-        bins: DEFAULT_COHORT_BINS,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--effort" => {
-                cli.effort = val("--effort");
-                if cli.effort != "smoke" && cli.effort != "full" {
-                    eprintln!("--effort must be smoke or full");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => cli.out = val("--out").into(),
-            "--base" => cli.base = val("--base").into(),
-            "--bins" => {
-                cli.bins = val("--bins").parse().unwrap_or_else(|_| {
-                    eprintln!("bad --bins");
-                    std::process::exit(2);
-                });
-                if cli.bins == 0 {
-                    eprintln!("--bins must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: exp_scale [--effort smoke|full] [--out PATH] [--base PATH] [--bins N]"
-                );
-                std::process::exit(2);
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    cli
-}
-
 fn print_point(p: &ScalePoint) {
     println!(
         "  {:>9} {:<11} wips {:>8.2}  resp {:>7.1} ms  p90 {:>7.1} ms  failed {:>8}  \
@@ -112,12 +59,14 @@ fn print_point(p: &ScalePoint) {
     );
 }
 
-fn main() {
-    let cli = parse_cli();
-    let cohort = LoadModel::Cohort { bins: cli.bins };
+pub fn run(opts: &Options) {
+    let bins = opts.bins.unwrap_or(DEFAULT_COHORT_BINS);
+    let out = opts.out.clone().unwrap_or_else(|| "BENCH_6.json".into());
+    let base_path = opts.base.clone().unwrap_or_else(|| "BENCH_6.json".into());
+    let cohort = LoadModel::Cohort { bins };
     println!(
         "== Population scaling: cohort load model ({} bins, seed {SCALE_SEED}, {} effort) ==\n",
-        cli.bins, cli.effort
+        bins, opts.effort_name
     );
 
     // 1. Determinism: the same seeded cohort scenario twice.
@@ -194,7 +143,7 @@ fn main() {
     }
     let mut sublinear_json = "null".to_string();
     let mut sublinear_pass = true;
-    if cli.effort == "full" {
+    if opts.effort_name == "full" {
         println!("\npopulation curve (1k -> 1M):");
         for p in &curve {
             print_point(p);
@@ -256,27 +205,16 @@ fn main() {
           cohort model multiplies service demand by token weight and rescales held pools to \
           token units, so utilisation and saturation throughput match by construction while \
           response times convoy (see DESIGN.md)\"\n  }}",
-        cli.effort,
-        cli.bins,
+        opts.effort_name,
+        bins,
         equiv_rows.join(",\n"),
         points,
     );
-    let base = std::fs::read_to_string(&cli.base).unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = merge_top_level(&base, "population_scaling", &section).unwrap_or_else(|| {
-        eprintln!(
-            "could not merge into {}: not a JSON object",
-            cli.base.display()
-        );
-        std::process::exit(2);
-    });
-    if let Err(e) = std::fs::write(&cli.out, merged) {
-        eprintln!("could not write {}: {e}", cli.out.display());
+    if let Err(e) = merge_into_file(&base_path, &out, &[("population_scaling", section)]) {
+        eprintln!("{e}");
         std::process::exit(2);
     }
-    println!(
-        "\nwrote population_scaling section -> {}",
-        cli.out.display()
-    );
+    println!("\nwrote population_scaling section -> {}", out.display());
 
     // 6. Gates (after the artifact is on disk so CI can upload the
     //    evidence of a failure).
@@ -302,7 +240,7 @@ fn main() {
     }
     println!(
         "gates: determinism, equivalence, 10k events win{} — PASS",
-        if cli.effort == "full" {
+        if opts.effort_name == "full" {
             ", sublinearity"
         } else {
             ""

@@ -1,19 +1,13 @@
 //! Parameter sensitivity (the paper's "identify the parameters that
 //! actually affect system performance" claim, §III.A).
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::sensitivity;
 use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, TextTable};
 use tpcw::mix::Workload;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Parameter sensitivity: one-at-a-time sweeps to range boundaries \
-         (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let workloads = vec![Workload::Browsing, Workload::Ordering];
     let (effort, seed) = (opts.effort, opts.seed);
     let results =

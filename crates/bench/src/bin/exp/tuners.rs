@@ -7,29 +7,18 @@
 //! configuration achieves after tuning against 4× measurement-noise
 //! spikes, vs a fault-free re-measurement of that configuration.
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::tuners;
 use orchestrator::report::{fmt_f, fmt_pct, TextTable};
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== Tuner zoo: cross-tuner, cross-workload comparison (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     println!(
         "Running {} tuners x {} workloads, clean + noise-faulted ({} iterations each)...\n",
         tuners::ZOO.len(),
         tuners::WORKLOADS.len(),
         opts.effort.iterations
     );
-    let result = match tuners::run(&opts.effort, opts.seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let result = crate::or_exit(tuners::run(&opts.effort, opts.seed));
 
     let mut table = TextTable::new([
         "Tuner",

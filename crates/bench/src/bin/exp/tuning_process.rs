@@ -5,18 +5,13 @@
 //! 100 iterations beat it; ordering — default already good, ~85% beat it,
 //! improvement limited.
 
-use bench::args;
+use bench::args::Options;
 use orchestrator::experiments::tuning_process;
 use orchestrator::par::shared_pool;
 use orchestrator::report::{fmt_f, fmt_pct, sparkline, TextTable};
 use tpcw::mix::Workload;
 
-fn main() {
-    let opts = args::parse();
-    println!(
-        "== §III.A tuning process (effort: {}, seed: {}) ==\n",
-        opts.effort_name, opts.seed
-    );
+pub fn run(opts: &Options) {
     let workloads = vec![Workload::Browsing, Workload::Ordering];
     let (effort, seed) = (opts.effort, opts.seed);
     let results = shared_pool().run_batch(workloads, 0, move |&w| {

@@ -1,9 +1,12 @@
-//! Shared helpers for the table/figure regeneration binaries and the
-//! benchmark targets. Each binary in `src/bin/` regenerates one paper
-//! artifact; see EXPERIMENTS.md for the index.
+//! Shared code of the `exp` binary and the benchmark targets.
+//!
+//! `exp <name>` (`src/bin/exp/`) runs one experiment: a table or figure
+//! of the paper, an ablation, a study beyond the paper, or a tool that
+//! writes `BENCH_*.json`. [`args`] is its one flag parser; `exp help`
+//! lists the experiments and EXPERIMENTS.md indexes them.
 //!
 //! Library code must not panic: `unwrap`/`expect` are denied outside
-//! tests (the binaries report errors and exit instead).
+//! tests (`exp` reports errors and exits instead).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -12,4 +15,3 @@ pub mod harness;
 pub mod scale;
 pub mod smoke;
 pub mod tuned;
-pub mod util;

@@ -3,13 +3,14 @@
 //! One *scale point* runs a single seeded iteration of the standard
 //! probe scenario (single work line, Shopping mix, tiny plan) at a
 //! given population under a given [`LoadModel`], and records WIPS,
-//! response times, the event count, and the host wall time. The
-//! `exp_scale` binary sweeps these points, gates cohort-vs-per-browser
+//! response times, the event count, and the host wall time. `exp scale`
+//! sweeps these points, gates cohort-vs-per-browser
 //! equivalence, and merges a `population_scaling` section into
 //! BENCH_6.json.
 
 use cluster::model::{ClusterScenario, LoadModel};
 use cluster::runner::run_iteration;
+use std::path::Path;
 use tpcw::metrics::IntervalPlan;
 use tpcw::mix::Workload;
 
@@ -110,7 +111,7 @@ pub fn point_json(p: &ScalePoint, pad: &str) -> String {
 /// JSON object document, preserving every other section verbatim.
 ///
 /// This is the dependency-free counterpart of the bench crate's
-/// `extract_f64`: BENCH_6.json is machine-written by our own binaries,
+/// `extract_f64`: BENCH_6.json is machine-written by our own tools,
 /// so a brace/string-aware scan is enough — no parser crate. `value`
 /// must already be rendered JSON. Returns `None` when `base` is not
 /// recognisably a JSON object.
@@ -142,6 +143,18 @@ pub fn merge_top_level(base: &str, key: &str, value: &str) -> Option<String> {
         out.push_str(&base[close..]);
         Some(out)
     }
+}
+
+/// Merge each `(key, value)` of `sections` into the JSON object read
+/// from `base` (an empty object if it cannot be read) and write the
+/// result to `out`. `Err` says what could not be merged or written.
+pub fn merge_into_file(base: &Path, out: &Path, sections: &[(&str, String)]) -> Result<(), String> {
+    let mut doc = std::fs::read_to_string(base).unwrap_or_else(|_| "{\n}\n".to_string());
+    for (key, value) in sections {
+        doc = merge_top_level(&doc, key, value)
+            .ok_or_else(|| format!("could not merge into {}: not a JSON object", base.display()))?;
+    }
+    std::fs::write(out, doc).map_err(|e| format!("could not write {}: {e}", out.display()))
 }
 
 /// Find the byte offset of a top-level (depth-1) object key. String

@@ -1,6 +1,6 @@
 //! Deterministic quick-bench ("bench-smoke") support.
 //!
-//! The `bench_smoke` binary runs the canonical cold-path scenario
+//! `exp bench_smoke` runs the canonical cold-path scenario
 //! (single node, Shopping mix, population 400, seed 42 — the same
 //! scenario as `cluster_iteration/iteration/cold`) a fixed number of
 //! times, takes the **minimum** batch time (robust against one-sided
@@ -15,7 +15,7 @@
 //! numerator. The gate fails when the normalized cost exceeds the
 //! committed baseline by more than the tolerance (default 10%).
 //!
-//! The binary also re-runs every seeded probe scenario twice and
+//! It also re-runs every seeded probe scenario twice and
 //! requires bit-identical fingerprints between the two runs — a cheap
 //! in-CI determinism check that catches stray `HashMap` iteration or
 //! uninitialised state without golden files.
@@ -290,8 +290,8 @@ mod tests {
 
     #[test]
     fn extract_tolerates_foreign_sections_in_a_baseline() {
-        // BENCH files accumulate sections from several binaries; a
-        // baseline carrying sections this binary does not understand
+        // BENCH files accumulate sections from several tools; a
+        // baseline carrying sections this tool does not understand
         // must still yield its own key (and cleanly yield None — the
         // gate-skip path, not a crash — when the key is absent).
         let foreign = "{\n  \"schema\": \"bench-par-v2\",\n  \

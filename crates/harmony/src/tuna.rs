@@ -20,7 +20,7 @@
 //!
 //! `best()` therefore reports the *estimated* performance of the most
 //! trustworthy configuration, not the largest number ever seen — the
-//! property the `exp_tuners` noise experiment measures.
+//! property the `exp tuners` noise experiment measures.
 
 use crate::space::{Configuration, ParamSpace};
 use crate::tuner::{
