@@ -91,11 +91,11 @@ pub struct Options {
     pub effort_name: &'static str,
     pub seed: u64,
     /// Directory for optional CSV dumps.
-    pub csv_dir: Option<PathBuf>,
+    pub(crate) csv_dir: Option<PathBuf>,
     /// Path for an optional JSONL trace of the run.
-    pub trace_path: Option<PathBuf>,
+    pub(crate) trace_path: Option<PathBuf>,
     /// Path to an optional JSON fault plan.
-    pub fault_plan_path: Option<PathBuf>,
+    pub(crate) fault_plan_path: Option<PathBuf>,
     /// Optional fault noise/jitter seed override.
     pub fault_seed: Option<u64>,
     /// Where a tool writes its `BENCH_*.json`.

@@ -26,17 +26,20 @@ pub fn run(opts: &Options) {
 
     println!("WIPS per iteration:");
     println!("  {}", sparkline(&r.wips_series));
-    match r.crash_iteration {
-        Some(ci) => println!(
-            "\ncrash at iteration {ci} (pre-crash best {:.1} WIPS)",
-            r.pre_crash_best
+    match (r.crash_iteration, r.pre_crash_best) {
+        (Some(ci), Some(best)) => {
+            println!("\ncrash at iteration {ci} (pre-crash best {best:.1} WIPS)")
+        }
+        (Some(ci), None) => println!(
+            "\ncrash at iteration {ci}: no iteration precedes it, so there is no \
+             pre-crash baseline and no recovery figure"
         ),
-        None => println!("\nno crash in the plan"),
+        (None, _) => println!("\nno crash in the plan"),
     }
     match r.recovery_iterations {
         Some(n) => println!("recovered to 90% of the pre-crash best in {n} iteration(s)"),
         None => {
-            if r.crash_iteration.is_some() {
+            if r.pre_crash_best.is_some() {
                 println!("did not reach 90% of the pre-crash best within the run");
             }
         }

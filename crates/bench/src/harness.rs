@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 /// One benchmark's timing result.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
-    pub iters: u64,
-    pub total: Duration,
+    pub(crate) iters: u64,
+    pub(crate) total: Duration,
 }
 
 impl Measurement {

@@ -26,7 +26,7 @@ pub struct ScalePoint {
     pub wips: f64,
     pub mean_response_ms: f64,
     pub p90_response_ms: f64,
-    pub completed: u64,
+    pub(crate) completed: u64,
     pub failed: u64,
     pub events: u64,
     /// Events per *simulated* second — the load the calendar queue
@@ -40,7 +40,7 @@ pub struct ScalePoint {
 
 /// The probe scenario every scale point runs: single topology,
 /// Shopping mix, tiny plan, fixed seed.
-pub fn scale_scenario(population: u32, load_model: LoadModel) -> ClusterScenario {
+pub(crate) fn scale_scenario(population: u32, load_model: LoadModel) -> ClusterScenario {
     let mut s = ClusterScenario::single(
         Workload::Shopping,
         population,
@@ -115,7 +115,7 @@ pub fn point_json(p: &ScalePoint, pad: &str) -> String {
 /// so a brace/string-aware scan is enough — no parser crate. `value`
 /// must already be rendered JSON. Returns `None` when `base` is not
 /// recognisably a JSON object.
-pub fn merge_top_level(base: &str, key: &str, value: &str) -> Option<String> {
+pub(crate) fn merge_top_level(base: &str, key: &str, value: &str) -> Option<String> {
     let open = base.find('{')?;
     let close = base.rfind('}')?;
     if open >= close {

@@ -41,7 +41,7 @@ fn scen(topo: Topology, w: Workload, pop: u32, seed: u64) -> ClusterScenario {
 
 /// The canonical cold-path timing scenario (matches the
 /// `cluster_iteration` bench's `iteration/cold` case).
-pub fn cold_scenario() -> ClusterScenario {
+pub(crate) fn cold_scenario() -> ClusterScenario {
     scen(Topology::single(), Workload::Shopping, 400, 42)
 }
 

@@ -24,24 +24,22 @@ const CHUNK_CPU: SimDuration = SimDuration::from_micros(40);
 
 /// Per-node application-server state.
 #[derive(Debug, Clone)]
-pub struct AppState {
-    pub params: WebParams,
+pub(crate) struct AppState {
+    pub(crate) params: WebParams,
     /// HTTP processor pool (semaphore usage: demand 0, held explicitly).
-    pub http_pool: MultiServer<ReqId>,
+    pub(crate) http_pool: MultiServer<ReqId>,
     /// AJP worker pool.
-    pub ajp_pool: MultiServer<ReqId>,
-    refused: u64,
+    pub(crate) ajp_pool: MultiServer<ReqId>,
 }
 
 impl AppState {
-    pub fn new(params: WebParams, start: SimTime) -> Self {
+    pub(crate) fn new(params: WebParams, start: SimTime) -> Self {
         let http = params.http_pool();
         let ajp = params.ajp_pool();
         AppState {
             params,
             http_pool: MultiServer::new(start, http.max, Some(http.accept as usize)),
             ajp_pool: MultiServer::new(start, ajp.max, Some(ajp.accept as usize)),
-            refused: 0,
         }
     }
 
@@ -49,7 +47,7 @@ impl AppState {
     /// when the pool is already running beyond its warm minimum (Tomcat
     /// reaps idle threads down to `minProcessors`, so bursts re-create
     /// them), plus per-chunk response flushing.
-    pub fn servlet_cpu(&self, base: SimDuration, response_bytes: u64) -> SimDuration {
+    pub(crate) fn servlet_cpu(&self, base: SimDuration, response_bytes: u64) -> SimDuration {
         let mut cpu = base;
         if self.http_pool.busy() > self.params.http_pool().min {
             cpu += THREAD_SPAWN_CPU;
@@ -59,7 +57,7 @@ impl AppState {
     }
 
     /// CPU to flush a response of `bytes` through `bufferSize` chunks.
-    pub fn chunk_cpu(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn chunk_cpu(&self, bytes: u64) -> SimDuration {
         let buf = self.params.buffer_size.max(512) as u64;
         let chunks = bytes.div_ceil(buf).max(1);
         SimDuration::from_micros(CHUNK_CPU.as_micros() * chunks)
@@ -68,21 +66,13 @@ impl AppState {
     /// Scheduling overhead multiplier. Most held threads are *blocked* on
     /// downstream I/O (sleeping, nearly free); only a fraction are runnable
     /// at any instant, so the per-thread context-switch tax is mild.
-    pub fn scheduling_factor(&self, cores: u32) -> f64 {
+    pub(crate) fn scheduling_factor(&self, cores: u32) -> f64 {
         let held = self.http_pool.busy() + self.ajp_pool.busy();
         if held > cores {
             1.0 + 0.0008 * (held - cores) as f64
         } else {
             1.0
         }
-    }
-
-    pub fn note_refused(&mut self) {
-        self.refused += 1;
-    }
-
-    pub fn refused(&self) -> u64 {
-        self.refused
     }
 }
 
@@ -166,13 +156,5 @@ mod tests {
         }
         let f = a.scheduling_factor(2);
         assert!(f > 1.05 && f < 1.15, "factor {f}");
-    }
-
-    #[test]
-    fn refused_counter() {
-        let mut a = app();
-        a.note_refused();
-        a.note_refused();
-        assert_eq!(a.refused(), 2);
     }
 }

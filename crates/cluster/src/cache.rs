@@ -12,7 +12,7 @@
 use simkit::hash::FxHashMap;
 
 /// Cache object key (object id in the simulated catalogue).
-pub type ObjectId = u64;
+pub(crate) type ObjectId = u64;
 
 const NIL: usize = usize::MAX;
 
@@ -188,37 +188,8 @@ impl LruCache {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Occupancy fraction in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            self.used_bytes as f64 / self.capacity_bytes as f64
-        }
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     pub fn evictions(&self) -> u64 {
@@ -234,16 +205,6 @@ impl LruCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Drop everything (server restart between tuning iterations).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.used_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -256,8 +217,8 @@ mod tests {
         assert!(c.insert(1, 100));
         assert!(c.get(1));
         assert!(!c.get(2));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.hits, 1);
+        assert_eq!(c.misses, 1);
         assert_eq!(c.used_bytes(), 100);
     }
 
@@ -284,7 +245,7 @@ mod tests {
         c.insert(2, 100);
         c.insert(3, 100);
         assert!(c.insert(4, 250));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
         assert!(c.contains(4));
         assert_eq!(c.used_bytes(), 250);
     }
@@ -331,7 +292,7 @@ mod tests {
         // Slab should be bounded by the max resident count, not total
         // inserts.
         assert!(c.slab.len() <= 11, "slab grew to {}", c.slab.len());
-        assert_eq!(c.len(), 10);
+        assert_eq!(c.map.len(), 10);
     }
 
     #[test]
@@ -342,27 +303,6 @@ mod tests {
         c.get(1);
         c.get(99);
         assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_resets_contents_but_not_stats() {
-        let mut c = LruCache::new(100);
-        c.insert(1, 50);
-        c.get(1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.used_bytes(), 0);
-        assert!(!c.contains(1));
-        assert!(c.insert(2, 100));
-    }
-
-    #[test]
-    fn occupancy_fraction() {
-        let mut c = LruCache::new(200);
-        c.insert(1, 50);
-        assert!((c.occupancy() - 0.25).abs() < 1e-12);
-        let z = LruCache::new(0);
-        assert_eq!(z.occupancy(), 0.0);
     }
 
     #[test]
@@ -383,7 +323,7 @@ mod tests {
             model.clear();
         }
         // Accounting invariant: used == sum of resident sizes <= capacity.
-        assert!(c.used_bytes() <= c.capacity_bytes());
+        assert!(c.used_bytes() <= c.capacity_bytes);
         let resident: u64 = c.map.values().map(|&idx| c.slab[idx].bytes).sum();
         assert_eq!(resident, c.used_bytes());
     }

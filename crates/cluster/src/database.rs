@@ -28,16 +28,16 @@ const NET_CHUNK_CPU: SimDuration = SimDuration::from_micros(30);
 /// Bytes of result set per query (mean; modulates net chunking).
 const RESULT_BYTES_MEAN: f64 = 24.0 * 1024.0;
 /// Disk page read size for a data miss.
-pub const DATA_PAGE_BYTES: u64 = 16 * 1024;
+pub(crate) const DATA_PAGE_BYTES: u64 = 16 * 1024;
 
 /// Per-node database state.
 #[derive(Debug, Clone)]
-pub struct DbState {
-    pub params: DbParams,
+pub(crate) struct DbState {
+    pub(crate) params: DbParams,
     /// Connection slots (semaphore usage).
-    pub conn_pool: MultiServer<ReqId>,
+    pub(crate) conn_pool: MultiServer<ReqId>,
     /// Run slots implementing `thread_concurrency`.
-    pub run_slots: MultiServer<ReqId>,
+    pub(crate) run_slots: MultiServer<ReqId>,
     /// Hot table descriptors the workload needs (from the catalogue scale).
     hot_table_slots: u64,
     /// Precomputed lognormal shapes for the per-query draws (fixed CVs;
@@ -50,17 +50,17 @@ pub struct DbState {
 
 /// The execution cost of one query, decided at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryCost {
+pub(crate) struct QueryCost {
     /// CPU demand (before node-level pressure scaling).
-    pub cpu: SimDuration,
+    pub(crate) cpu: SimDuration,
     /// Whether a data-page disk read is needed.
-    pub disk_read: bool,
+    pub(crate) disk_read: bool,
     /// Whether the binlog spilled and needs a disk flush.
-    pub binlog_spill: bool,
+    pub(crate) binlog_spill: bool,
 }
 
 impl DbState {
-    pub fn new(params: DbParams, start: SimTime, hot_table_slots: u64) -> Self {
+    pub(crate) fn new(params: DbParams, start: SimTime, hot_table_slots: u64) -> Self {
         DbState {
             params,
             conn_pool: MultiServer::new(start, params.max_connections.max(1) as u32, None),
@@ -73,14 +73,14 @@ impl DbState {
     }
 
     /// Probability a query misses the table cache.
-    pub fn table_miss_prob(&self) -> f64 {
+    pub(crate) fn table_miss_prob(&self) -> f64 {
         let cache = self.params.table_cache.max(0) as f64;
         (1.0 - cache / self.hot_table_slots as f64).max(0.0)
     }
 
     /// Join-buffer inflation factor: a buffer smaller than the working set
     /// forces multi-pass joins.
-    pub fn join_factor(&self) -> f64 {
+    pub(crate) fn join_factor(&self) -> f64 {
         let buf = self.params.join_buffer_size.max(1);
         if buf >= JOIN_NEEDED_BYTES {
             1.0
@@ -91,7 +91,7 @@ impl DbState {
     }
 
     /// Context-switch inflation from running more threads than cores.
-    pub fn scheduling_factor(&self, cores: u32) -> f64 {
+    pub(crate) fn scheduling_factor(&self, cores: u32) -> f64 {
         let runnable = self.run_slots.busy();
         if runnable > cores {
             1.0 + 0.0015 * (runnable - cores) as f64
@@ -109,7 +109,7 @@ impl DbState {
     ///
     /// * `base_cpu_ms` / `io_prob` / `join_heavy` / `write_log_kb` come
     ///   from the interaction's demand profile.
-    pub fn query_cost(
+    pub(crate) fn query_cost(
         &self,
         rng: &mut SimRng,
         base_cpu_ms: f64,

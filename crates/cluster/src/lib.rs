@@ -4,11 +4,11 @@
 //! model of the paper's Squid → Tomcat → MySQL pipeline with every Table 3
 //! tunable wired to a performance mechanism:
 //!
-//! * [`proxy`] — LRU memory + disk stores, admission by object size,
+//! * `proxy` — LRU memory + disk stores, admission by object size,
 //!   bucket-chain lookup cost;
-//! * [`appserver`] — HTTP/AJP thread pools with accept backlogs, buffer
+//! * `appserver` — HTTP/AJP thread pools with accept backlogs, buffer
 //!   chunking, thread-spawn and scheduling overheads;
-//! * [`database`] — connection and run-slot semaphores, table cache, join
+//! * `database` — connection and run-slot semaphores, table cache, join
 //!   and network buffers, binlog spill;
 //! * [`memory`] — per-node memory accounting with a swap-pressure
 //!   slowdown (why extreme configurations hurt);
@@ -40,29 +40,22 @@
 // step dedicated to these crates.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod appserver;
+pub(crate) mod appserver;
 pub mod cache;
 pub mod config;
-pub mod database;
+pub(crate) mod database;
 pub mod memory;
 pub mod model;
 pub mod node;
 pub mod object;
 pub mod params;
 pub mod pricing;
-pub mod proxy;
-pub mod request;
+pub(crate) mod proxy;
+pub(crate) mod request;
 pub mod runner;
 pub mod spec;
 
-pub use config::{ClusterConfig, NodeId, NodeParams, Role, Topology};
-pub use faults::{Health, HealthChange, HealthTimeline, Slowdown};
-pub use model::{ClusterModel, ClusterScenario};
-pub use node::NodeUtilization;
-pub use params::{
-    DbParams, ProxyParams, TunableDef, WebParams, DB_TUNABLES, PROXY_TUNABLES, WEB_TUNABLES,
-};
-pub use pricing::PriceList;
-pub use runner::{run_iteration, IterationOutcome};
-pub use runner::{run_iteration_checked, EvalError};
-pub use spec::NodeSpec;
+pub use config::{ClusterConfig, Topology};
+pub use faults::{Health, HealthChange, HealthTimeline};
+pub use model::ClusterScenario;
+pub use runner::run_iteration;

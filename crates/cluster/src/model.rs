@@ -34,7 +34,7 @@ use crate::object::object_size_bytes;
 use crate::proxy::CacheOutcome;
 use crate::request::{ReqId, ReqPhase, Request, RequestSlab};
 use crate::spec::NodeSpec;
-use faults::{Health, HealthChange, HealthTimeline};
+use faults::{HealthChange, HealthTimeline};
 use simkit::engine::{Model, Scheduler};
 use simkit::resource::Admission;
 use simkit::rng::{LognormalShape, SimRng};
@@ -47,7 +47,8 @@ use tpcw::metrics::{IntervalPlan, MetricsCollector};
 use tpcw::mix::Workload;
 use tpcw::scale::CatalogScale;
 
-pub use tpcw::cohort::{CohortPlan, LoadModel, DEFAULT_COHORT_BINS};
+pub(crate) use tpcw::cohort::CohortPlan;
+pub use tpcw::cohort::{LoadModel, DEFAULT_COHORT_BINS};
 
 /// How requests are spread across a tier's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,20 +160,9 @@ impl ClusterScenario {
 }
 
 impl ClusterScenario {
-    /// Degrade node `node` to `cpu_scale` of nominal CPU speed (failure
-    /// injection: a flaky fan, a co-tenant, a dying disk controller...).
-    pub fn degrade_cpu(&mut self, node: NodeId, cpu_scale: f64) {
-        if self.node_specs.len() <= node {
-            self.node_specs.resize(self.topology.len(), None);
-        }
-        let mut spec = self.node_specs[node].unwrap_or(self.spec);
-        spec.cpu_scale = cpu_scale;
-        self.node_specs[node] = Some(spec);
-    }
-
     /// Validate cross-field consistency before running: configuration
     /// aligned with the topology, sane specs, well-formed work lines.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.spec.validate()?;
         for spec in self.node_specs.iter().flatten() {
             spec.validate()?;
@@ -275,7 +265,6 @@ impl ClusterScenario {
 /// The cluster world: nodes, browsers, in-flight requests, metrics.
 pub struct ClusterModel {
     pub nodes: Vec<Node>,
-    topology: Topology,
     workload: Workload,
     scale: CatalogScale,
     browsers: BrowserPool,
@@ -322,7 +311,7 @@ struct CohortRuntime {
 
 impl ClusterModel {
     /// Build the world and schedule the initial browser wave on `sim`.
-    pub fn new(scenario: &ClusterScenario, start: SimTime) -> Self {
+    pub(crate) fn new(scenario: &ClusterScenario, start: SimTime) -> Self {
         let root = SimRng::new(scenario.seed);
         // In the cohort model the circulating entities are weighted
         // tokens, not browsers: the pool shrinks to `plan.tokens` streams
@@ -438,7 +427,6 @@ impl ClusterModel {
                 .as_ref()
                 .map(|tl| tl.changes.clone())
                 .unwrap_or_default(),
-            topology: scenario.topology.clone(),
             workload: scenario.workload,
             scale: scenario.scale,
             browsers,
@@ -544,10 +532,6 @@ impl ClusterModel {
         self.requests.get(req).is_some_and(|r| r.generation == gen)
     }
 
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
     pub fn total_done(&self) -> u64 {
         self.total_done
     }
@@ -556,22 +540,15 @@ impl ClusterModel {
         self.total_failed
     }
 
-    pub fn in_flight(&self) -> usize {
+    /// Requests in flight (the model tests' conservation checks).
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.requests.live()
     }
 
     /// Utilization snapshot of every node at `now`.
     pub fn utilizations(&self, now: SimTime) -> Vec<NodeUtilization> {
         self.nodes.iter().map(|n| n.utilization(now)).collect()
-    }
-
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Number of work lines (1 when no partition is configured).
-    pub fn line_count(&self) -> usize {
-        self.line_tiers.len()
     }
 
     /// Per-line WIPS over the measurement window.
@@ -876,11 +853,6 @@ impl ClusterModel {
         }
     }
 
-    /// Current health of every node (for fault-aware observers).
-    pub fn healths(&self) -> Vec<Health> {
-        self.nodes.iter().map(|n| n.health).collect()
-    }
-
     fn fail_request(&mut self, sched: &mut Scheduler<Ev>, req: ReqId) {
         let now = sched.now();
         let r = self.requests.remove(req).expect("live request");
@@ -914,7 +886,6 @@ impl ClusterModel {
             }
             Admission::Enqueued => {}
             Admission::Rejected => {
-                self.nodes[app_node].app_mut().unwrap().note_refused();
                 self.fail_request(sched, req);
             }
         }
@@ -939,7 +910,6 @@ impl ClusterModel {
                 }
                 Admission::Enqueued => {}
                 Admission::Rejected => {
-                    self.nodes[app_node].app_mut().unwrap().note_refused();
                     self.release_app_threads(sched, req);
                     self.fail_request(sched, req);
                 }
@@ -1338,7 +1308,10 @@ mod tests {
     #[test]
     fn validate_catches_bad_degraded_spec() {
         let mut s = scenario();
-        s.degrade_cpu(0, 0.0);
+        s.node_specs = vec![Some(NodeSpec {
+            cpu_scale: 0.0,
+            ..s.spec
+        })];
         assert!(s.validate().is_err());
     }
 
@@ -1366,7 +1339,7 @@ mod tests {
         s.topology = topology;
         s.lines = Some(vec![vec![0, 2, 4], vec![1, 3, 5]]);
         let model = ClusterModel::new(&s, SimTime::ZERO);
-        assert_eq!(model.line_count(), 2);
+        assert_eq!(model.line_tiers.len(), 2);
         // Even browsers on line 0, odd on line 1.
         assert_eq!(model.line_of_browser(0), 0);
         assert_eq!(model.line_of_browser(1), 1);

@@ -13,14 +13,14 @@ use simkit::time::{SimDuration, SimTime};
 
 /// Role-specific server-process state on a node.
 #[derive(Debug, Clone)]
-pub enum RoleState {
+pub(crate) enum RoleState {
     Proxy(ProxyState),
     App(AppState),
     Db(DbState),
 }
 
 impl RoleState {
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         match self {
             RoleState::Proxy(_) => Role::Proxy,
             RoleState::App(_) => Role::App,
@@ -32,22 +32,22 @@ impl RoleState {
 /// A cluster machine.
 #[derive(Debug)]
 pub struct Node {
-    pub spec: NodeSpec,
+    pub(crate) spec: NodeSpec,
     /// CPU cores (timed multi-server).
-    pub cpu: MultiServer<ReqId>,
+    pub(crate) cpu: MultiServer<ReqId>,
     /// Disk (single-armed, timed).
-    pub disk: MultiServer<ReqId>,
+    pub(crate) disk: MultiServer<ReqId>,
     /// NIC (timed; transfers serialize at saturation).
-    pub nic: MultiServer<ReqId>,
+    pub(crate) nic: MultiServer<ReqId>,
     /// Memory configured by the node's parameters, MB.
-    pub mem_used_mb: f64,
+    pub(crate) mem_used_mb: f64,
     /// Service-time multiplier from memory pressure (≥ 1).
-    pub pressure: f64,
+    pub(crate) pressure: f64,
     /// Injected health: `Down` nodes refuse new work at routing time,
     /// `Degraded` nodes scale their service times.
-    pub health: Health,
+    pub(crate) health: Health,
     /// The server process running on this node.
-    pub role_state: RoleState,
+    pub(crate) role_state: RoleState,
 }
 
 /// Apply a health slowdown factor, skipping the multiply entirely when
@@ -64,7 +64,12 @@ fn health_scaled(d: SimDuration, factor: f64) -> SimDuration {
 impl Node {
     /// Build a node for its configured role, computing its memory demand
     /// and pressure factor once (parameters are fixed for the iteration).
-    pub fn new(spec: NodeSpec, params: &NodeParams, start: SimTime, hot_table_slots: u64) -> Self {
+    pub(crate) fn new(
+        spec: NodeSpec,
+        params: &NodeParams,
+        start: SimTime,
+        hot_table_slots: u64,
+    ) -> Self {
         let (role_state, mem_used_mb) = match params {
             NodeParams::Proxy(p) => (RoleState::Proxy(ProxyState::new(*p)), proxy_memory_mb(p)),
             NodeParams::App(w) => (RoleState::App(AppState::new(*w, start)), app_memory_mb(w)),
@@ -86,13 +91,13 @@ impl Node {
         }
     }
 
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         self.role_state.role()
     }
 
     /// CPU service time for `demand` at reference speed, including memory
     /// pressure.
-    pub fn cpu_time(&self, demand: SimDuration) -> SimDuration {
+    pub(crate) fn cpu_time(&self, demand: SimDuration) -> SimDuration {
         health_scaled(
             self.spec.cpu_time(demand).mul_f64(self.pressure),
             self.health.cpu_factor(),
@@ -101,7 +106,7 @@ impl Node {
 
     /// Disk service time for one I/O of `bytes`, including pressure
     /// (paging competes for the same arm).
-    pub fn disk_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn disk_time(&self, bytes: u64) -> SimDuration {
         health_scaled(
             self.spec.disk_io(bytes).mul_f64(self.pressure),
             self.health.disk_factor(),
@@ -109,7 +114,7 @@ impl Node {
     }
 
     /// Sequential-append disk time (log flushes), including pressure.
-    pub fn disk_seq_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn disk_seq_time(&self, bytes: u64) -> SimDuration {
         health_scaled(
             self.spec.disk_seq_write(bytes).mul_f64(self.pressure),
             self.health.disk_factor(),
@@ -118,46 +123,46 @@ impl Node {
 
     /// NIC transfer time for `bytes` (pressure does not slow the wire,
     /// but injected NIC degradation does).
-    pub fn nic_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn nic_time(&self, bytes: u64) -> SimDuration {
         health_scaled(self.spec.nic_transfer(bytes), self.health.nic_factor())
     }
 
-    pub fn proxy(&self) -> Option<&ProxyState> {
+    pub(crate) fn proxy(&self) -> Option<&ProxyState> {
         match &self.role_state {
             RoleState::Proxy(p) => Some(p),
             _ => None,
         }
     }
 
-    pub fn proxy_mut(&mut self) -> Option<&mut ProxyState> {
+    pub(crate) fn proxy_mut(&mut self) -> Option<&mut ProxyState> {
         match &mut self.role_state {
             RoleState::Proxy(p) => Some(p),
             _ => None,
         }
     }
 
-    pub fn app(&self) -> Option<&AppState> {
+    pub(crate) fn app(&self) -> Option<&AppState> {
         match &self.role_state {
             RoleState::App(a) => Some(a),
             _ => None,
         }
     }
 
-    pub fn app_mut(&mut self) -> Option<&mut AppState> {
+    pub(crate) fn app_mut(&mut self) -> Option<&mut AppState> {
         match &mut self.role_state {
             RoleState::App(a) => Some(a),
             _ => None,
         }
     }
 
-    pub fn db(&self) -> Option<&DbState> {
+    pub(crate) fn db(&self) -> Option<&DbState> {
         match &self.role_state {
             RoleState::Db(d) => Some(d),
             _ => None,
         }
     }
 
-    pub fn db_mut(&mut self) -> Option<&mut DbState> {
+    pub(crate) fn db_mut(&mut self) -> Option<&mut DbState> {
         match &mut self.role_state {
             RoleState::Db(d) => Some(d),
             _ => None,
@@ -165,7 +170,7 @@ impl Node {
     }
 
     /// Snapshot resource utilizations over the window ending at `now`.
-    pub fn utilization(&self, now: SimTime) -> NodeUtilization {
+    pub(crate) fn utilization(&self, now: SimTime) -> NodeUtilization {
         NodeUtilization {
             cpu: self.cpu.utilization(now).min(1.0),
             disk: self.disk.utilization(now).min(1.0),
@@ -201,11 +206,6 @@ impl NodeUtilization {
             ("net", self.net),
             ("mem", self.mem),
         ]
-    }
-
-    /// The maximum utilization across resources.
-    pub fn max_resource(&self) -> f64 {
-        self.cpu.max(self.disk).max(self.net).max(self.mem)
     }
 }
 
@@ -297,6 +297,5 @@ mod tests {
         assert_eq!(u.cpu, 0.0);
         assert!(u.mem > 0.0 && u.mem < 1.0);
         assert_eq!(u.resources().len(), 4);
-        assert!(u.max_resource() >= u.cpu);
     }
 }

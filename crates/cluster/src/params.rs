@@ -22,13 +22,8 @@ pub struct TunableDef {
 }
 
 impl TunableDef {
-    /// Clamp a raw value into this parameter's range.
-    pub fn clamp(&self, v: i64) -> i64 {
-        v.clamp(self.min, self.max)
-    }
-
     /// True if `v` lies within the bounds.
-    pub fn contains(&self, v: i64) -> bool {
+    pub(crate) fn contains(&self, v: i64) -> bool {
         (self.min..=self.max).contains(&v)
     }
 }
@@ -43,18 +38,18 @@ pub struct ProxyParams {
     /// `cache_mem`: memory cache size, MB.
     pub cache_mem: i64,
     /// `cache_swap_low`: disk-store eviction low watermark, percent.
-    pub cache_swap_low: i64,
+    pub(crate) cache_swap_low: i64,
     /// `cache_swap_high`: disk-store eviction high watermark, percent.
-    pub cache_swap_high: i64,
+    pub(crate) cache_swap_high: i64,
     /// `maximum_object_size`: largest object cached at all, KB.
-    pub maximum_object_size: i64,
+    pub(crate) maximum_object_size: i64,
     /// `minimum_object_size`: smallest object cached, KB (0 = no minimum).
-    pub minimum_object_size: i64,
+    pub(crate) minimum_object_size: i64,
     /// `maximum_object_size_in_memory`: largest object held in the memory
     /// store, KB.
     pub maximum_object_size_in_memory: i64,
     /// `store_objects_per_bucket`: hash-table occupancy target.
-    pub store_objects_per_bucket: i64,
+    pub(crate) store_objects_per_bucket: i64,
 }
 
 /// Tunable metadata for the proxy, in Table 3 order.
@@ -147,7 +142,7 @@ impl ProxyParams {
     }
 
     /// Memory-store capacity in bytes.
-    pub fn cache_mem_bytes(&self) -> u64 {
+    pub(crate) fn cache_mem_bytes(&self) -> u64 {
         (self.cache_mem.max(0) as u64) * 1024 * 1024
     }
 }
@@ -168,7 +163,7 @@ pub struct WebParams {
     /// `bufferSize`: per-connection I/O buffer, bytes.
     pub buffer_size: i64,
     /// `AJPminProcessors`: warm AJP worker threads.
-    pub ajp_min_processors: i64,
+    pub(crate) ajp_min_processors: i64,
     /// `AJPmaxProcessors`: maximum AJP pool size.
     pub ajp_max_processors: i64,
     /// `AJPacceptCount`: AJP accept-queue length.
@@ -226,7 +221,7 @@ pub const WEB_TUNABLES: [TunableDef; 7] = [
 pub struct EffectivePool {
     pub min: u32,
     pub max: u32,
-    pub accept: u32,
+    pub(crate) accept: u32,
 }
 
 impl WebParams {
@@ -275,7 +270,7 @@ impl WebParams {
     }
 
     /// Effective AJP pool.
-    pub fn ajp_pool(&self) -> EffectivePool {
+    pub(crate) fn ajp_pool(&self) -> EffectivePool {
         let max = self.ajp_max_processors.max(1) as u32;
         EffectivePool {
             min: (self.ajp_min_processors.max(1) as u32).min(max),
@@ -295,22 +290,22 @@ pub struct DbParams {
     /// `binlog_cache_size`: per-transaction binary-log cache, bytes.
     pub binlog_cache_size: i64,
     /// `delayed_insert_limit`: rows handed over per delayed-insert batch.
-    pub delayed_insert_limit: i64,
+    pub(crate) delayed_insert_limit: i64,
     /// `max_connections`: concurrent client connections.
     pub max_connections: i64,
     /// `delayed_queue_size`: queued rows for delayed inserts.
-    pub delayed_queue_size: i64,
+    pub(crate) delayed_queue_size: i64,
     /// `join_buffer_size`: per-join buffer, bytes.
     pub join_buffer_size: i64,
     /// `net_buffer_length`: result-set network chunk, bytes.
-    pub net_buffer_length: i64,
+    pub(crate) net_buffer_length: i64,
     /// `table_cache`: open table descriptors kept cached.
     pub table_cache: i64,
     /// `thread_concurrency` (`thread_con`): desired concurrently-running
     /// threads inside the server.
     pub thread_concurrency: i64,
     /// `thread_stack`: per-thread stack, bytes.
-    pub thread_stack: i64,
+    pub(crate) thread_stack: i64,
 }
 
 /// Tunable metadata for the database, in Table 3 order.
@@ -446,17 +441,16 @@ fn check_values(v: &[i64], defs: &[TunableDef]) -> Result<(), ParamError> {
     Ok(())
 }
 
-/// Total number of tunables across one node of each tier (Table 3 rows).
-pub const TOTAL_TUNABLES_PER_WORKLINE: usize =
-    PROXY_TUNABLES.len() + WEB_TUNABLES.len() + DB_TUNABLES.len();
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table3_has_23_parameters() {
-        assert_eq!(TOTAL_TUNABLES_PER_WORKLINE, 23);
+        assert_eq!(
+            PROXY_TUNABLES.len() + WEB_TUNABLES.len() + DB_TUNABLES.len(),
+            23
+        );
     }
 
     #[test]
@@ -569,9 +563,6 @@ mod tests {
             max: 20,
             default: 15,
         };
-        assert_eq!(d.clamp(5), 10);
-        assert_eq!(d.clamp(25), 20);
-        assert_eq!(d.clamp(12), 12);
         assert!(d.contains(10) && d.contains(20) && !d.contains(9));
     }
 }

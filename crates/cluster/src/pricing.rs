@@ -12,16 +12,16 @@ use crate::config::{Role, Topology};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceList {
     /// One commodity dual-CPU server.
-    pub server: f64,
+    pub(crate) server: f64,
     /// Per-machine share of the switch/network infrastructure.
-    pub network_per_node: f64,
+    pub(crate) network_per_node: f64,
     /// Software licensing per node of each tier (open-source = 0, but
     /// support contracts are real).
-    pub proxy_software: f64,
-    pub app_software: f64,
-    pub db_software: f64,
+    pub(crate) proxy_software: f64,
+    pub(crate) app_software: f64,
+    pub(crate) db_software: f64,
     /// Fixed costs: racks, console, installation.
-    pub fixed: f64,
+    pub(crate) fixed: f64,
 }
 
 impl PriceList {

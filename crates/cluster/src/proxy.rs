@@ -22,7 +22,7 @@ const DISK_STORE_BYTES: u64 = 10 * 1024 * 1024 * 1024;
 
 /// Where a cacheable request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// Served from the memory store.
     MemHit,
     /// Served from the disk store (one disk I/O).
@@ -33,15 +33,15 @@ pub enum CacheOutcome {
 
 /// Per-node proxy state.
 #[derive(Debug, Clone)]
-pub struct ProxyState {
-    pub params: ProxyParams,
+pub(crate) struct ProxyState {
+    pub(crate) params: ProxyParams,
     mem_store: LruCache,
     disk_store: LruCache,
     forwards: u64,
 }
 
 impl ProxyState {
-    pub fn new(params: ProxyParams) -> Self {
+    pub(crate) fn new(params: ProxyParams) -> Self {
         ProxyState {
             params,
             mem_store: LruCache::new(params.cache_mem_bytes()),
@@ -51,25 +51,25 @@ impl ProxyState {
     }
 
     /// The in-memory object store (hit/miss statistics live here).
-    pub fn mem_store(&self) -> &LruCache {
+    pub(crate) fn mem_store(&self) -> &LruCache {
         &self.mem_store
     }
 
     /// The on-disk object store.
-    pub fn disk_store(&self) -> &LruCache {
+    pub(crate) fn disk_store(&self) -> &LruCache {
         &self.disk_store
     }
 
     /// CPU cost of one cache lookup + request handling. The hash chain is
     /// `store_objects_per_bucket` long on average; each link costs a couple
     /// of microseconds of pointer chasing.
-    pub fn lookup_cpu(&self) -> SimDuration {
+    pub(crate) fn lookup_cpu(&self) -> SimDuration {
         let chain = self.params.store_objects_per_bucket.max(1) as u64;
         SimDuration::from_micros(300 + 2 * chain)
     }
 
     /// Look up a cacheable object. Updates store recency and statistics.
-    pub fn lookup(&mut self, object: ObjectId) -> CacheOutcome {
+    pub(crate) fn lookup(&mut self, object: ObjectId) -> CacheOutcome {
         if self.mem_store.get(object) {
             CacheOutcome::MemHit
         } else if self.disk_store.get(object) {
@@ -96,7 +96,7 @@ impl ProxyState {
     }
 
     /// Admit a fetched object on the response path.
-    pub fn admit(&mut self, object: ObjectId, bytes: u64) {
+    pub(crate) fn admit(&mut self, object: ObjectId, bytes: u64) {
         if self.disk_admissible(bytes) {
             self.disk_store.insert(object, bytes);
         }
@@ -105,22 +105,8 @@ impl ProxyState {
         }
     }
 
-    /// Memory-store hit ratio so far (diagnostics).
-    pub fn mem_hit_ratio(&self) -> f64 {
-        self.mem_store.hit_ratio()
-    }
-
-    /// Disk-store hit ratio so far (diagnostics).
-    pub fn disk_hit_ratio(&self) -> f64 {
-        self.disk_store.hit_ratio()
-    }
-
-    pub fn forwards(&self) -> u64 {
+    pub(crate) fn forwards(&self) -> u64 {
         self.forwards
-    }
-
-    pub fn mem_used_bytes(&self) -> u64 {
-        self.mem_store.used_bytes()
     }
 }
 
@@ -235,7 +221,7 @@ mod tests {
                 admitted.push(id);
             }
         }
-        assert!(p.mem_used_bytes() <= 1024 * 1024);
+        assert!(p.mem_store.used_bytes() <= 1024 * 1024);
         // The earliest admitted small objects must have been evicted.
         let first = admitted[0];
         let outcome = p.lookup(first);

@@ -12,12 +12,12 @@ use tpcw::browser::BrowserId;
 use tpcw::interaction::Interaction;
 
 /// Slab index of an in-flight request.
-pub type ReqId = u32;
+pub(crate) type ReqId = u32;
 
 /// Where the request is in the pipeline — interpreted together with the
 /// resource-completion event that carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReqPhase {
+pub(crate) enum ReqPhase {
     /// Proxy CPU: cache lookup / request parsing.
     ProxyLookup,
     /// Proxy disk: reading a disk-store hit.
@@ -36,59 +36,59 @@ pub enum ReqPhase {
 
 /// One in-flight web interaction.
 #[derive(Debug, Clone, Copy)]
-pub struct Request {
-    pub browser: BrowserId,
-    pub interaction: Interaction,
-    pub issued_at: SimTime,
+pub(crate) struct Request {
+    pub(crate) browser: BrowserId,
+    pub(crate) interaction: Interaction,
+    pub(crate) issued_at: SimTime,
     /// Think time after this interaction completes (or fails). Drawn up
     /// front at admission so the browser stream's draws batch into one
     /// contiguous run (see `ClusterModel::issue_request`).
-    pub think: SimDuration,
+    pub(crate) think: SimDuration,
     /// Proxy node that accepted the request.
-    pub proxy_node: NodeId,
+    pub(crate) proxy_node: NodeId,
     /// App node chosen when forwarded (meaningless for proxy hits).
-    pub app_node: NodeId,
+    pub(crate) app_node: NodeId,
     /// DB node chosen for this request's queries.
-    pub db_node: NodeId,
+    pub(crate) db_node: NodeId,
     /// Work line the request belongs to (0 when unpartitioned).
-    pub line: u32,
+    pub(crate) line: u32,
     /// Which tiers this request was assigned a node in (for
     /// load-balancer accounting release).
-    pub assigned_app: bool,
-    pub assigned_db: bool,
+    pub(crate) assigned_app: bool,
+    pub(crate) assigned_db: bool,
     /// Cacheable object requested, if any.
-    pub object: Option<u64>,
+    pub(crate) object: Option<u64>,
     /// Response size in bytes.
-    pub response_bytes: u64,
+    pub(crate) response_bytes: u64,
     /// How the proxy resolved it.
-    pub cache_outcome: CacheOutcome,
+    pub(crate) cache_outcome: CacheOutcome,
     /// True if the page needs servlet (AJP) execution.
-    pub needs_servlet: bool,
+    pub(crate) needs_servlet: bool,
     /// Database queries still to run.
-    pub queries_remaining: u32,
+    pub(crate) queries_remaining: u32,
     /// Pipeline position.
-    pub phase: ReqPhase,
+    pub(crate) phase: ReqPhase,
     /// Resources currently held (released on completion or failure).
-    pub holds_http: bool,
-    pub holds_ajp: bool,
-    pub holds_db_conn: bool,
-    pub holds_db_sched: bool,
+    pub(crate) holds_http: bool,
+    pub(crate) holds_ajp: bool,
+    pub(crate) holds_db_conn: bool,
+    pub(crate) holds_db_sched: bool,
     /// The current DB query needs a data-page disk read after its CPU
     /// slice.
-    pub pending_disk: bool,
+    pub(crate) pending_disk: bool,
     /// Pending binlog spill after the current disk read (write queries
     /// whose transaction log overflowed `binlog_cache_size`).
-    pub binlog_spill: bool,
+    pub(crate) binlog_spill: bool,
     /// Generation counter guarding against stale events after slot reuse.
-    pub generation: u32,
+    pub(crate) generation: u32,
     /// How many browsers this request stands for (1 in the per-browser
     /// load model; the cohort token weight otherwise). Service demand is
     /// scaled and completions counted by this factor.
-    pub weight: u32,
+    pub(crate) weight: u32,
 }
 
 impl Request {
-    pub fn new(browser: BrowserId, interaction: Interaction, issued_at: SimTime) -> Self {
+    pub(crate) fn new(browser: BrowserId, interaction: Interaction, issued_at: SimTime) -> Self {
         Request {
             browser,
             interaction,
@@ -118,7 +118,7 @@ impl Request {
     }
 
     /// Response time so far.
-    pub fn elapsed(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn elapsed(&self, now: SimTime) -> SimDuration {
         now.since(self.issued_at)
     }
 }
@@ -133,24 +133,20 @@ impl Request {
 /// what lets the event handlers use the unchecked [`Self::req`] accessors
 /// after a single liveness check (one bounds check, no discriminant).
 #[derive(Debug, Default)]
-pub struct RequestSlab {
+pub(crate) struct RequestSlab {
     slots: Vec<Request>,
     generations: Vec<u32>,
     free: Vec<ReqId>,
-    live: usize,
-    peak_live: usize,
 }
 
 impl RequestSlab {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RequestSlab::default()
     }
 
     /// Insert a request, returning its id. The request's generation is
     /// stamped from the slot's generation counter.
-    pub fn insert(&mut self, mut req: Request) -> ReqId {
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
+    pub(crate) fn insert(&mut self, mut req: Request) -> ReqId {
         match self.free.pop() {
             Some(id) => {
                 req.generation = self.generations[id as usize];
@@ -168,62 +164,49 @@ impl RequestSlab {
     }
 
     /// Access a live request.
-    pub fn get(&self, id: ReqId) -> Option<&Request> {
+    pub(crate) fn get(&self, id: ReqId) -> Option<&Request> {
         let r = self.slots.get(id as usize)?;
-        (r.generation == self.generations[id as usize]).then_some(r)
-    }
-
-    pub fn get_mut(&mut self, id: ReqId) -> Option<&mut Request> {
-        let r = self.slots.get_mut(id as usize)?;
         (r.generation == self.generations[id as usize]).then_some(r)
     }
 
     /// Direct access to a request known to be live (hot path; callers
     /// have already passed a generation check this event).
     #[inline(always)]
-    pub fn req(&self, id: ReqId) -> &Request {
+    pub(crate) fn req(&self, id: ReqId) -> &Request {
         debug_assert!(self.get(id).is_some(), "req() on dead slot {id}");
         &self.slots[id as usize]
     }
 
     /// Direct mutable access to a request known to be live.
     #[inline(always)]
-    pub fn req_mut(&mut self, id: ReqId) -> &mut Request {
+    pub(crate) fn req_mut(&mut self, id: ReqId) -> &mut Request {
         debug_assert!(self.get(id).is_some(), "req_mut() on dead slot {id}");
         &mut self.slots[id as usize]
     }
 
     /// Remove a request, recycling its slot (generation bumps so stale
     /// events referencing the old occupant can be detected).
-    pub fn remove(&mut self, id: ReqId) -> Option<Request> {
+    pub(crate) fn remove(&mut self, id: ReqId) -> Option<Request> {
         let r = *self.slots.get(id as usize)?;
         if r.generation != self.generations[id as usize] {
             return None;
         }
         self.generations[id as usize] = self.generations[id as usize].wrapping_add(1);
         self.free.push(id);
-        self.live -= 1;
         Some(r)
-    }
-
-    /// Current generation of a slot (for stale-event checks).
-    pub fn generation(&self, id: ReqId) -> Option<u32> {
-        self.generations.get(id as usize).copied()
     }
 
     /// Generation of a request known to be live (hot path).
     #[inline(always)]
-    pub fn stamp_of(&self, id: ReqId) -> u32 {
+    pub(crate) fn stamp_of(&self, id: ReqId) -> u32 {
         debug_assert!(self.get(id).is_some(), "stamp_of() on dead slot {id}");
         self.generations[id as usize]
     }
 
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
+    /// Requests currently live.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -258,7 +241,6 @@ mod tests {
         assert_eq!(a, b, "slot must be reused");
         let gen_b = slab.get(b).unwrap().generation;
         assert_ne!(gen_a, gen_b, "generation must change on reuse");
-        assert_eq!(slab.generation(b), Some(gen_b));
         assert_eq!(slab.stamp_of(b), gen_b);
     }
 
@@ -270,21 +252,8 @@ mod tests {
         // The dense slot still physically holds the old bytes, but every
         // checked accessor must treat it as vacant.
         assert!(slab.get(a).is_none());
-        assert!(slab.get_mut(a).is_none());
         assert!(slab.remove(a).is_none(), "double-remove must be a no-op");
         assert_eq!(slab.live(), 0);
-    }
-
-    #[test]
-    fn peak_live_tracks_high_water() {
-        let mut slab = RequestSlab::new();
-        let ids: Vec<_> = (0..10).map(|_| slab.insert(req())).collect();
-        for id in &ids {
-            slab.remove(*id);
-        }
-        slab.insert(req());
-        assert_eq!(slab.peak_live(), 10);
-        assert_eq!(slab.live(), 1);
     }
 
     #[test]
@@ -297,6 +266,5 @@ mod tests {
     fn get_out_of_range_is_none() {
         let slab = RequestSlab::new();
         assert!(slab.get(42).is_none());
-        assert_eq!(slab.generation(42), None);
     }
 }

@@ -385,7 +385,12 @@ mod tests {
         let mut s = ClusterScenario::single(Workload::Ordering, 500, IntervalPlan::tiny(), 17);
         s.config = ClusterConfig::defaults(&topology);
         s.topology = topology;
-        s.degrade_cpu(1, 0.25); // first app node at quarter speed
+        // First app node at quarter speed.
+        s.node_specs = vec![None; s.topology.len()];
+        s.node_specs[1] = Some(crate::spec::NodeSpec {
+            cpu_scale: 0.25,
+            ..s.spec
+        });
         let rr = run_iteration(&s);
         // The slow node runs proportionally hotter than its healthy twin.
         assert!(
@@ -496,9 +501,9 @@ mod tests {
         });
         let mut sim = crate::model::start_simulation(&s);
         sim.run_until(SimTime::from_millis(500));
-        assert!(!sim.model().healths()[1].is_down(), "not yet crashed");
+        assert!(!sim.model().nodes[1].health.is_down(), "not yet crashed");
         sim.run_until(SimTime::from_secs(2));
-        assert!(sim.model().healths()[1].is_down(), "crash applied");
+        assert!(sim.model().nodes[1].health.is_down(), "crash applied");
     }
 
     #[test]

@@ -36,30 +36,30 @@ impl NodeSpec {
     }
 
     /// Time to move `bytes` over the NIC (transfer only, no queueing).
-    pub fn nic_transfer(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn nic_transfer(&self, bytes: u64) -> SimDuration {
         let secs = bytes as f64 * 8.0 / (self.nic_mbps * 1e6);
         SimDuration::from_secs_f64(secs)
     }
 
     /// Time for one random disk I/O of `bytes`.
-    pub fn disk_io(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn disk_io(&self, bytes: u64) -> SimDuration {
         let xfer = bytes as f64 / (self.disk_mb_per_s * 1e6);
         self.disk_seek + SimDuration::from_secs_f64(xfer)
     }
 
     /// Time for a sequential append of `bytes` (log flushes): transfer plus
     /// a small fixed latency, no positioning cost.
-    pub fn disk_seq_write(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn disk_seq_write(&self, bytes: u64) -> SimDuration {
         let xfer = bytes as f64 / (self.disk_mb_per_s * 1e6);
         SimDuration::from_micros(300) + SimDuration::from_secs_f64(xfer)
     }
 
     /// Scale a CPU demand expressed at reference speed to this node.
-    pub fn cpu_time(&self, demand: SimDuration) -> SimDuration {
+    pub(crate) fn cpu_time(&self, demand: SimDuration) -> SimDuration {
         demand.mul_f64(1.0 / self.cpu_scale.max(1e-9))
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("node needs at least one core".into());
         }

@@ -96,7 +96,7 @@ pub struct WindowReport {
     /// Membership at the window's end.
     pub states: Vec<NodeState>,
     /// Beats due in the window.
-    pub beats: u64,
+    pub(crate) beats: u64,
     /// Arrivals delivered to the estimators this window.
     pub delivered: u64,
     /// Beats suppressed by a crash.
@@ -140,28 +140,17 @@ impl Detector {
         }
     }
 
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Current membership of one node.
-    pub fn state(&self, node: usize) -> NodeState {
+    #[cfg(test)]
+    fn state(&self, node: usize) -> NodeState {
         self.view.state(node)
-    }
-
-    /// Current membership of every node.
-    pub fn states(&self) -> Vec<NodeState> {
-        self.view.states()
     }
 
     /// Per-node liveness as the detector believes it: `true` unless the
     /// node is confirmed `Down`. (`Suspect` still counts as live — only a
     /// confirmed failure may trigger recovery.)
-    pub fn live(&self) -> Vec<bool> {
+    #[cfg(test)]
+    fn live(&self) -> Vec<bool> {
         (0..self.nodes).map(|n| !self.view.is_down(n)).collect()
     }
 
@@ -308,7 +297,7 @@ mod tests {
             assert_eq!(report.missed, 0);
             for &phi in &report.peak_phi {
                 assert!(
-                    phi < det.config().phi_threshold / 2.0,
+                    phi < det.config.phi_threshold / 2.0,
                     "jitter alone must stay far from the threshold: {phi}"
                 );
             }

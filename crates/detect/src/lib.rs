@@ -13,7 +13,7 @@
 //!                      jitters them)                        flap damping)   Down)
 //! ```
 //!
-//! * [`monitor`] — derives per-node heartbeat arrival times as a pure
+//! * `monitor` — derives per-node heartbeat arrival times as a pure
 //!   function of `(plan, seed, window)`: a crashed node stops beating, a
 //!   stalled node's beats are deferred to the stall's end, slowdowns and
 //!   noise spikes jitter delivery latency;
@@ -41,12 +41,11 @@
 // with a dedicated clippy step.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod detector;
-pub mod membership;
-pub mod monitor;
-pub mod phi;
+pub(crate) mod detector;
+pub(crate) mod membership;
+pub(crate) mod monitor;
+pub(crate) mod phi;
 
-pub use detector::{DetectedTransition, Detector, DetectorConfig, WindowReport};
-pub use membership::{MembershipConfig, MembershipView, NodeState, Transition};
-pub use monitor::{heartbeat_arrivals, HeartbeatWindow};
+pub use detector::{Detector, DetectorConfig, WindowReport};
+pub use membership::{MembershipView, NodeState};
 pub use phi::PhiAccrual;

@@ -53,28 +53,28 @@ impl NodeState {
 /// Debouncing knobs. Kept separate from the φ estimator's config so the
 /// two layers can be tested in isolation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipConfig {
+pub(crate) struct MembershipConfig {
     /// φ at or above this is a suspicious assessment.
-    pub phi_threshold: f64,
+    pub(crate) phi_threshold: f64,
     /// Consecutive suspicious assessments before `Suspect` confirms `Down`.
-    pub confirm: u32,
+    pub(crate) confirm: u32,
     /// Consecutive calm assessments before `Down` recovers to `Up`.
-    pub recover: u32,
+    pub(crate) recover: u32,
     /// Upper bound on the flap penalty (bounds the effective confirm
     /// streak at `confirm + flap_max_penalty`).
-    pub flap_max_penalty: u32,
+    pub(crate) flap_max_penalty: u32,
     /// Calm assessments required to shed one penalty point.
-    pub flap_decay: u32,
+    pub(crate) flap_decay: u32,
 }
 
 /// A state change the view decided on during one assessment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transition {
-    pub node: usize,
-    pub from: NodeState,
-    pub to: NodeState,
+pub(crate) struct Transition {
+    pub(crate) node: usize,
+    pub(crate) from: NodeState,
+    pub(crate) to: NodeState,
     /// The φ that triggered the assessment.
-    pub phi: f64,
+    pub(crate) phi: f64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,43 +108,38 @@ pub struct MembershipView {
 }
 
 impl MembershipView {
-    pub fn new(config: MembershipConfig, nodes: usize) -> MembershipView {
+    pub(crate) fn new(config: MembershipConfig, nodes: usize) -> MembershipView {
         MembershipView {
             config,
             nodes: vec![NodeMembership::FRESH; nodes],
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    pub fn state(&self, node: usize) -> NodeState {
+    #[cfg(test)]
+    pub(crate) fn state(&self, node: usize) -> NodeState {
         self.nodes.get(node).map_or(NodeState::Up, |n| n.state)
     }
 
-    pub fn states(&self) -> Vec<NodeState> {
+    pub(crate) fn states(&self) -> Vec<NodeState> {
         self.nodes.iter().map(|n| n.state).collect()
     }
 
-    pub fn is_down(&self, node: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_down(&self, node: usize) -> bool {
         self.state(node) == NodeState::Down
     }
 
     /// The suspicious streak currently required to confirm this node
     /// `Down`: the base `confirm` plus accrued flap penalty.
-    pub fn effective_confirm(&self, node: usize) -> u32 {
+    #[cfg(test)]
+    fn effective_confirm(&self, node: usize) -> u32 {
         let penalty = self.nodes.get(node).map_or(0, |n| n.penalty);
         self.config.confirm.saturating_add(penalty)
     }
 
     /// Feed one assessment (a φ reading at a heartbeat tick) for `node`.
     /// Returns the transition, if this assessment caused one.
-    pub fn assess(&mut self, node: usize, phi: f64) -> Option<Transition> {
+    pub(crate) fn assess(&mut self, node: usize, phi: f64) -> Option<Transition> {
         let cfg = self.config;
         let m = self.nodes.get_mut(node)?;
         let suspicious = phi.is_finite() && phi >= cfg.phi_threshold;

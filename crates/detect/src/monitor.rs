@@ -29,19 +29,19 @@ const BEAT_SEED_DOMAIN: u64 = 0xDE7E_C7ED_0BEA_75ED;
 
 /// Everything the monitoring plane produced for one window `[start, end)`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HeartbeatWindow {
+pub(crate) struct HeartbeatWindow {
     /// Arrival instants, sorted by time then node. Arrivals may land
     /// beyond `end` (a stall crossing the boundary); the detector carries
     /// those forward as pending.
-    pub arrivals: Vec<(SimTime, usize)>,
+    pub(crate) arrivals: Vec<(SimTime, usize)>,
     /// Beats due in the window across all nodes.
-    pub beats: u64,
+    pub(crate) beats: u64,
     /// Beats suppressed because the node was crashed when they were due.
-    pub missed: u64,
+    pub(crate) missed: u64,
 }
 
 /// Derive the heartbeat arrivals for `[start, end)` across `nodes`.
-pub fn heartbeat_arrivals(
+pub(crate) fn heartbeat_arrivals(
     injector: &FaultInjector,
     config: &DetectorConfig,
     seed: u64,

@@ -42,7 +42,7 @@ pub struct PhiAccrual {
 }
 
 impl PhiAccrual {
-    pub fn new(capacity: usize) -> PhiAccrual {
+    pub(crate) fn new(capacity: usize) -> PhiAccrual {
         PhiAccrual {
             capacity: capacity.max(2),
             intervals_us: Vec::new(),
@@ -53,7 +53,7 @@ impl PhiAccrual {
     /// Record a heartbeat arrival. Arrivals must be delivered in
     /// nondecreasing time order; simultaneous arrivals record a zero
     /// interval.
-    pub fn record(&mut self, at: SimTime) {
+    pub(crate) fn record(&mut self, at: SimTime) {
         let at_us = at.as_micros();
         if let Some(last) = self.last_arrival_us {
             self.intervals_us.push(at_us.saturating_sub(last));
@@ -64,17 +64,12 @@ impl PhiAccrual {
         self.last_arrival_us = Some(at_us.max(self.last_arrival_us.unwrap_or(0)));
     }
 
-    /// Number of intervals currently in the window.
-    pub fn samples(&self) -> usize {
-        self.intervals_us.len()
-    }
-
     /// Current suspicion level. Zero until the first heartbeat arrives
     /// (an unseen node is given the benefit of the doubt at bootstrap);
     /// with fewer than two observed intervals the estimator falls back to
     /// `bootstrap_s` as the expected interval. `min_std_s` floors σ so a
     /// perfectly regular history cannot make the detector hair-triggered.
-    pub fn phi(&self, now: SimTime, bootstrap_s: f64, min_std_s: f64) -> f64 {
+    pub(crate) fn phi(&self, now: SimTime, bootstrap_s: f64, min_std_s: f64) -> f64 {
         let Some(last) = self.last_arrival_us else {
             return 0.0;
         };
@@ -227,7 +222,7 @@ mod tests {
         for s in 0..100 {
             p.record(SimTime::from_secs(s));
         }
-        assert_eq!(p.samples(), 4);
+        assert_eq!(p.intervals_us.len(), 4);
     }
 
     #[test]

@@ -2,70 +2,18 @@
 //!
 //! Each tuning iteration runs an independent simulation whose internal
 //! clock restarts at zero, but faults are scheduled on one continuous
-//! session timeline. The `FaultClock` maps iterations (and retry delays)
-//! onto that timeline: every measurement window advances it by the
-//! iteration span, and retry backoff consumes simulated hold time, so a
-//! restart scheduled for later in the session can heal a retried
-//! evaluation.
+//! session timeline. The `FaultClock` maps iterations onto that
+//! timeline: iteration `i` measures the `i`-th window of one iteration
+//! span.
 
-use persist::{Checkpointable, PersistError, State};
 use simkit::time::{SimDuration, SimTime};
 
-#[derive(Debug, Clone)]
-pub struct FaultClock {
-    span: SimDuration,
-    now: SimTime,
-}
-
-impl Checkpointable for FaultClock {
-    fn save_state(&self) -> State {
-        State::map()
-            .with("span_us", State::U64(self.span.as_micros()))
-            .with("now_us", State::U64(self.now.as_micros()))
-    }
-
-    fn restore_state(&mut self, state: &State) -> Result<(), PersistError> {
-        self.span = SimDuration::from_micros(state.field_u64("span_us")?);
-        self.now = SimTime::from_micros(state.field_u64("now_us")?);
-        Ok(())
-    }
-}
+/// The mapping from tuning iterations to session-timeline windows.
+pub struct FaultClock;
 
 impl FaultClock {
-    /// A clock whose measurement windows are `span` long.
-    pub fn new(span: SimDuration) -> Self {
-        FaultClock {
-            span,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Current position on the session timeline.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The span of one measurement window.
-    pub fn span(&self) -> SimDuration {
-        self.span
-    }
-
-    /// Claim the next measurement window `[start, end)` and advance.
-    pub fn next_window(&mut self) -> (SimTime, SimTime) {
-        let start = self.now;
-        let end = start + self.span;
-        self.now = end;
-        (start, end)
-    }
-
-    /// Let `delay` of session time pass without measuring (retry backoff).
-    pub fn hold(&mut self, delay: SimDuration) {
-        self.now += delay;
-    }
-
-    /// The window iteration `i` would occupy if every window ran
-    /// back-to-back with no retries — the static mapping used when a
-    /// fault plan is attached to a plain (non-resilient) session.
+    /// The window iteration `i` occupies: windows run back to back from
+    /// t = 0, one iteration span each.
     pub fn window_of(span: SimDuration, iteration: u32) -> (SimTime, SimTime) {
         let start = SimTime::ZERO + SimDuration::from_micros(span.as_micros() * iteration as u64);
         (start, start + span)
@@ -78,46 +26,16 @@ mod tests {
 
     #[test]
     fn windows_are_contiguous() {
-        let mut clock = FaultClock::new(SimDuration::from_secs(30));
-        assert_eq!(clock.next_window(), (SimTime::ZERO, SimTime::from_secs(30)));
-        assert_eq!(
-            clock.next_window(),
-            (SimTime::from_secs(30), SimTime::from_secs(60))
-        );
-        assert_eq!(clock.now(), SimTime::from_secs(60));
-    }
-
-    #[test]
-    fn hold_shifts_later_windows() {
-        let mut clock = FaultClock::new(SimDuration::from_secs(10));
-        clock.next_window();
-        clock.hold(SimDuration::from_secs(5));
-        assert_eq!(
-            clock.next_window(),
-            (SimTime::from_secs(15), SimTime::from_secs(25))
-        );
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_resumes_the_timeline() {
-        let mut clock = FaultClock::new(SimDuration::from_secs(30));
-        clock.next_window();
-        clock.hold(SimDuration::from_secs(7));
-        let saved = clock.save_state();
-        let mut resumed = FaultClock::new(SimDuration::from_secs(1));
-        resumed.restore_state(&saved).unwrap();
-        assert_eq!(resumed.span(), clock.span());
-        assert_eq!(resumed.now(), clock.now());
-        assert_eq!(resumed.next_window(), clock.next_window());
-        assert!(resumed.restore_state(&State::Null).is_err());
-    }
-
-    #[test]
-    fn static_window_mapping_matches_fresh_clock() {
         let span = SimDuration::from_secs(30);
-        let mut clock = FaultClock::new(span);
+        assert_eq!(
+            FaultClock::window_of(span, 0),
+            (SimTime::ZERO, SimTime::from_secs(30))
+        );
         for i in 0..4 {
-            assert_eq!(clock.next_window(), FaultClock::window_of(span, i));
+            assert_eq!(
+                FaultClock::window_of(span, i).1,
+                FaultClock::window_of(span, i + 1).0
+            );
         }
     }
 }

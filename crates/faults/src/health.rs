@@ -10,15 +10,11 @@ pub struct Slowdown {
 
 impl Slowdown {
     /// No slowdown on any resource.
-    pub const NONE: Slowdown = Slowdown {
+    pub(crate) const NONE: Slowdown = Slowdown {
         cpu: 1.0,
         disk: 1.0,
         nic: 1.0,
     };
-
-    pub fn is_none(&self) -> bool {
-        *self == Slowdown::NONE
-    }
 }
 
 impl Default for Slowdown {
@@ -45,7 +41,7 @@ impl Health {
         matches!(self, Health::Down)
     }
 
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         matches!(self, Health::Up)
     }
 
@@ -72,15 +68,6 @@ impl Health {
             _ => 1.0,
         }
     }
-
-    /// Short label for trace records.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Health::Up => "up",
-            Health::Degraded(_) => "degraded",
-            Health::Down => "down",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +77,7 @@ mod tests {
     #[test]
     fn defaults_are_healthy() {
         assert_eq!(Health::default(), Health::Up);
-        assert!(Slowdown::default().is_none());
+        assert_eq!(Slowdown::default(), Slowdown::NONE);
         assert!(Health::Up.is_up());
         assert!(!Health::Up.is_down());
     }
@@ -107,12 +94,5 @@ mod tests {
         assert_eq!(h.nic_factor(), 4.0);
         assert_eq!(Health::Up.cpu_factor(), 1.0);
         assert_eq!(Health::Down.nic_factor(), 1.0);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Health::Up.name(), "up");
-        assert_eq!(Health::Degraded(Slowdown::NONE).name(), "degraded");
-        assert_eq!(Health::Down.name(), "down");
     }
 }

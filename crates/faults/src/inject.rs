@@ -34,10 +34,10 @@ impl HealthTimeline {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowFaults {
     /// Node health at the window's start (events strictly before `start`).
-    pub initial: Vec<Health>,
+    pub(crate) initial: Vec<Health>,
     /// Transitions inside the window, sorted by offset. Includes the
     /// implicit recoveries that end a stall.
-    pub changes: Vec<HealthChange>,
+    pub(crate) changes: Vec<HealthChange>,
     /// Product of noise-spike factors landing in the window (1.0 = none).
     pub noise: f64,
     /// The raw in-window events, for tracing. Stall *ends* are implicit
@@ -47,7 +47,7 @@ pub struct WindowFaults {
     /// `Down` via `changes`, but only a crash invalidates the in-flight
     /// measurement and triggers reconfiguration — this list keeps
     /// `crashes()`/`crash_in()` crash-only.
-    pub crash_offsets: Vec<(usize, SimDuration)>,
+    pub(crate) crash_offsets: Vec<(usize, SimDuration)>,
     /// Total stalled seconds overlapping the window, summed across stall
     /// events. The timeout policy charges this against its budget: a
     /// stalled node makes the evaluation *take longer*, it does not kill
@@ -167,7 +167,7 @@ pub struct NodeStatus {
 }
 
 impl NodeStatus {
-    pub const UP: NodeStatus = NodeStatus {
+    pub(crate) const UP: NodeStatus = NodeStatus {
         crashed: false,
         stalled_until: None,
         slowdown: Slowdown {
@@ -193,14 +193,6 @@ impl FaultInjector {
             plan: plan.clone(),
             seed,
         }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The plan expanded into a sorted step schedule: every event, plus an

@@ -12,8 +12,7 @@
 //!   `Down`) the cluster consults when routing and when computing service
 //!   times;
 //! * [`clock::FaultClock`] — maps tuning iterations onto the session-wide
-//!   fault timeline, including simulated hold time consumed by retries so a
-//!   scheduled restart can heal a later attempt;
+//!   fault timeline;
 //! * [`inject::FaultInjector`] — a stateless, replayable projection of a
 //!   plan onto any `[start, end)` measurement window, yielding the initial
 //!   node healths, in-window transitions, the noise factor, and the
@@ -30,15 +29,15 @@
 // with a dedicated clippy step.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod clock;
-pub mod health;
-pub mod inject;
+pub(crate) mod clock;
+pub(crate) mod health;
+pub(crate) mod inject;
 mod json;
 pub mod library;
-pub mod plan;
+pub(crate) mod plan;
 
 pub use clock::FaultClock;
 pub use health::{Health, Slowdown};
-pub use inject::{FaultInjector, HealthChange, HealthTimeline, NodeStatus, WindowFaults};
+pub use inject::{FaultInjector, HealthChange, HealthTimeline, WindowFaults};
 pub use library::ChaosPlan;
-pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanError};
+pub use plan::{FaultEvent, FaultKind, FaultPlan};

@@ -30,7 +30,7 @@ pub fn crash_storm(window_s: f64, nodes: usize) -> FaultPlan {
 
 /// Stacked noise spikes: every measurement in the storm is suspect, so
 /// the outlier gate and remeasurement logic carry the load.
-pub fn noise_storm(window_s: f64, _nodes: usize) -> FaultPlan {
+pub(crate) fn noise_storm(window_s: f64, _nodes: usize) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for k in 0..6u32 {
         plan = plan.noise_spike(window_s * (1.0 + 2.0 * k as f64), 6.0);
@@ -40,7 +40,7 @@ pub fn noise_storm(window_s: f64, _nodes: usize) -> FaultPlan {
 
 /// Back-to-back stalls long enough to blow a per-attempt timeout budget:
 /// the `Timeout` policy's reason to exist.
-pub fn stall_burst(window_s: f64, nodes: usize) -> FaultPlan {
+pub(crate) fn stall_burst(window_s: f64, nodes: usize) -> FaultPlan {
     let mut plan = FaultPlan::new();
     let targets = nodes.max(1);
     for k in 0..3u32 {
@@ -52,7 +52,7 @@ pub fn stall_burst(window_s: f64, nodes: usize) -> FaultPlan {
 
 /// A rolling restart sweep: every node goes down and comes back, one
 /// after another, like a deploy gone slow.
-pub fn rolling_restart(window_s: f64, nodes: usize) -> FaultPlan {
+pub(crate) fn rolling_restart(window_s: f64, nodes: usize) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for n in 0..nodes.max(1) {
         let at = window_s * (1.0 + 2.5 * n as f64);
@@ -62,7 +62,7 @@ pub fn rolling_restart(window_s: f64, nodes: usize) -> FaultPlan {
 }
 
 /// Everything at once: slowdowns, a stall, a crash, and noise, overlapping.
-pub fn mixed_mayhem(window_s: f64, nodes: usize) -> FaultPlan {
+pub(crate) fn mixed_mayhem(window_s: f64, nodes: usize) -> FaultPlan {
     let targets = nodes.max(2);
     FaultPlan::new()
         .cpu_slow(window_s * 0.5, 0, 3.0)

@@ -54,7 +54,7 @@ impl FaultKind {
     }
 
     /// The stall duration, if this is a stall.
-    pub fn stall_duration_s(&self) -> Option<f64> {
+    pub(crate) fn stall_duration_s(&self) -> Option<f64> {
         match self {
             FaultKind::Stall(d) => Some(*d),
             _ => None,
@@ -62,7 +62,7 @@ impl FaultKind {
     }
 
     /// Whether this kind targets a specific node.
-    pub fn needs_node(&self) -> bool {
+    pub(crate) fn needs_node(&self) -> bool {
         !matches!(self, FaultKind::NoiseSpike(_))
     }
 }
@@ -76,7 +76,7 @@ pub struct FaultEvent {
     pub kind: FaultKind,
     /// Optional caller-assigned event id. Ids must be unique within a
     /// plan; they let traces and tooling refer to specific events.
-    pub id: Option<u64>,
+    pub(crate) id: Option<u64>,
 }
 
 /// Why a plan could not be parsed or validated.
@@ -174,7 +174,7 @@ impl FaultPlan {
     }
 
     /// The schedule, sorted by timestamp (stable for equal timestamps).
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
@@ -183,7 +183,7 @@ impl FaultPlan {
     }
 
     /// Add one event, keeping the schedule sorted.
-    pub fn push(&mut self, event: FaultEvent) {
+    pub(crate) fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
         self.events.sort_by_key(|e| e.at);
     }
@@ -209,18 +209,13 @@ impl FaultPlan {
     }
 
     /// Scale `node`'s CPU service times by `factor` from `at_s` on.
-    pub fn cpu_slow(self, at_s: f64, node: usize, factor: f64) -> Self {
+    pub(crate) fn cpu_slow(self, at_s: f64, node: usize, factor: f64) -> Self {
         self.with(at_s, Some(node), FaultKind::CpuSlow(factor))
     }
 
     /// Scale `node`'s disk service times by `factor` from `at_s` on.
-    pub fn disk_slow(self, at_s: f64, node: usize, factor: f64) -> Self {
+    pub(crate) fn disk_slow(self, at_s: f64, node: usize, factor: f64) -> Self {
         self.with(at_s, Some(node), FaultKind::DiskSlow(factor))
-    }
-
-    /// Scale `node`'s NIC transfer times by `factor` from `at_s` on.
-    pub fn nic_degrade(self, at_s: f64, node: usize, factor: f64) -> Self {
-        self.with(at_s, Some(node), FaultKind::NicDegrade(factor))
     }
 
     /// Spike measurement noise by `factor` for the window containing `at_s`.
@@ -290,7 +285,7 @@ impl FaultPlan {
     }
 
     /// Parse a plan from its JSON text.
-    pub fn parse_json(text: &str) -> Result<Self, PlanError> {
+    pub(crate) fn parse_json(text: &str) -> Result<Self, PlanError> {
         let doc = json::parse(text).map_err(PlanError::Json)?;
         let events = doc
             .get("events")
@@ -405,10 +400,11 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let plan = FaultPlan::new()
-            .crash(30.0, 3)
-            .noise_spike(40.0, 4.0)
-            .nic_degrade(12.5, 0, 1.75);
+        let plan = FaultPlan::new().crash(30.0, 3).noise_spike(40.0, 4.0).with(
+            12.5,
+            Some(0),
+            FaultKind::NicDegrade(1.75),
+        );
         let parsed = FaultPlan::parse_json(&plan.to_json()).unwrap();
         assert_eq!(parsed, plan);
     }

@@ -34,7 +34,7 @@ pub struct SimulatedAnnealing {
 }
 
 impl SimulatedAnnealing {
-    pub fn new(space: ParamSpace, seed: u64) -> Self {
+    pub(crate) fn new(space: ParamSpace, seed: u64) -> Self {
         let current = space.default_config();
         SimulatedAnnealing {
             space,
@@ -52,15 +52,10 @@ impl SimulatedAnnealing {
     }
 
     /// Override the cooling factor (0 < c < 1; closer to 1 cools slower).
-    pub fn with_cooling(mut self, cooling: f64) -> Self {
+    pub(crate) fn with_cooling(mut self, cooling: f64) -> Self {
         assert!(cooling > 0.0 && cooling < 1.0);
         self.cooling = cooling;
         self
-    }
-
-    /// Moves accepted so far (diagnostics).
-    pub fn accepted(&self) -> u64 {
-        self.accepted
     }
 
     fn neighbour(&mut self) -> Configuration {
@@ -254,7 +249,7 @@ mod tests {
         assert!(perf > first.unwrap(), "never improved");
         let dist = (((best.get(0) - 130).pow(2) + (best.get(1) - 60).pow(2)) as f64).sqrt();
         assert!(dist < 40.0, "best {best} too far");
-        assert!(t.accepted() > 0);
+        assert!(t.accepted > 0);
     }
 
     #[test]
@@ -279,13 +274,13 @@ mod tests {
             let _ = t.propose();
             t.observe(if i % 2 == 0 { 100.0 } else { -1e6 });
         }
-        let early_accepted = t.accepted();
-        let before = t.accepted();
+        let early_accepted = t.accepted;
+        let before = t.accepted;
         for _ in 0..50 {
             let _ = t.propose();
             t.observe(-1e6);
         }
-        let late_accepted = t.accepted() - before;
+        let late_accepted = t.accepted - before;
         assert!(
             late_accepted <= 2,
             "late bad moves accepted {late_accepted}"

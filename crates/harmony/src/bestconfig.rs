@@ -95,19 +95,9 @@ impl BestConfigTuner {
 
     /// Builder: seed the search from a known-good configuration (it
     /// becomes round 0's first sample instead of the space default).
-    pub fn start_from(mut self, config: Configuration) -> Self {
+    pub(crate) fn start_from(mut self, config: Configuration) -> Self {
         self.start = Some(self.space.clamp(config.values()));
         self
-    }
-
-    /// Rounds completed or in flight (diagnostics).
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// Divergence (bound-widening) steps taken so far (diagnostics).
-    pub fn diverges(&self) -> u32 {
-        self.diverges
     }
 
     /// Mean bound width as a fraction of the full span (diagnostics).
@@ -518,8 +508,8 @@ mod tests {
             let p = if i < 4 { objective(c.values()) } else { -1e12 };
             t.observe(p);
         }
-        assert!(t.diverges() > 0, "bounds never widened");
-        assert!(t.round() >= 5);
+        assert!(t.diverges > 0, "bounds never widened");
+        assert!(t.round >= 5);
     }
 
     #[test]

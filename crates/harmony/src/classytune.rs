@@ -58,7 +58,7 @@ pub struct ClassyTuneTuner {
 }
 
 impl ClassyTuneTuner {
-    pub fn new(space: ParamSpace, seed: u64) -> Self {
+    pub(crate) fn new(space: ParamSpace, seed: u64) -> Self {
         let dims = space.dims();
         let step = space.defs().iter().map(|d| (d.span() / 4).max(1)).collect();
         ClassyTuneTuner {
@@ -83,21 +83,16 @@ impl ClassyTuneTuner {
     }
 
     /// Builder: candidates compared against the incumbent per round.
-    pub fn candidates_per_round(mut self, batch: usize) -> Self {
+    pub(crate) fn candidates_per_round(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "a comparison round needs at least 1 candidate");
         self.batch = batch;
         self
     }
 
     /// Builder: seed the search from a known-good configuration.
-    pub fn start_from(mut self, config: Configuration) -> Self {
+    pub(crate) fn start_from(mut self, config: Configuration) -> Self {
         self.start = Some(self.space.clamp(config.values()));
         self
-    }
-
-    /// Completed comparison rounds (diagnostics).
-    pub fn round(&self) -> u32 {
-        self.round
     }
 
     /// Mean absolute direction bias (diagnostics): how decided the
@@ -510,7 +505,7 @@ mod tests {
         // x must rise towards 150 and y fall towards 50; with the
         // quadratic objective the learned biases should reflect that at
         // least directionally once rounds have folded.
-        assert!(t.round() >= 2);
+        assert!(t.round >= 2);
         assert!(t.mean_bias() > 0.0, "labels never moved any bias");
     }
 

@@ -21,16 +21,17 @@
 //! * [`monitor`]/[`reconfig`] — the §IV automatic cluster reconfiguration
 //!   algorithm (thresholds, urgency, cost model);
 //! * resilience primitives (retry/backoff/jitter, the per-configuration
-//!   circuit breaker, the outlier re-measurement gate) now live in the
-//!   `resilience` crate and are re-exported here for compatibility.
+//!   circuit breaker, the outlier re-measurement gate) live in the
+//!   `resilience` crate.
 //!
-//! Tuning state is crash-safe: [`SimplexTuner`], [`HarmonyServer`] and
-//! [`CircuitBreaker`] implement the `persist` crate's `Checkpointable`
-//! trait, exporting their full search state (simplex geometry, phase,
-//! pending proposals, best-seen records, failure counters) so an
-//! interrupted session resumes byte-identically. The server keeps no
-//! per-iteration log of its own, so its part of a snapshot does not grow
-//! with the session.
+//! Tuning state is crash-safe: [`SimplexTuner`],
+//! [`HarmonyServer`](server::HarmonyServer) and
+//! [`CircuitBreaker`](resilience::CircuitBreaker) implement the
+//! `persist` crate's `Checkpointable` trait, exporting their full search
+//! state (simplex geometry, phase, pending proposals, best-seen records,
+//! failure counters) so an interrupted session resumes byte-identically.
+//! The server keeps no per-iteration log of its own, so its part of a
+//! snapshot does not grow with the session.
 //!
 //! This crate is application-agnostic: nothing here knows about web
 //! clusters. The orchestrator crate wires it to the simulated testbed.
@@ -78,21 +79,8 @@ pub mod tuna;
 pub mod tuner;
 pub mod workline;
 
-pub use annealing::SimulatedAnnealing;
-pub use baseline::{CoordinateDescent, RandomSearch};
-pub use bestconfig::BestConfigTuner;
-pub use classytune::ClassyTuneTuner;
-pub use monitor::{Resource, UtilizationMonitor, UtilizationSnapshot};
 pub use param::ParamDef;
-pub use reconfig::{CostModel, NodeCostInputs, NodeReport, ReconfigDecision, Thresholds};
-pub use registry::{make_tuner, make_tuner_seeded, tuner_names, UnknownTuner};
 // Compatibility re-exports: these types moved to the `resilience` crate.
-pub use resilience::{Backoff, CircuitBreaker, Jitter, OutlierGate, RetryPolicy};
-pub use revalidate::Revalidating;
-pub use server::HarmonyServer;
 pub use simplex::SimplexTuner;
-pub use space::{Configuration, ParamSpace};
-pub use strategy::TuningMethod;
-pub use tuna::TunaTuner;
-pub use tuner::{Measurement, Trial, Tuner};
-pub use workline::{build_work_lines, WorkLine};
+pub use space::ParamSpace;
+pub use tuner::Tuner;

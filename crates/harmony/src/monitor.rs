@@ -10,7 +10,7 @@
 /// The four monitored resources, in urgency order (most urgent first by
 /// default — an overloaded CPU hurts more than a busy NIC; §IV footnote 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Resource {
+pub(crate) enum Resource {
     Cpu,
     Disk,
     Net,
@@ -18,19 +18,11 @@ pub enum Resource {
 }
 
 impl Resource {
-    pub const ALL: [Resource; 4] = [Resource::Cpu, Resource::Disk, Resource::Net, Resource::Mem];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Resource::Cpu => "cpu",
-            Resource::Disk => "disk",
-            Resource::Net => "net",
-            Resource::Mem => "mem",
-        }
-    }
+    pub(crate) const ALL: [Resource; 4] =
+        [Resource::Cpu, Resource::Disk, Resource::Net, Resource::Mem];
 
     /// Default urgency weight (higher = relieved first).
-    pub fn urgency_weight(self) -> f64 {
+    pub(crate) fn urgency_weight(self) -> f64 {
         match self {
             Resource::Cpu => 4.0,
             Resource::Disk => 3.0,
@@ -50,7 +42,7 @@ pub struct UtilizationSnapshot {
 }
 
 impl UtilizationSnapshot {
-    pub fn get(&self, r: Resource) -> f64 {
+    pub(crate) fn get(&self, r: Resource) -> f64 {
         match r {
             Resource::Cpu => self.cpu,
             Resource::Disk => self.disk,
@@ -59,18 +51,13 @@ impl UtilizationSnapshot {
         }
     }
 
-    pub fn set(&mut self, r: Resource, v: f64) {
+    pub(crate) fn set(&mut self, r: Resource, v: f64) {
         match r {
             Resource::Cpu => self.cpu = v,
             Resource::Disk => self.disk = v,
             Resource::Net => self.net = v,
             Resource::Mem => self.mem = v,
         }
-    }
-
-    /// Highest utilization across resources.
-    pub fn peak(&self) -> f64 {
-        self.cpu.max(self.disk).max(self.net).max(self.mem)
     }
 }
 
@@ -109,10 +96,6 @@ impl UtilizationMonitor {
     /// Current smoothed view of every node.
     pub fn smoothed(&self) -> &[UtilizationSnapshot] {
         &self.nodes
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 
     /// Reset after a reconfiguration (old trends no longer apply).
@@ -168,7 +151,7 @@ mod tests {
         m.observe(&[snap(0.9)]);
         m.reset(3);
         assert_eq!(m.smoothed().len(), 3);
-        assert_eq!(m.samples(), 0);
+        assert_eq!(m.samples, 0);
         assert_eq!(m.smoothed()[0].cpu, 0.0);
     }
 
@@ -181,8 +164,6 @@ mod tests {
         for (i, r) in Resource::ALL.iter().enumerate() {
             assert_eq!(s.get(*r), i as f64 * 0.1);
         }
-        assert!((s.peak() - 0.3).abs() < 1e-12);
-        assert_eq!(Resource::Cpu.name(), "cpu");
     }
 
     #[test]

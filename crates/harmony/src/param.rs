@@ -16,7 +16,7 @@ pub struct ParamDef {
     /// Inclusive upper bound.
     pub max: i64,
     /// Starting value (the system's default configuration).
-    pub default: i64,
+    pub(crate) default: i64,
 }
 
 impl ParamDef {
@@ -43,14 +43,14 @@ impl ParamDef {
     }
 
     /// Clamp a raw value into range.
-    pub fn clamp(&self, v: i64) -> i64 {
+    pub(crate) fn clamp(&self, v: i64) -> i64 {
         v.clamp(self.min, self.max)
     }
 
     /// Clamp a continuous value and round to the nearest integer in range.
     /// This is the paper's adaptation of Nelder–Mead to a discrete space:
     /// "using the resulting values from the nearest integer point".
-    pub fn project(&self, v: f64) -> i64 {
+    pub(crate) fn project(&self, v: f64) -> i64 {
         if v.is_nan() {
             return self.default;
         }
@@ -65,7 +65,7 @@ impl ParamDef {
     }
 
     /// True if `v` lies in range.
-    pub fn contains(&self, v: i64) -> bool {
+    pub(crate) fn contains(&self, v: i64) -> bool {
         (self.min..=self.max).contains(&v)
     }
 }

@@ -47,7 +47,7 @@ pub struct NodeCostInputs {
 /// Global reconfiguration cost `F` (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    pub reconfiguration_cost: f64,
+    pub(crate) reconfiguration_cost: f64,
 }
 
 impl Default for CostModel {
@@ -166,7 +166,7 @@ pub fn decide<T: Copy + Eq>(
 }
 
 /// `F + N_k·M_km − N_k·A_k` (equation 1).
-pub fn cost_value(model: &CostModel, inputs: &NodeCostInputs) -> f64 {
+pub(crate) fn cost_value(model: &CostModel, inputs: &NodeCostInputs) -> f64 {
     model.reconfiguration_cost + inputs.jobs * inputs.move_cost
         - inputs.jobs * inputs.avg_process_time
 }

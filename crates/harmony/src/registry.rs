@@ -17,7 +17,7 @@ use crate::tuna::TunaTuner;
 use crate::tuner::Tuner;
 
 /// Every registered tuner name, in presentation order.
-pub const TUNER_NAMES: [&str; 8] = [
+pub(crate) const TUNER_NAMES: [&str; 8] = [
     "simplex",
     "simplex-conservative",
     "bestconfig",

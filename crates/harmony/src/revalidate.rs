@@ -56,11 +56,6 @@ impl<T: Tuner> Revalidating<T> {
         averaged.or_else(|| self.inner.best().map(|(c, p)| (c.clone(), p, 1)))
     }
 
-    /// Access the wrapped tuner.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
     fn record_estimate(&mut self, config: Configuration, perf: f64) {
         let e = self.estimates.entry(config).or_insert((0.0, 0));
         e.0 += perf;
@@ -200,7 +195,7 @@ mod tests {
             t.observe(i as f64);
         }
         // Inner tuner saw only the exploration observations.
-        assert!(t.inner().evaluations() <= 20);
+        assert!(t.inner.evaluations() <= 20);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::space::{Configuration, ParamSpace};
+use crate::space::Configuration;
 use crate::tuner::{Measurement, Trial, Tuner};
 use persist::{Checkpointable, PersistError, State};
 
@@ -50,14 +50,6 @@ impl HarmonyServer {
     pub fn batch_protocol(mut self, on: bool) -> Self {
         self.batch_mode = on;
         self
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn space(&self) -> &ParamSpace {
-        self.tuner.space()
     }
 
     pub fn algorithm(&self) -> &'static str {
@@ -115,21 +107,6 @@ impl HarmonyServer {
             return self.queued.len();
         }
         self.tuner.batch_size()
-    }
-
-    /// Best configuration observed so far.
-    pub fn best(&self) -> Option<(&Configuration, f64)> {
-        self.tuner.best()
-    }
-
-    /// Reset the underlying tuner's search state (see [`Tuner::reset`]).
-    /// The best-seen record is kept; any pending proposal is dropped so
-    /// the next `next_config` starts the fresh search.
-    pub fn reset(&mut self) {
-        self.pending = None;
-        self.pending_trial = None;
-        self.queued.clear();
-        self.tuner.reset();
     }
 
     /// The tuner's internal diagnostics for the current iteration.
@@ -238,6 +215,7 @@ mod tests {
     use super::*;
     use crate::param::ParamDef;
     use crate::simplex::SimplexTuner;
+    use crate::space::ParamSpace;
 
     fn server() -> HarmonyServer {
         let space = ParamSpace::new(vec![
@@ -257,10 +235,10 @@ mod tests {
             s.report(perf);
             reported.push((c, perf));
         }
-        let (best, best_perf) = s.best().expect("a best after 20 reports");
+        let (best, best_perf) = s.tuner.best().expect("a best after 20 reports");
         assert!(reported.iter().all(|(_, p)| *p <= best_perf));
         assert!(reported.contains(&(best.clone(), best_perf)));
-        assert_eq!(s.name(), "test");
+        assert_eq!(s.name, "test");
         assert_eq!(s.algorithm(), "simplex");
     }
 
@@ -382,7 +360,7 @@ mod tests {
         ]);
         let mut restored = batch_server(Box::new(SimplexTuner::new(space)));
         Checkpointable::restore_state(&mut restored, &legacy).expect("legacy restore");
-        assert_eq!(restored.best(), old.best());
+        assert_eq!(restored.tuner.best(), old.tuner.best());
         assert_eq!(restored.next_config(), old.next_config());
     }
 

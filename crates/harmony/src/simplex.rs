@@ -90,7 +90,7 @@ impl SimplexTuner {
     }
 
     /// Start the initial simplex around a given configuration.
-    pub fn with_seed(space: ParamSpace, seed: Configuration) -> Self {
+    pub(crate) fn with_seed(space: ParamSpace, seed: Configuration) -> Self {
         let init_step: Vec<f64> = space
             .defs()
             .iter()
@@ -121,11 +121,6 @@ impl SimplexTuner {
     /// Number of degeneracy restarts so far (diagnostics).
     pub fn restarts(&self) -> u32 {
         self.restarts
-    }
-
-    /// Number of vertices currently in the simplex.
-    pub fn simplex_size(&self) -> usize {
-        self.vertices.len()
     }
 
     fn dims(&self) -> usize {
@@ -601,7 +596,7 @@ mod tests {
             seen.push(c);
             t.observe(0.0);
         }
-        assert_eq!(t.simplex_size(), 3);
+        assert_eq!(t.vertices.len(), 3);
     }
 
     #[test]
@@ -726,7 +721,7 @@ mod tests {
         t.reset();
         assert_eq!(t.evaluations(), 0);
         assert!(t.best().is_none());
-        assert_eq!(t.simplex_size(), 0);
+        assert_eq!(t.vertices.len(), 0);
         // And it can tune again from scratch.
         run(&mut t, |v| -(v[0] as f64 - 50.0).abs(), 40);
         assert_eq!(t.evaluations(), 40);
@@ -821,10 +816,10 @@ mod tests {
         ]);
         let mut t = SimplexTuner::new(space);
         for i in 0..4 {
-            assert_eq!(t.simplex_size(), i);
+            assert_eq!(t.vertices.len(), i);
             let c = t.propose();
             t.observe(c.get(0) as f64);
         }
-        assert_eq!(t.simplex_size(), 4);
+        assert_eq!(t.vertices.len(), 4);
     }
 }

@@ -69,7 +69,7 @@ impl ParamSpace {
     }
 
     /// Clamp an arbitrary integer vector into a valid configuration.
-    pub fn clamp(&self, values: &[i64]) -> Configuration {
+    pub(crate) fn clamp(&self, values: &[i64]) -> Configuration {
         debug_assert_eq!(values.len(), self.dims());
         Configuration {
             values: self
@@ -79,22 +79,6 @@ impl ParamSpace {
                 .map(|(d, &v)| d.clamp(v))
                 .collect(),
         }
-    }
-
-    /// Normalised coordinates in `[0, 1]` per dimension (distance metrics,
-    /// extremeness checks).
-    pub fn normalize(&self, config: &Configuration) -> Vec<f64> {
-        self.defs
-            .iter()
-            .zip(&config.values)
-            .map(|(d, &v)| {
-                if d.span() == 0 {
-                    0.5
-                } else {
-                    (v - d.min) as f64 / d.span() as f64
-                }
-            })
-            .collect()
     }
 
     /// Fraction of parameters sitting on a range boundary — the paper's
@@ -219,15 +203,6 @@ mod tests {
             s.validate(&Configuration::from_values(vec![101, 0, 1])),
             Err(SpaceError::OutOfBounds(0, 101))
         );
-    }
-
-    #[test]
-    fn normalize_maps_bounds_to_unit() {
-        let s = space();
-        let n = s.normalize(&Configuration::from_values(vec![0, 10, 1]));
-        assert_eq!(n[0], 0.0);
-        assert_eq!(n[1], 1.0);
-        assert_eq!(n[2], 0.5); // zero-span dimension pins to midpoint
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl TuningMethod {
             TuningMethod::Hybrid => "Hybrid (duplication + partitioning)",
         }
     }
-
-    /// Whether this method tunes anything at all.
-    pub fn tunes(self) -> bool {
-        self != TuningMethod::None
-    }
 }
 
 impl fmt::Display for TuningMethod {
@@ -75,12 +70,5 @@ mod tests {
         assert_eq!(TuningMethod::Default.label(), "Default method");
         assert_eq!(TuningMethod::Duplication.label(), "Parameter duplication");
         assert_eq!(TuningMethod::Partitioning.label(), "Parameter partitioning");
-    }
-
-    #[test]
-    fn only_none_does_not_tune() {
-        for m in TuningMethod::ALL {
-            assert_eq!(m.tunes(), m != TuningMethod::None);
-        }
     }
 }

@@ -112,7 +112,7 @@ pub struct TunaTuner {
 }
 
 impl TunaTuner {
-    pub fn new(space: ParamSpace, seed: u64) -> Self {
+    pub(crate) fn new(space: ParamSpace, seed: u64) -> Self {
         TunaTuner {
             space,
             rng: SimRng::new(seed),
@@ -130,21 +130,21 @@ impl TunaTuner {
     }
 
     /// Builder: neighbourhood reach as a fraction of each span.
-    pub fn reach(mut self, reach: f64) -> Self {
+    pub(crate) fn reach(mut self, reach: f64) -> Self {
         assert!(reach > 0.0 && reach <= 1.0, "reach must be in (0, 1]");
         self.reach = reach;
         self
     }
 
     /// Builder: replications required to confirm a promising candidate.
-    pub fn confirmations(mut self, n: u32) -> Self {
+    pub(crate) fn confirmations(mut self, n: u32) -> Self {
         assert!(n >= 1, "confirmation needs at least one replication");
         self.confirmations = n;
         self
     }
 
     /// Builder: seed the search from a known-good configuration.
-    pub fn start_from(mut self, config: Configuration) -> Self {
+    pub(crate) fn start_from(mut self, config: Configuration) -> Self {
         self.start = Some(self.space.clamp(config.values()));
         self
     }

@@ -19,7 +19,7 @@ pub struct Trial {
 }
 
 impl Trial {
-    pub fn new(id: u64, config: Configuration) -> Self {
+    pub(crate) fn new(id: u64, config: Configuration) -> Self {
         Trial { id, config }
     }
 }
@@ -62,7 +62,7 @@ impl Measurement {
     }
 
     /// Half-width relative to the mean's magnitude (0 when the mean is 0).
-    pub fn relative_ci(&self) -> f64 {
+    pub(crate) fn relative_ci(&self) -> f64 {
         if self.mean == 0.0 {
             0.0
         } else {
@@ -185,7 +185,7 @@ pub(crate) struct BestTracker {
 }
 
 impl BestTracker {
-    pub fn record(&mut self, config: &Configuration, perf: f64) {
+    pub(crate) fn record(&mut self, config: &Configuration, perf: f64) {
         self.evaluations += 1;
         let improved = match &self.best {
             Some((_, p)) => perf > *p,
@@ -196,11 +196,11 @@ impl BestTracker {
         }
     }
 
-    pub fn best(&self) -> Option<(&Configuration, f64)> {
+    pub(crate) fn best(&self) -> Option<(&Configuration, f64)> {
         self.best.as_ref().map(|(c, p)| (c, *p))
     }
 
-    pub fn evaluations(&self) -> u64 {
+    pub(crate) fn evaluations(&self) -> u64 {
         self.evaluations
     }
 

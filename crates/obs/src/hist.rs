@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// Number of buckets (1 underflow + 63 exponent ranges, covering
 /// roughly `2^-31 .. 2^32` — queue depths, seconds, WIPS all fit).
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// Bucket index whose range starts at `2^0 = 1.0`.
 const ZERO_BUCKET: i64 = 32;
@@ -60,7 +60,7 @@ pub(crate) fn bucket_lower(i: usize) -> f64 {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             core: Arc::new(Core {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -82,13 +82,8 @@ impl Histogram {
         cas_f64(&c.max, |m| m.max(v));
     }
 
-    /// Number of samples so far.
-    pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
-    }
-
     /// Copy out the current state.
-    pub fn snapshot(&self) -> HistSnapshot {
+    pub(crate) fn snapshot(&self) -> HistSnapshot {
         let c = &self.core;
         HistSnapshot {
             buckets: std::array::from_fn(|i| c.buckets[i].load(Ordering::Relaxed)),
@@ -114,25 +109,15 @@ fn cas_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 /// Plain-data copy of a histogram; mergeable across registries.
 #[derive(Debug, Clone)]
 pub struct HistSnapshot {
-    pub buckets: [u64; BUCKETS],
+    pub(crate) buckets: [u64; BUCKETS],
     pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
+    pub(crate) sum: f64,
+    pub(crate) min: f64,
+    pub(crate) max: f64,
 }
 
 impl HistSnapshot {
-    pub fn empty() -> Self {
-        HistSnapshot {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -140,22 +125,10 @@ impl HistSnapshot {
         }
     }
 
-    /// Fold another snapshot into this one (e.g. per-thread histograms
-    /// after a parallel sweep).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Approximate quantile (`0.0 ..= 1.0`) from the bucket counts: walks
     /// to the bucket holding the target rank and returns its geometric
     /// interior. Exact `min`/`max` are used at the extremes.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -237,33 +210,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert_eq!(s.buckets.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(1.0);
-        a.record(2.0);
-        b.record(100.0);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.sum - 103.0).abs() < 1e-9);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a = Histogram::new();
-        a.record(5.0);
-        let mut s = a.snapshot();
-        s.merge(&HistSnapshot::empty());
-        assert_eq!(s.count, 1);
-        assert_eq!(s.min, 5.0);
-        assert_eq!(s.max, 5.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two halves, deliberately decoupled:
 //!
-//! * **Metrics** — a [`Registry`] of named [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s. Handles are `Arc`-backed and lock-free
+//! * **Metrics** — a [`Registry`] of named `Counter`s, `Gauge`s and
+//!   log-bucketed `Histogram`s. Handles are `Arc`-backed and lock-free
 //!   on the hot path (one atomic op per update); the registry mutex is
 //!   touched only at registration and snapshot time. Snapshots are plain
 //!   data and mergeable, so per-thread or per-replication registries can
@@ -29,8 +29,7 @@ mod span;
 mod trace;
 mod value;
 
-pub use hist::{HistSnapshot, Histogram, BUCKETS};
-pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry};
+pub use metrics::Registry;
 pub use span::Span;
 pub use trace::{CsvWriter, JsonlWriter, MemorySink, NullSink, TraceRecord, TraceSink};
 pub use value::Value;

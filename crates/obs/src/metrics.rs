@@ -14,10 +14,6 @@ use crate::hist::{HistSnapshot, Histogram};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
@@ -26,7 +22,7 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -42,10 +38,6 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
@@ -69,7 +61,7 @@ impl Gauge {
         }
     }
 
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }

@@ -26,13 +26,8 @@ impl Span {
         self
     }
 
-    /// In-place field append.
-    pub fn push(&mut self, key: impl Into<String>, value: impl Into<Value>) {
-        self.record.push(key, value);
-    }
-
     /// Elapsed milliseconds since `begin`.
-    pub fn elapsed_ms(&self) -> f64 {
+    pub(crate) fn elapsed_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3
     }
 
@@ -52,13 +47,12 @@ mod tests {
     #[test]
     fn span_appends_wall_ms_last() {
         let mut sink = MemorySink::new();
-        let mut span = Span::begin("step").field("a", 1u32);
-        span.push("b", 2u32);
+        let span = Span::begin("step").field("a", 1u32);
         span.end(&mut sink);
         let rec = &sink.records[0];
         assert_eq!(rec.kind(), "step");
         let keys: Vec<&str> = rec.fields().iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["a", "b", "wall_ms"]);
+        assert_eq!(keys, vec!["a", "wall_ms"]);
         assert!(rec.get("wall_ms").unwrap().as_f64().unwrap() >= 0.0);
     }
 }

@@ -98,16 +98,6 @@ impl JsonlWriter<BufWriter<File>> {
     }
 }
 
-impl<W: Write> JsonlWriter<W> {
-    pub fn new(w: W) -> Self {
-        JsonlWriter { w }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
 impl<W: Write> TraceSink for JsonlWriter<W> {
     fn emit(&mut self, record: &TraceRecord) {
         let _ = writeln!(self.w, "{}", record.to_json());
@@ -130,13 +120,6 @@ impl<W: Write> TraceSink for JsonlWriter<W> {
 pub struct CsvWriter<W: Write> {
     w: W,
     header: Option<Vec<String>>,
-}
-
-impl CsvWriter<BufWriter<File>> {
-    /// Create (truncating) a CSV file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(CsvWriter::new(BufWriter::new(File::create(path)?)))
-    }
 }
 
 impl<W: Write> CsvWriter<W> {
@@ -234,9 +217,9 @@ mod tests {
 
     #[test]
     fn jsonl_format() {
-        let mut w = JsonlWriter::new(Vec::new());
+        let mut w = JsonlWriter { w: Vec::new() };
         w.emit(&rec());
-        let out = String::from_utf8(w.into_inner()).unwrap();
+        let out = String::from_utf8(w.w).unwrap();
         assert_eq!(
             out,
             "{\"kind\":\"iteration\",\"i\":3,\"wips\":12.5,\"workload\":\"Browsing\"}\n"

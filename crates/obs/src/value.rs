@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 /// A trace-record field value. The variants cover everything the tuning
-/// loop emits; [`Value::to_json`] produces strict JSON for each.
+/// loop emits; `Value::to_json` produces strict JSON for each.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Bool(bool),
@@ -18,7 +18,7 @@ pub enum Value {
 impl Value {
     /// Append this value's JSON encoding to `out`. Non-finite floats
     /// become `null` (JSON has no NaN/Infinity).
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(i) => {
@@ -43,7 +43,7 @@ impl Value {
     }
 
     /// This value's JSON encoding as a fresh string.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::new();
         self.write_json(&mut s);
         s

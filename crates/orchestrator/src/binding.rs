@@ -26,7 +26,7 @@ fn defs_for_role(role: Role) -> &'static [cluster::params::TunableDef] {
 }
 
 /// Number of tunables a node of `role` contributes.
-pub fn dims_for_role(role: Role) -> usize {
+pub(crate) fn dims_for_role(role: Role) -> usize {
     defs_for_role(role).len()
 }
 
@@ -103,7 +103,7 @@ pub fn role_space(role: Role) -> ParamSpace {
 // Space bounds guarantee every slice parses; a mismatch is a programmer
 // error worth a panic, not a recoverable condition.
 #[allow(clippy::expect_used)]
-pub fn split_tier_config(c: &Configuration) -> (ProxyParams, WebParams, DbParams) {
+pub(crate) fn split_tier_config(c: &Configuration) -> (ProxyParams, WebParams, DbParams) {
     let v = c.values();
     assert_eq!(v.len(), 23, "tier config must have 23 values");
     let proxy = ProxyParams::from_values(&v[0..7]).expect("bounds enforced by space");
@@ -114,7 +114,7 @@ pub fn split_tier_config(c: &Configuration) -> (ProxyParams, WebParams, DbParams
 
 /// Build typed params for one node from its tunable-value slice.
 #[allow(clippy::expect_used)]
-pub fn params_from_slice(role: Role, values: &[i64]) -> NodeParams {
+pub(crate) fn params_from_slice(role: Role, values: &[i64]) -> NodeParams {
     match role {
         Role::Proxy => {
             NodeParams::Proxy(ProxyParams::from_values(values).expect("bounds enforced by space"))
@@ -126,12 +126,6 @@ pub fn params_from_slice(role: Role, values: &[i64]) -> NodeParams {
             NodeParams::Db(DbParams::from_values(values).expect("bounds enforced by space"))
         }
     }
-}
-
-/// Duplication: apply one tier configuration uniformly to every node.
-pub fn config_from_tier(topology: &Topology, c: &Configuration) -> ClusterConfig {
-    let (proxy, web, db) = split_tier_config(c);
-    ClusterConfig::uniform(topology, proxy, web, db)
 }
 
 /// Duplication with per-tier servers: combine one configuration per role.
@@ -169,7 +163,10 @@ pub fn apply_line_config(
 /// Extract the tier configuration (23 values) that `node_source` nodes of
 /// a config currently hold — used to seed partitioned tuning from a
 /// duplication result (the hybrid method).
-pub fn tier_config_from(config: &ClusterConfig, topology: &Topology) -> Option<Configuration> {
+pub(crate) fn tier_config_from(
+    config: &ClusterConfig,
+    topology: &Topology,
+) -> Option<Configuration> {
     let proxy = topology.nodes_in(Role::Proxy).first().copied()?;
     let app = topology.nodes_in(Role::App).first().copied()?;
     let db = topology.nodes_in(Role::Db).first().copied()?;
@@ -209,18 +206,6 @@ mod tests {
         assert_eq!(p, ProxyParams::default_config());
         assert_eq!(w, WebParams::default_config());
         assert_eq!(d, DbParams::default_config());
-    }
-
-    #[test]
-    fn config_from_tier_duplicates_across_nodes() {
-        let t = Topology::tiers(3, 2, 1).unwrap();
-        let s = tier_space();
-        let mut c = s.default_config();
-        c.set(0, 33); // proxy.cache_mem
-        let cfg = config_from_tier(&t, &c);
-        for node in t.nodes_in(Role::Proxy) {
-            assert_eq!(cfg.node(node).as_proxy().unwrap().cache_mem, 33);
-        }
     }
 
     #[test]
@@ -265,10 +250,6 @@ mod tests {
         let c = tier_config_from(&cfg, &t).unwrap();
         assert_eq!(c.get(0), 21);
         assert_eq!(c.len(), 23);
-        // Roundtrip through config_from_tier reproduces node 0's params
-        // everywhere.
-        let cfg2 = config_from_tier(&t, &c);
-        assert_eq!(cfg2.node(1).as_proxy().unwrap().cache_mem, 21);
     }
 
     #[test]

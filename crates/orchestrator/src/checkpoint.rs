@@ -34,9 +34,9 @@ pub struct CheckpointPolicy {
     /// Snapshot cadence in iterations. The journal gets one record per
     /// iteration regardless; this only controls how much journal a
     /// resume has to replay.
-    pub every: u32,
+    pub(crate) every: u32,
     /// Resume from whatever the directory holds instead of wiping it.
-    pub resume: bool,
+    pub(crate) resume: bool,
 }
 
 impl CheckpointPolicy {
@@ -123,13 +123,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct Resumed {
     /// Newest intact snapshot, as `(iteration, state)`.
-    pub snapshot: Option<(u64, State)>,
+    pub(crate) snapshot: Option<(u64, State)>,
     /// Journal records to replay (iterations ≥ the snapshot's).
-    pub deltas: Vec<State>,
-    /// Snapshot files that failed verification and were renamed aside.
-    pub quarantined: usize,
-    /// Whether the journal had a torn tail (truncated away on open).
-    pub torn_tail: bool,
+    pub(crate) deltas: Vec<State>,
 }
 
 /// A session's live handle on its checkpoint directory.
@@ -214,8 +210,6 @@ impl Checkpointer {
             Some(Resumed {
                 snapshot: rec.snapshot,
                 deltas,
-                quarantined: rec.quarantined.len(),
-                torn_tail: rec.torn_tail,
             }),
         ))
     }
@@ -286,7 +280,7 @@ impl Checkpointer {
 
     /// Wait for the snapshot write in flight, if any: once this returns
     /// `Ok`, every snapshot the session took is durable.
-    pub fn finish(&mut self) -> Result<(), SessionError> {
+    pub(crate) fn finish(&mut self) -> Result<(), SessionError> {
         self.store.wait().map_err(ckerr)
     }
 }

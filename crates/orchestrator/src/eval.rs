@@ -74,11 +74,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub struct EvalSettings {
     /// Keep the outcomes of prefetched trials by scenario fingerprint
     /// until they are looked up.
-    pub cache: bool,
+    pub(crate) cache: bool,
     /// Worker threads for evaluating queued trials ahead: `1` (the
     /// default) disables prefetch entirely, `0` uses one thread per
     /// available core, anything else is an explicit thread count.
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl Default for EvalSettings {
@@ -186,7 +186,7 @@ pub fn run_raw(scenario: &ClusterScenario, registry: Option<&Registry>) -> Itera
 }
 
 impl EvalEngine {
-    pub fn new(settings: EvalSettings) -> Self {
+    pub(crate) fn new(settings: EvalSettings) -> Self {
         EvalEngine {
             settings,
             cache: Mutex::new(BTreeMap::new()),
@@ -197,7 +197,7 @@ impl EvalEngine {
         }
     }
 
-    pub fn cache_enabled(&self) -> bool {
+    pub(crate) fn cache_enabled(&self) -> bool {
         self.settings.cache
     }
 
@@ -207,7 +207,7 @@ impl EvalEngine {
 
     /// Is the engine doing anything beyond plain sequential evaluation?
     /// (Controls whether sessions emit an `eval` summary record.)
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.settings.cache || self.settings.threads != 1
     }
 
@@ -276,7 +276,7 @@ impl EvalEngine {
     /// with its usual context. Returns the number of evaluations
     /// actually executed; only *stored* results count toward the
     /// `speculated` counter, the rest land in `speculation_dropped`.
-    pub fn prefetch(&self, scenarios: &[ClusterScenario]) -> usize {
+    pub(crate) fn prefetch(&self, scenarios: &[ClusterScenario]) -> usize {
         if !self.prefetches() || scenarios.is_empty() {
             return 0;
         }
@@ -343,7 +343,7 @@ impl EvalEngine {
     /// (resume with a warm cache). Every entry is kept, since any may be
     /// a prefetched trial the resumed session asks for; the journal
     /// replay then takes out those of the iterations it replays.
-    pub fn restore_cache(&self, state: &State) -> Result<(), PersistError> {
+    pub(crate) fn restore_cache(&self, state: &State) -> Result<(), PersistError> {
         let entries = state.field_list("entries")?;
         let mut cache = self.lock();
         for entry in entries {
@@ -447,7 +447,8 @@ mod tests {
         let base = scenario_fingerprint(&scenario(0));
         assert_eq!(base, scenario_fingerprint(&scenario(0)));
         assert_ne!(base, scenario_fingerprint(&scenario(1)), "seed must key");
-        let c = cfg().population(300);
+        let mut c = cfg();
+        c.population = 300;
         let other = c.scenario(ClusterConfig::defaults(&c.topology), 0);
         assert_ne!(base, scenario_fingerprint(&other), "population must key");
         let f = cfg().fault_plan(faults::FaultPlan::new().crash(0.0, 0));

@@ -55,12 +55,6 @@ pub struct ChaosResult {
 }
 
 impl ChaosResult {
-    pub fn cell(&self, tuner: &str, plan: &str) -> Option<&ChaosCell> {
-        self.cells
-            .iter()
-            .find(|c| c.tuner == tuner && c.plan == plan)
-    }
-
     /// Render the matrix as CSV (one row per cell).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -89,7 +83,7 @@ impl ChaosResult {
 
 /// The topology the matrix runs on: one proxy, two app nodes, one
 /// database node — small enough that the chaos plans genuinely hurt.
-pub fn topology() -> Topology {
+pub(crate) fn topology() -> Topology {
     // Tier counts are literals; `tiers` only fails on a zero count.
     #[allow(clippy::expect_used)]
     Topology::tiers(1, 2, 1).expect("valid topology")
@@ -97,7 +91,7 @@ pub fn topology() -> Topology {
 
 /// The hardened policy profile the matrix runs under: every optional
 /// layer live, per-attempt budget of two windows.
-pub fn settings(effort: &Effort) -> ResilienceSettings {
+pub(crate) fn settings(effort: &Effort) -> ResilienceSettings {
     ResilienceSettings {
         breaker_threshold: 2,
         breaker_half_open_after: Some(2),

@@ -30,7 +30,7 @@ use resilience::Bulkhead;
 use tpcw::mix::Workload;
 
 /// The φ thresholds the sweep visits (the middle one is the default).
-pub const PHI_THRESHOLDS: [f64; 5] = [4.0, 6.0, 8.0, 12.0, 16.0];
+pub(crate) const PHI_THRESHOLDS: [f64; 5] = [4.0, 6.0, 8.0, 12.0, 16.0];
 
 /// Seconds after a crash within which a detection must land to count —
 /// generous against the default cadence (1 s beats, 3 confirmations).
@@ -91,7 +91,8 @@ pub struct DetectResult {
 }
 
 impl DetectResult {
-    pub fn cell(&self, phi_threshold: f64, plan: &str) -> Option<&DetectCell> {
+    #[cfg(test)]
+    fn cell(&self, phi_threshold: f64, plan: &str) -> Option<&DetectCell> {
         self.cells
             .iter()
             .find(|c| c.phi_threshold == phi_threshold && c.plan == plan)
@@ -106,10 +107,11 @@ impl DetectResult {
             .collect()
     }
 
-    /// The gate CI enforces: at default thresholds, no hard crash goes
-    /// undetected, the clean plan never false-positives, and recovery
-    /// costs at most one extra dip iteration over the oracle.
-    pub fn conformant(&self) -> bool {
+    /// The gate `exp detect` enforces: at default thresholds, no hard
+    /// crash goes undetected, the clean plan never false-positives, and
+    /// recovery costs at most one extra dip iteration over the oracle.
+    #[cfg(test)]
+    fn conformant(&self) -> bool {
         self.default_cells()
             .iter()
             .all(|c| c.missed_crashes == 0 && (c.plan != "clean" || c.false_positives == 0))
@@ -140,7 +142,7 @@ impl DetectResult {
 }
 
 /// The chaos-hardened policy profile with the detector on at `phi`.
-pub fn settings(effort: &Effort, phi_threshold: f64) -> ResilienceSettings {
+pub(crate) fn settings(effort: &Effort, phi_threshold: f64) -> ResilienceSettings {
     ResilienceSettings {
         detector: Some(DetectorConfig {
             phi_threshold,

@@ -23,8 +23,9 @@ pub struct FaultsResult {
     pub wips_series: Vec<f64>,
     /// Iteration the crash landed in.
     pub crash_iteration: Option<u32>,
-    /// Best WIPS before the crash.
-    pub pre_crash_best: f64,
+    /// Best WIPS before the crash (`None`: no crash, or it landed in
+    /// iteration 0 and no iteration precedes it).
+    pub pre_crash_best: Option<f64>,
     /// Iterations from the crash until WIPS reached 90% of the pre-crash
     /// best (`None`: not within the run).
     pub recovery_iterations: Option<u32>,
@@ -36,7 +37,6 @@ pub struct FaultsResult {
     pub reconfigs: Vec<ReconfigEvent>,
     pub initial_layout: (usize, usize, usize),
     pub final_layout: (usize, usize, usize),
-    pub best_wips: f64,
 }
 
 fn layout(t: &Topology) -> (usize, usize, usize) {
@@ -45,7 +45,7 @@ fn layout(t: &Topology) -> (usize, usize, usize) {
 
 /// The topology the experiment runs on: two proxies, three app nodes, two
 /// database nodes — enough spares that losing one app node is survivable.
-pub fn topology() -> Topology {
+pub(crate) fn topology() -> Topology {
     // Tier counts are literals; `tiers` only fails on a zero count.
     #[allow(clippy::expect_used)]
     Topology::tiers(2, 3, 2).expect("valid topology")
@@ -54,7 +54,7 @@ pub fn topology() -> Topology {
 /// The canonical fault plan, scaled to the effort's iteration windows:
 /// a 3× noise spike early on, then node 3 (app tier) crashes in the
 /// middle of iteration `0.4 × iterations`'s measurement phase.
-pub fn canonical_plan(effort: &Effort) -> FaultPlan {
+pub(crate) fn canonical_plan(effort: &Effort) -> FaultPlan {
     let window = effort.plan.total().as_secs_f64();
     let crash_iter = (effort.iterations * 2 / 5).max(1);
     let crash_at = crash_iter as f64 * window
@@ -65,11 +65,6 @@ pub fn canonical_plan(effort: &Effort) -> FaultPlan {
     FaultPlan::new()
         .noise_spike(noise_at, 3.0)
         .crash(crash_at, 3)
-}
-
-/// Run the experiment with the canonical plan.
-pub fn run(effort: &Effort, seed: u64) -> Result<FaultsResult, SessionError> {
-    run_custom(effort, seed, None, None, &mut SessionObserver::none())
 }
 
 /// Full-control entry point: override the fault plan (`None` → the
@@ -104,8 +99,7 @@ pub fn run_custom(
         crash_iteration: run.first_crash_iteration(),
         pre_crash_best: run
             .first_crash_iteration()
-            .map(|i| run.running_best_before(i))
-            .unwrap_or(0.0),
+            .and_then(|i| run.running_best_before(i)),
         recovery_iterations: run.recovery_iterations(0.9),
         retries: count("retry"),
         remeasures: count("remeasure"),
@@ -113,7 +107,6 @@ pub fn run_custom(
         reconfigs: run.reconfigs.clone(),
         initial_layout,
         final_layout: layout(&run.final_topology),
-        best_wips: run.best_wips,
     })
 }
 
@@ -121,13 +114,18 @@ pub fn run_custom(
 mod tests {
     use super::*;
 
+    /// Run the experiment with the canonical plan.
+    fn run(effort: &Effort, seed: u64) -> Result<FaultsResult, SessionError> {
+        run_custom(effort, seed, None, None, &mut SessionObserver::none())
+    }
+
     #[test]
     fn smoke_run_dips_and_recovers() {
         let effort = Effort::smoke();
         let r = run(&effort, 42).expect("no panic under faults");
         assert_eq!(r.wips_series.len(), effort.iterations as usize);
         assert_eq!(r.crash_iteration, Some(4), "10 iterations * 2/5");
-        assert!(r.pre_crash_best > 0.0);
+        assert!(r.pre_crash_best.is_some_and(|best| best > 0.0));
         assert!(r.retries > 0, "mid-measurement crash must trigger a retry");
         // The crash pulls a spare into the app tier. The dead node keeps
         // its tier assignment (it is Down, not removed), so the tier
@@ -147,5 +145,22 @@ mod tests {
         let b = run(&effort, 7).expect("run b");
         assert_eq!(a.wips_series, b.wips_series);
         assert_eq!(a.recovery_iterations, b.recovery_iterations);
+    }
+
+    #[test]
+    fn crash_in_iteration_zero_has_no_baseline() {
+        let effort = Effort::smoke();
+        let plan = FaultPlan::new().crash(30.0, 2);
+        let r = run_custom(
+            &effort,
+            42,
+            Some(plan),
+            Some(7),
+            &mut SessionObserver::none(),
+        )
+        .expect("no panic under faults");
+        assert_eq!(r.crash_iteration, Some(0));
+        assert_eq!(r.pre_crash_best, None, "no iteration precedes the crash");
+        assert_eq!(r.recovery_iterations, None, "no baseline to recover to");
     }
 }

@@ -35,7 +35,6 @@ pub struct Fig7Result {
     pub wips_series: Vec<f64>,
     /// Iteration of the (first) reconfiguration, if any.
     pub reconfig_iteration: Option<u32>,
-    pub moved_node: Option<usize>,
     pub from_tier: Option<Role>,
     pub to_tier: Option<Role>,
     /// Mean WIPS in the pre-move window (after the workload switch).
@@ -135,7 +134,6 @@ pub fn run(variant: Fig7Variant, effort: &Effort, seed: u64) -> Fig7Result {
         variant,
         wips_series: run.records.iter().map(|r| r.wips).collect(),
         reconfig_iteration: event.map(|e| e.iteration),
-        moved_node: event.map(|e| e.node),
         from_tier: event.map(|e| e.from_tier),
         to_tier: event.map(|e| e.to_tier),
         before_wips,

@@ -35,7 +35,7 @@ pub struct Effort {
     /// Independent replicas for baseline/static measurements.
     pub reps: u32,
     /// Scale factor applied to all browser populations (1.0 = calibrated).
-    pub population_scale: f64,
+    pub(crate) population_scale: f64,
 }
 
 impl Effort {
@@ -90,11 +90,11 @@ pub(crate) fn scale_pop(base: u32, effort: &Effort) -> u32 {
 }
 
 /// Operating point for the Figure 5 changing-workload run.
-pub fn fig5_population(effort: &Effort) -> u32 {
+pub(crate) fn fig5_population(effort: &Effort) -> u32 {
     scale_pop(1_500, effort)
 }
 
 /// Operating point and topology scale for Table 4 (2 nodes per tier).
-pub fn table4_population(effort: &Effort) -> u32 {
+pub(crate) fn table4_population(effort: &Effort) -> u32 {
     scale_pop(3_400, effort)
 }

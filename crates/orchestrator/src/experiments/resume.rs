@@ -41,7 +41,7 @@ pub struct InterruptOutcome {
 
 impl InterruptOutcome {
     /// The acceptance bar: every comparison exact.
-    pub fn exact(&self) -> bool {
+    pub(crate) fn exact(&self) -> bool {
         self.prefix_identical && self.tail_identical && self.result_identical
     }
 }
@@ -98,7 +98,7 @@ fn run_killed<F: FnOnce()>(f: F) -> Result<(), SessionError> {
 }
 
 /// Seeded distinct interrupt points in `1..iterations`, at most five.
-pub fn interrupt_points(iterations: u32, seed: u64) -> Vec<u64> {
+pub(crate) fn interrupt_points(iterations: u32, seed: u64) -> Vec<u64> {
     let mut rng = simkit::rng::SimRng::new(seed);
     let want = 5.min(iterations.saturating_sub(1) as usize);
     let mut points = Vec::new();
@@ -160,7 +160,11 @@ pub fn run(effort: &Effort, seed: u64) -> Result<ResumeResult, SessionError> {
 
 /// [`run`] with an explicit scratch directory (left in place: the
 /// checkpoint directories it holds are the experiment's artifact).
-pub fn run_in(effort: &Effort, seed: u64, scratch: &Path) -> Result<ResumeResult, SessionError> {
+pub(crate) fn run_in(
+    effort: &Effort,
+    seed: u64,
+    scratch: &Path,
+) -> Result<ResumeResult, SessionError> {
     let cfg = session(effort, seed);
     let iterations = effort.iterations;
     let snapshot_every = (iterations / 5).max(1);

@@ -39,7 +39,8 @@ pub struct SensitivityResult {
 
 impl SensitivityResult {
     /// Impact of a named parameter (0 if unknown).
-    pub fn impact_of(&self, name: &str) -> f64 {
+    #[cfg(test)]
+    fn impact_of(&self, name: &str) -> f64 {
         self.entries
             .iter()
             .find(|e| e.name.ends_with(name))

@@ -71,7 +71,6 @@ pub struct NoiseOutcome {
 /// Result of the cross-tuner experiment.
 #[derive(Debug, Clone)]
 pub struct TunersResult {
-    pub iterations: u32,
     pub cells: Vec<Cell>,
     pub noise: Vec<NoiseOutcome>,
 }
@@ -86,7 +85,7 @@ impl TunersResult {
 /// A 4× measurement-noise spike in every third iteration window,
 /// starting at window 1 — frequent enough that every tuner's search
 /// crosses several spiked measurements.
-pub fn noise_plan(effort: &Effort) -> FaultPlan {
+pub(crate) fn noise_plan(effort: &Effort) -> FaultPlan {
     let window = effort.plan.total().as_secs_f64();
     let mut plan = FaultPlan::new();
     let mut w = 1u32;
@@ -157,7 +156,7 @@ fn cell(
 /// Run the noise duel: every zoo tuner drives its own ask/tell loop
 /// against spiked measurements, then its claimed best configuration is
 /// re-measured without faults.
-pub fn noise_duel(effort: &Effort, seed: u64) -> Result<Vec<NoiseOutcome>, SessionError> {
+pub(crate) fn noise_duel(effort: &Effort, seed: u64) -> Result<Vec<NoiseOutcome>, SessionError> {
     let workload = Workload::Shopping;
     let clean = SessionConfig::new(
         Topology::single(),
@@ -211,7 +210,6 @@ pub fn run(effort: &Effort, seed: u64) -> Result<TunersResult, SessionError> {
         }
     }
     Ok(TunersResult {
-        iterations: effort.iterations,
         cells,
         noise: noise_duel(effort, seed)?,
     })

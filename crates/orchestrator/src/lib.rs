@@ -8,7 +8,7 @@
 //! * [`session`] — the one tuning loop: propose → simulate one
 //!   warm-up/measure/cool-down cycle → report WIPS → journal, for every
 //!   method and mode;
-//! * [`schedule`] — changing-workload sessions (Figure 5);
+//! * `schedule` — changing-workload sessions (Figure 5);
 //! * [`reconfigure`] — tuning plus the §IV automatic reconfiguration
 //!   controller (Figure 7);
 //! * [`resilient`] — fault-tolerant sessions: retry/backoff,
@@ -24,11 +24,13 @@
 //! * [`par`] — the shared worker pool, the one batch primitive for
 //!   independent runs (index-keyed merge, bit-identical at any width).
 //!
-//! Each mode has one entry point, and each takes a [`SessionObserver`]
-//! ([`SessionObserver::none`] observes nothing): [`tune_observed`],
-//! [`schedule::tune_with_schedule_observed`],
+//! Each mode has one entry point, and each takes a
+//! [`SessionObserver`](session::SessionObserver)
+//! ([`SessionObserver::none`](session::SessionObserver::none) observes
+//! nothing): [`tune_observed`](session::tune_observed),
+//! `schedule::tune_with_schedule_observed`,
 //! [`reconfigure::run_reconfig_session_observed`] and
-//! [`run_resilient_session_observed`].
+//! [`run_resilient_session_observed`](resilient::run_resilient_session_observed).
 //!
 //! ## A complete tuning session
 //!
@@ -61,11 +63,8 @@ pub mod par;
 pub mod reconfigure;
 pub mod report;
 pub mod resilient;
-pub mod schedule;
+pub(crate) mod schedule;
 pub mod session;
 
 pub use checkpoint::CheckpointPolicy;
-pub use eval::{EvalEngine, EvalSettings};
-pub use experiments::Effort;
-pub use resilient::{run_resilient_session_observed, ResilienceSettings, ResilientRun};
-pub use session::{tune_observed, SessionConfig, SessionError, SessionObserver, TuningRun};
+pub use eval::EvalSettings;

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// is taken literally. Used by callers that need the width before they
 /// know the work size (e.g. the wave length of a sequential-sampling
 /// measurement).
-pub fn resolved_threads(request: usize) -> usize {
+pub(crate) fn resolved_threads(request: usize) -> usize {
     if request == 0 {
         shared_pool().size()
     } else {
@@ -126,7 +126,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool with `size` worker threads (clamped to at least 1).
-    pub fn new(size: usize) -> WorkerPool {
+    pub(crate) fn new(size: usize) -> WorkerPool {
         let size = size.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
@@ -147,7 +147,7 @@ impl WorkerPool {
     }
 
     /// Number of worker threads.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 

@@ -147,7 +147,7 @@ pub struct DetectionEvent {
     pub iteration: u32,
     pub node: usize,
     /// Simulated time of the assessment tick that decided the transition.
-    pub at_s: f64,
+    pub(crate) at_s: f64,
     /// Membership state names (`up` / `suspect` / `down`).
     pub from: &'static str,
     pub to: &'static str,
@@ -156,10 +156,10 @@ pub struct DetectionEvent {
     /// Whether the injector's ground truth had the node crashed at the
     /// transition instant (a `down` confirmation with `false` here is a
     /// false positive — typically a long stall believed dead).
-    pub truth_crashed: bool,
+    pub(crate) truth_crashed: bool,
     /// For a true-positive `down` confirmation: seconds from the crash to
     /// the confirmation. `-1.0` when not applicable.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
 }
 
 impl DetectionEvent {
@@ -169,7 +169,7 @@ impl DetectionEvent {
     }
 
     /// A `Down` confirmation the ground truth contradicts.
-    pub fn is_false_positive(&self) -> bool {
+    pub(crate) fn is_false_positive(&self) -> bool {
         self.is_down() && !self.truth_crashed
     }
 }
@@ -198,12 +198,12 @@ impl ResilientRun {
     }
 
     /// Best WIPS seen strictly before `iteration`.
-    pub fn running_best_before(&self, iteration: u32) -> f64 {
+    pub(crate) fn running_best_before(&self, iteration: u32) -> Option<f64> {
         self.records
             .iter()
             .filter(|r| r.iteration < iteration)
             .map(|r| r.wips)
-            .fold(f64::NEG_INFINITY, f64::max)
+            .reduce(f64::max)
     }
 
     /// Iteration of the first crash, if the plan had one.
@@ -235,10 +235,11 @@ impl ResilientRun {
     }
 
     /// How many iterations after the first crash WIPS first reached
-    /// `frac` of the pre-crash running best (`None`: never, or no crash).
+    /// `frac` of the pre-crash running best (`None`: never, no crash, or
+    /// no iteration before the crash to measure against).
     pub fn recovery_iterations(&self, frac: f64) -> Option<u32> {
         let crash = self.first_crash_iteration()?;
-        let target = self.running_best_before(crash) * frac;
+        let target = self.running_best_before(crash)? * frac;
         self.records
             .iter()
             .filter(|r| r.iteration > crash)
@@ -489,7 +490,7 @@ impl Resilience {
     ) -> Sampled {
         let key = config_summary(config);
         let registry = observer.registry();
-        let outcome = self.stack.call(&key, i, &mut |ctx| {
+        let outcome = self.stack.call(&key, &mut |ctx| {
             evaluate_attempt(
                 cfg,
                 &self.settings,

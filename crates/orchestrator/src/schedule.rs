@@ -16,16 +16,16 @@ use tpcw::mix::Workload;
 
 /// A workload schedule: hold each entry's workload for its span.
 #[derive(Debug, Clone)]
-pub struct WorkloadSchedule {
+pub(crate) struct WorkloadSchedule {
     /// `(span_in_iterations, workload)` segments, applied in order; the
     /// last segment extends to the end of the run.
-    pub segments: Vec<(u32, Workload)>,
+    pub(crate) segments: Vec<(u32, Workload)>,
 }
 
 impl WorkloadSchedule {
     /// The paper's Figure 5 schedule: change the workload every
     /// `period` iterations, cycling Browsing → Shopping → Ordering.
-    pub fn cycling(period: u32, cycles: u32) -> Self {
+    pub(crate) fn cycling(period: u32, cycles: u32) -> Self {
         let order = [Workload::Browsing, Workload::Shopping, Workload::Ordering];
         let segments = (0..cycles * 3)
             .map(|i| (period, order[(i % 3) as usize]))
@@ -34,7 +34,7 @@ impl WorkloadSchedule {
     }
 
     /// Workload active at `iteration`.
-    pub fn workload_at(&self, iteration: u32) -> Workload {
+    pub(crate) fn workload_at(&self, iteration: u32) -> Workload {
         let mut acc = 0;
         for (span, w) in &self.segments {
             acc += span;
@@ -49,7 +49,7 @@ impl WorkloadSchedule {
     }
 
     /// Iterations at which the workload changes (segment boundaries).
-    pub fn change_points(&self) -> Vec<u32> {
+    pub(crate) fn change_points(&self) -> Vec<u32> {
         let mut points = Vec::new();
         let mut acc = 0;
         for (i, (span, _)) in self.segments.iter().enumerate() {
@@ -62,7 +62,7 @@ impl WorkloadSchedule {
     }
 
     /// Total scheduled iterations.
-    pub fn total_iterations(&self) -> u32 {
+    pub(crate) fn total_iterations(&self) -> u32 {
         self.segments.iter().map(|(s, _)| s).sum()
     }
 }
@@ -73,7 +73,7 @@ impl WorkloadSchedule {
 /// labelled `scheduled`. A session with a checkpoint policy is refused
 /// with [`SessionError::Checkpoint`]: schedule sessions are not
 /// checkpointed.
-pub fn tune_with_schedule_observed(
+pub(crate) fn tune_with_schedule_observed(
     base: &SessionConfig,
     schedule: &WorkloadSchedule,
     observer: &mut SessionObserver,
@@ -89,7 +89,7 @@ pub fn tune_with_schedule_observed(
 
 /// Recovery time after each workload change: iterations until WIPS first
 /// reaches `threshold_frac` of the segment's median WIPS.
-pub fn recovery_iterations(
+pub(crate) fn recovery_iterations(
     run: &TuningRun,
     schedule: &WorkloadSchedule,
     threshold_frac: f64,

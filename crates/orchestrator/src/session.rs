@@ -90,34 +90,34 @@ impl std::error::Error for SessionError {}
 pub struct SessionConfig {
     pub topology: Topology,
     pub workload: Workload,
-    pub population: u32,
+    pub(crate) population: u32,
     pub plan: IntervalPlan,
-    pub scale: CatalogScale,
-    pub spec: NodeSpec,
+    pub(crate) scale: CatalogScale,
+    pub(crate) spec: NodeSpec,
     /// Base RNG seed; iteration `i` runs with `base_seed + i` unless
     /// `pin_seed` is set.
     pub base_seed: u64,
     /// Use the same seed every iteration (noise-free tuning, for tests).
-    pub pin_seed: bool,
+    pub(crate) pin_seed: bool,
     /// Walk the TPC-W Markov navigation graph instead of i.i.d. mix
     /// sampling (same steady-state frequencies; see `tpcw::navigation`).
-    pub markov_sessions: bool,
+    pub(crate) markov_sessions: bool,
     /// Browser-population model: per-browser (the default, one entity
     /// per browser) or cohort (weighted tokens on a think-time slot
     /// wheel; see `tpcw::cohort`). Changing this changes the session
     /// fingerprint, so checkpoints refuse cross-load-model resume.
-    pub load_model: LoadModel,
+    pub(crate) load_model: LoadModel,
     /// Per-node hardware overrides (failure injection); entry `i`
     /// replaces `spec` for node `i`.
-    pub node_specs: Vec<Option<NodeSpec>>,
+    pub(crate) node_specs: Vec<Option<NodeSpec>>,
     /// Deterministic fault schedule applied across iterations: iteration
     /// `i` covers simulated time `[i*plan.total(), (i+1)*plan.total())`
     /// of the plan. `None` (the default) leaves every run byte-identical
     /// to a fault-free session.
-    pub fault_plan: Option<FaultPlan>,
+    pub(crate) fault_plan: Option<FaultPlan>,
     /// Seed for fault-related randomness (measurement-noise spikes,
     /// retry jitter), independent of `base_seed`.
-    pub fault_seed: u64,
+    pub(crate) fault_seed: u64,
     /// Tuning algorithm, by harmony registry name (`harmony::tuner_names`
     /// lists them). Every server the session builds — one per tier, per
     /// work line, or over the full space — runs this algorithm.
@@ -138,7 +138,7 @@ pub struct SessionConfig {
     /// uses one worker per available core, anything else is an explicit
     /// width. Replications are independent simulations merged in
     /// replication order, so results are bit-identical at any width.
-    pub replication_threads: usize,
+    pub(crate) replication_threads: usize,
 }
 
 impl SessionConfig {
@@ -195,29 +195,6 @@ impl SessionConfig {
         self
     }
 
-    /// Builder: set the catalogue scale.
-    pub fn scale(mut self, scale: CatalogScale) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Builder: set the baseline hardware spec for every node.
-    pub fn spec(mut self, spec: NodeSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Builder: override the hardware spec of one node (failure
-    /// injection, heterogeneous clusters).
-    pub fn node_spec(mut self, node: usize, spec: NodeSpec) -> Self {
-        if self.node_specs.len() <= node {
-            self.node_specs
-                .resize(self.topology.len().max(node + 1), None);
-        }
-        self.node_specs[node] = Some(spec);
-        self
-    }
-
     /// Builder: replace the topology.
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
@@ -227,12 +204,6 @@ impl SessionConfig {
     /// Builder: replace the workload.
     pub fn workload(mut self, workload: Workload) -> Self {
         self.workload = workload;
-        self
-    }
-
-    /// Builder: replace the browser population.
-    pub fn population(mut self, population: u32) -> Self {
-        self.population = population;
         self
     }
 
@@ -305,7 +276,7 @@ impl SessionConfig {
 
     /// Fault activity projected onto iteration `i`'s simulated window,
     /// `None` when no plan is attached.
-    pub fn fault_window(&self, iteration: u32) -> Option<WindowFaults> {
+    pub(crate) fn fault_window(&self, iteration: u32) -> Option<WindowFaults> {
         let plan = self.fault_plan.as_ref()?;
         let injector = FaultInjector::new(plan, self.fault_seed);
         let (start, end) = FaultClock::window_of(self.plan.total(), iteration);
@@ -502,7 +473,7 @@ pub struct IterationRecord {
     /// Per-work-line WIPS (single entry when unpartitioned).
     pub line_wips: Vec<f64>,
     /// Workload active this iteration (changes in schedule sessions).
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// Requests refused at admission.
     pub failed: u64,
 }
@@ -510,7 +481,6 @@ pub struct IterationRecord {
 /// Result of a tuning run.
 #[derive(Debug, Clone)]
 pub struct TuningRun {
-    pub method: TuningMethod,
     pub records: Vec<IterationRecord>,
     /// Best configuration evaluated, with its WIPS.
     pub best_config: ClusterConfig,
@@ -527,7 +497,7 @@ impl TuningRun {
 
     /// Mean and standard deviation over `[start, end)` iterations — the
     /// paper's "second 100 iterations" statistics.
-    pub fn window_stats(&self, start: usize, end: usize) -> (f64, f64) {
+    pub(crate) fn window_stats(&self, start: usize, end: usize) -> (f64, f64) {
         let mut w = simkit::stats::Welford::new();
         for r in self.records.iter().take(end).skip(start) {
             w.record(r.wips);
@@ -549,7 +519,7 @@ impl TuningRun {
     }
 
     /// Fraction of iterations in `[start, end)` beating `reference` WIPS.
-    pub fn fraction_above(&self, start: usize, end: usize, reference: f64) -> f64 {
+    pub(crate) fn fraction_above(&self, start: usize, end: usize, reference: f64) -> f64 {
         let window: Vec<_> = self.records.iter().take(end).skip(start).collect();
         if window.is_empty() {
             return 0.0;
@@ -593,12 +563,12 @@ impl<'a> SessionObserver<'a> {
     }
 
     /// The attached metrics registry, if any.
-    pub fn registry(&self) -> Option<&'a Registry> {
+    pub(crate) fn registry(&self) -> Option<&'a Registry> {
         self.registry
     }
 
     /// Flush the attached sink (end of session).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.flush();
         }
@@ -1634,7 +1604,6 @@ pub(crate) fn drive_tuning(
     }
     observer.flush();
     let run = TuningRun {
-        method,
         records: records.into_records(),
         best_config: best.config,
         best_wips: best.wips,
@@ -1683,7 +1652,6 @@ mod tests {
         assert_eq!(run.records.len(), 8);
         assert!(run.best_wips > 0.0);
         assert!(run.convergence_iteration < 8);
-        assert_eq!(run.method, TuningMethod::Default);
     }
 
     #[test]
@@ -1700,9 +1668,8 @@ mod tests {
 
     #[test]
     fn partitioning_reports_per_line() {
-        let cfg = quick_cfg(Workload::Shopping)
-            .topology(Topology::tiers(2, 2, 2).unwrap())
-            .population(400);
+        let cfg = SessionConfig::new(Topology::tiers(2, 2, 2).unwrap(), Workload::Shopping, 400)
+            .plan(IntervalPlan::tiny());
         let run = tune(&cfg, TuningMethod::Partitioning, 5);
         assert_eq!(run.records[0].line_wips.len(), 2);
         assert!(run.best_wips > 0.0);
@@ -1718,12 +1685,10 @@ mod tests {
 
     #[test]
     fn hybrid_switches_methods() {
-        let cfg = quick_cfg(Workload::Shopping)
-            .topology(Topology::tiers(2, 2, 2).unwrap())
-            .population(400);
+        let cfg = SessionConfig::new(Topology::tiers(2, 2, 2).unwrap(), Workload::Shopping, 400)
+            .plan(IntervalPlan::tiny());
         let run = tune(&cfg, TuningMethod::Hybrid, 9);
         assert_eq!(run.records.len(), 9);
-        assert_eq!(run.method, TuningMethod::Hybrid);
     }
 
     #[test]
@@ -1760,26 +1725,19 @@ mod tests {
 
     #[test]
     fn builder_matches_field_mutation() {
-        let spec = NodeSpec {
-            cpu_scale: 0.5,
-            ..NodeSpec::hpdc04()
-        };
         let built = SessionConfig::new(Topology::single(), Workload::Shopping, 300)
             .plan(IntervalPlan::tiny())
             .base_seed(99)
             .pin_seed(true)
-            .markov(true)
-            .node_spec(1, spec);
+            .markov(true);
         let mut mutated = SessionConfig::new(Topology::single(), Workload::Shopping, 300);
         mutated.plan = IntervalPlan::tiny();
         mutated.base_seed = 99;
         mutated.pin_seed = true;
         mutated.markov_sessions = true;
-        mutated.node_specs = vec![None, Some(spec), None];
         assert_eq!(built.base_seed, mutated.base_seed);
         assert_eq!(built.pin_seed, mutated.pin_seed);
         assert_eq!(built.markov_sessions, mutated.markov_sessions);
-        assert_eq!(built.node_specs, mutated.node_specs);
         assert_eq!(built.seed_for(7), mutated.seed_for(7));
     }
 
@@ -2123,9 +2081,8 @@ mod tests {
         // prefetched on two workers, so snapshot 4 carries the outcomes
         // of iterations 4 and 5.
         let prefetching = EvalSettings::default().cache(true).threads(2);
-        let cfg = quick_cfg(Workload::Shopping)
-            .topology(Topology::tiers(2, 2, 2).unwrap())
-            .population(400)
+        let cfg = SessionConfig::new(Topology::tiers(2, 2, 2).unwrap(), Workload::Shopping, 400)
+            .plan(IntervalPlan::tiny())
             .tuner("bestconfig")
             .eval_settings(prefetching)
             .checkpoint(CheckpointPolicy::new(&dir).every(2));

@@ -48,13 +48,13 @@ const fn build_tables() -> [[u32; 256]; SLICES] {
 static TABLES: [[u32; 256]; SLICES] = build_tables();
 
 /// CRC-32 of `bytes` (IEEE, as used by zip/gzip/Ethernet).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     crc32_pieces([bytes])
 }
 
 /// CRC-32 of the concatenation of `pieces`, which are never copied
 /// into one buffer.
-pub fn crc32_pieces<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+pub(crate) fn crc32_pieces<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> u32 {
     !pieces.into_iter().fold(!0u32, update)
 }
 

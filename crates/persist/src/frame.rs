@@ -14,17 +14,16 @@
 //! before appending again.
 
 use crate::crc::crc32;
-use crate::PersistError;
 
 /// Frame header size: length + checksum.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// Upper bound on a single frame payload (16 MiB) — a sanity check that
 /// stops a corrupt length prefix from looking like a gigantic frame.
-pub const MAX_PAYLOAD: usize = 16 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 16 << 20;
 
 /// Append one frame wrapping `payload` to `out`.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -32,17 +31,15 @@ pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// The result of scanning a frame buffer.
 #[derive(Debug)]
-pub struct FrameScan {
+pub(crate) struct FrameScan {
     /// Payloads of all frames up to the first bad/incomplete one.
-    pub payloads: Vec<Vec<u8>>,
-    /// Bytes of the buffer covered by valid frames (a clean boundary).
-    pub valid_len: u64,
-    /// Whether trailing bytes past `valid_len` were discarded.
-    pub torn_tail: bool,
+    pub(crate) payloads: Vec<Vec<u8>>,
+    /// Whether trailing bytes past the last valid frame were discarded.
+    pub(crate) torn_tail: bool,
 }
 
 /// Scan `bytes` for consecutive valid frames, tolerating a torn tail.
-pub fn scan(bytes: &[u8]) -> FrameScan {
+pub(crate) fn scan(bytes: &[u8]) -> FrameScan {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + HEADER_LEN) {
@@ -66,27 +63,23 @@ pub fn scan(bytes: &[u8]) -> FrameScan {
     }
     FrameScan {
         payloads,
-        valid_len: pos as u64,
         torn_tail: pos != bytes.len(),
     }
-}
-
-/// Scan, but treat any torn tail as corruption (used for snapshot-style
-/// payloads where partial data is never acceptable).
-pub fn scan_strict(bytes: &[u8]) -> Result<Vec<Vec<u8>>, PersistError> {
-    let result = scan(bytes);
-    if result.torn_tail {
-        return Err(PersistError::Corrupt(format!(
-            "invalid frame data after byte {}",
-            result.valid_len
-        )));
-    }
-    Ok(result.payloads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes covered by the scanned frames: the clean boundary a journal
+    /// truncates a torn tail to.
+    fn valid_len(result: &FrameScan) -> u64 {
+        result
+            .payloads
+            .iter()
+            .map(|p| (HEADER_LEN + p.len()) as u64)
+            .sum()
+    }
 
     #[test]
     fn frames_roundtrip() {
@@ -99,7 +92,7 @@ mod tests {
             result.payloads,
             vec![b"first".to_vec(), Vec::new(), b"third frame".to_vec()]
         );
-        assert_eq!(result.valid_len, buf.len() as u64);
+        assert_eq!(valid_len(&result), buf.len() as u64);
         assert!(!result.torn_tail);
     }
 
@@ -114,7 +107,7 @@ mod tests {
         buf.extend_from_slice(b"abc");
         let result = scan(&buf);
         assert_eq!(result.payloads, vec![b"kept".to_vec()]);
-        assert_eq!(result.valid_len, clean);
+        assert_eq!(valid_len(&result), clean);
         assert!(result.torn_tail);
     }
 
@@ -127,7 +120,7 @@ mod tests {
         *buf.last_mut().unwrap() ^= 0xFF;
         let result = scan(&buf);
         assert_eq!(result.payloads.len(), 1);
-        assert_eq!(result.valid_len, boundary as u64);
+        assert_eq!(valid_len(&result), boundary as u64);
         assert!(result.torn_tail);
     }
 
@@ -138,15 +131,6 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         let result = scan(&buf);
         assert!(result.payloads.is_empty());
-        assert_eq!(result.valid_len, 0);
-    }
-
-    #[test]
-    fn strict_scan_errors_on_tail() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"ok");
-        assert!(scan_strict(&buf).is_ok());
-        buf.push(7);
-        assert!(matches!(scan_strict(&buf), Err(PersistError::Corrupt(_))));
+        assert_eq!(valid_len(&result), 0);
     }
 }

@@ -14,33 +14,30 @@ use crate::state::State;
 use crate::PersistError;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// What a journal file contained when scanned.
 #[derive(Debug)]
-pub struct JournalScan {
+pub(crate) struct JournalScan {
     /// Decoded records up to the first bad frame.
-    pub records: Vec<State>,
+    pub(crate) records: Vec<State>,
     /// Bytes of valid frames (the repair truncation point).
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// True if a torn/corrupt tail was present (and ignored).
-    pub torn_tail: bool,
+    pub(crate) torn_tail: bool,
 }
 
 /// An open, appendable write-ahead journal.
 #[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
+pub(crate) struct Journal {
     writer: BufWriter<File>,
 }
 
 impl Journal {
     /// Create a fresh journal, truncating any existing file.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
+    pub(crate) fn create(path: impl AsRef<Path>) -> Result<Self, PersistError> {
+        let file = File::create(path)?;
         Ok(Journal {
-            path,
             writer: BufWriter::new(file),
         })
     }
@@ -48,18 +45,17 @@ impl Journal {
     /// Open an existing journal (or create an empty one) for appending,
     /// repairing a torn tail first so appends start at a clean frame
     /// boundary. Returns the journal and the records it already held.
-    pub fn open_append(path: impl AsRef<Path>) -> Result<(Self, JournalScan), PersistError> {
-        let path = path.as_ref().to_path_buf();
-        let scan = Self::scan(&path)?;
+    pub(crate) fn open_append(path: impl AsRef<Path>) -> Result<(Self, JournalScan), PersistError> {
+        let path = path.as_ref();
+        let scan = Self::scan(path)?;
         if scan.torn_tail {
-            let file = OpenOptions::new().write(true).open(&path)?;
+            let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(scan.valid_len)?;
             file.sync_all()?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok((
             Journal {
-                path,
                 writer: BufWriter::new(file),
             },
             scan,
@@ -68,7 +64,7 @@ impl Journal {
 
     /// Scan a journal file without opening it for writes. A missing file
     /// reads as an empty journal.
-    pub fn scan(path: impl AsRef<Path>) -> Result<JournalScan, PersistError> {
+    pub(crate) fn scan(path: impl AsRef<Path>) -> Result<JournalScan, PersistError> {
         let bytes = match std::fs::read(path.as_ref()) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -105,7 +101,7 @@ impl Journal {
 
     /// Append one record. Buffered + flushed; durability against power
     /// loss comes from the periodic snapshots, not per-record fsync.
-    pub fn append(&mut self, record: &State) -> Result<(), PersistError> {
+    pub(crate) fn append(&mut self, record: &State) -> Result<(), PersistError> {
         let payload = record.encode();
         let mut framed = Vec::with_capacity(frame::HEADER_LEN + payload.len());
         frame::write_frame(&mut framed, &payload);
@@ -116,19 +112,16 @@ impl Journal {
 
     /// Flush buffered frames to the OS and return a second handle on the
     /// file, so a snapshot writer on another thread can fsync them.
-    pub fn sync_handle(&mut self) -> Result<File, PersistError> {
+    pub(crate) fn sync_handle(&mut self) -> Result<File, PersistError> {
         self.writer.flush()?;
         Ok(self.writer.get_ref().try_clone()?)
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("persist-journal-{}-{name}", std::process::id()))

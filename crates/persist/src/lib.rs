@@ -11,7 +11,7 @@
 //!   `State`, so snapshot and journal payloads share one format.
 //! * [`Checkpointable`] — the trait session components implement to
 //!   export and restore their state as a `State` value.
-//! * [`journal::Journal`] — an append-only write-ahead log of
+//! * `journal::Journal` — an append-only write-ahead log of
 //!   length-prefixed, CRC-32-checksummed frames. Reading tolerates a
 //!   torn or truncated tail (the crash case) by stopping at the first
 //!   bad frame.
@@ -33,16 +33,15 @@
 // panic; test modules are exempt. CI enforces this with a clippy step.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod crc;
-pub mod frame;
-pub mod journal;
+pub(crate) mod crc;
+pub(crate) mod frame;
+pub(crate) mod journal;
 pub mod snapshot;
-pub mod state;
+pub(crate) mod state;
 pub mod store;
 
-pub use journal::{Journal, JournalScan};
 pub use state::State;
-pub use store::{CheckpointStore, Recovery};
+pub use store::CheckpointStore;
 
 use std::fmt;
 

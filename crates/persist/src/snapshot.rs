@@ -11,7 +11,7 @@
 //! values encoded now and bytes encoded earlier ([`Fields`]). An image
 //! holds bytes encoded earlier as shared pieces, not copies, so building
 //! one costs what is encoded now, and the bytes it shares stay alive as
-//! long as it does. Every image is written by [`write_image`]. Writes
+//! long as it does. Every image is written by `write_image`. Writes
 //! are atomic: the bytes go to a `.tmp` sibling, are fsynced, and the
 //! file is renamed into place (rename is atomic on POSIX filesystems),
 //! so a crash leaves either the old snapshot or the new one — never a
@@ -28,7 +28,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Snapshot file magic: format name + version byte.
-pub const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
+pub(crate) const MAGIC: &[u8; 8] = b"AHCKPT\x00\x01";
 
 /// Bytes before the body: the magic, then the body's CRC.
 const HEADER_LEN: usize = MAGIC.len() + 4;
@@ -196,7 +196,7 @@ impl Default for Fields {
     }
 }
 
-/// Write `state` to `path` atomically (see [`write_image`]).
+/// Write `state` to `path` atomically (see `write_image`).
 pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
     write_image(path, &Image::of(state))
 }
@@ -204,7 +204,7 @@ pub fn write(path: &Path, state: &State) -> Result<(), PersistError> {
 /// Write `image` to `path` atomically: the bytes go to a `.tmp` sibling,
 /// which is fsynced and then renamed into place, and the directory is
 /// fsynced to persist the rename. Every snapshot file is written here.
-pub fn write_image(path: &Path, image: &Image) -> Result<(), PersistError> {
+pub(crate) fn write_image(path: &Path, image: &Image) -> Result<(), PersistError> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?);

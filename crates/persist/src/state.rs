@@ -82,7 +82,7 @@ impl State {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             State::I64(v) => Some(*v),
             _ => None,
@@ -239,13 +239,13 @@ impl State {
     /// Append the header of a map of `count` pairs. Exactly `count`
     /// pairs must follow it, each an [`State::encode_key`] and then one
     /// encoded value.
-    pub fn encode_map_header(count: usize, out: &mut Vec<u8>) {
+    pub(crate) fn encode_map_header(count: usize, out: &mut Vec<u8>) {
         out.push(TAG_MAP);
         out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     /// Append one map key (see [`State::encode_map_header`]).
-    pub fn encode_key(key: &str, out: &mut Vec<u8>) {
+    pub(crate) fn encode_key(key: &str, out: &mut Vec<u8>) {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
     }

@@ -24,7 +24,7 @@
 //! the journal's buffer, hands the image off and returns; the writer
 //! then patches the field count and CRC ([`Fields::finish`]), fsyncs the
 //! journal, writes the `.tmp`, fsyncs it, renames it into place, fsyncs
-//! the directory and prunes to [`KEEP_SNAPSHOTS`] — in that order, so a
+//! the directory and prunes to `KEEP_SNAPSHOTS` — in that order, so a
 //! snapshot never claims more progress than the journal can prove. At
 //! most one write is in flight: a hand-off first joins the previous one.
 //! [`CheckpointStore::wait`] joins the write in flight and returns its
@@ -45,7 +45,7 @@ use std::thread::JoinHandle;
 pub const JOURNAL_FILE: &str = "journal.wal";
 
 /// How many recent snapshots to keep on disk.
-pub const KEEP_SNAPSHOTS: usize = 2;
+pub(crate) const KEEP_SNAPSHOTS: usize = 2;
 
 /// What recovery found in a checkpoint directory.
 #[derive(Debug)]
@@ -131,10 +131,6 @@ impl CheckpointStore {
             journal: None,
             writer: None,
         })
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn journal_path(&self) -> PathBuf {
@@ -223,7 +219,7 @@ impl CheckpointStore {
 
     /// Hand the snapshot for `iteration` to a writer thread and return.
     /// The writer seals `fields`, fsyncs the journal, writes the file
-    /// atomically and prunes old snapshots down to [`KEEP_SNAPSHOTS`];
+    /// atomically and prunes old snapshots down to `KEEP_SNAPSHOTS`;
     /// [`CheckpointStore::wait`] returns how that went. A write still in
     /// flight is joined first, and its error, if any, is returned
     /// instead of starting this one.

@@ -4,9 +4,10 @@ use crate::policy::{Ctx, Event, Outcome, Policy, RejectReason};
 use persist::{Checkpointable, PersistError, State};
 use std::collections::BTreeMap;
 
-/// Where one key's circuit stands.
+/// Where one key's circuit stands (what the unit tests assert on).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Evaluations flow normally.
     Closed,
     /// Evaluations are refused without measuring.
@@ -28,7 +29,7 @@ struct OpenEntry {
 
 /// What the breaker decided for one incoming evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Circuit closed: evaluate normally.
     Pass,
     /// Circuit open: refuse without measuring.
@@ -73,12 +74,14 @@ impl CircuitBreaker {
     }
 
     /// Is the configuration blacklisted (open, not currently probing)?
-    pub fn is_open(&self, key: &str) -> bool {
+    #[cfg(test)]
+    fn is_open(&self, key: &str) -> bool {
         self.open.get(key).map(|e| !e.probing).unwrap_or(false)
     }
 
     /// Where `key`'s circuit stands.
-    pub fn state_of(&self, key: &str) -> BreakerState {
+    #[cfg(test)]
+    fn state_of(&self, key: &str) -> BreakerState {
         match self.open.get(key) {
             None => BreakerState::Closed,
             Some(e) if e.probing => BreakerState::HalfOpen,
@@ -88,7 +91,7 @@ impl CircuitBreaker {
 
     /// Route one incoming evaluation: pass, skip, or probe. Skips are
     /// counted toward the half-open threshold.
-    pub fn on_request(&mut self, key: &str) -> Gate {
+    pub(crate) fn on_request(&mut self, key: &str) -> Gate {
         let Some(entry) = self.open.get_mut(key) else {
             return Gate::Pass;
         };
@@ -108,7 +111,7 @@ impl CircuitBreaker {
     /// Record a failed evaluation. Returns `true` if this failure tripped
     /// the breaker (newly opened). A failed half-open probe re-opens the
     /// circuit without counting as a new trip.
-    pub fn record_failure(&mut self, key: &str) -> bool {
+    pub(crate) fn record_failure(&mut self, key: &str) -> bool {
         if let Some(entry) = self.open.get_mut(key) {
             // Open or probing: a failure (re-)opens, never re-trips.
             *entry = OpenEntry {
@@ -136,13 +139,14 @@ impl CircuitBreaker {
 
     /// Record a successful evaluation: resets the failure count and
     /// closes the circuit for the key (probe success closes half-open).
-    pub fn record_success(&mut self, key: &str) {
+    pub(crate) fn record_success(&mut self, key: &str) {
         self.failures.remove(key);
         self.open.remove(key);
     }
 
     /// Number of currently blacklisted configurations.
-    pub fn open_count(&self) -> usize {
+    #[cfg(test)]
+    fn open_count(&self) -> usize {
         self.open.len()
     }
 }
@@ -219,7 +223,7 @@ impl Checkpointable for CircuitBreaker {
     }
 }
 
-/// The circuit-breaker layer: consults [`CircuitBreaker::on_request`]
+/// The circuit-breaker layer: consults `CircuitBreaker::on_request`
 /// before evaluating, rejects when the circuit is open, and feeds the
 /// final outcome back as a success or failure. A trip logs
 /// [`Event::BreakerOpen`] carrying the number of attempts the failed
@@ -232,10 +236,6 @@ pub struct Breaker {
 impl Breaker {
     pub fn new(breaker: CircuitBreaker) -> Self {
         Breaker { breaker }
-    }
-
-    pub fn inner(&self) -> &CircuitBreaker {
-        &self.breaker
     }
 }
 
@@ -368,7 +368,7 @@ mod tests {
         let mut stack: Stack<u32> = Stack::new()
             .layer(Breaker::new(CircuitBreaker::new(1)))
             .layer(crate::Retry::new(crate::RetryPolicy::default(), 3));
-        let out = stack.call("k", 0, &mut |_| Sample {
+        let out = stack.call("k", &mut |_| Sample {
             value: 0,
             valid: false,
             score: 0.0,
@@ -380,7 +380,7 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, Event::BreakerOpen { attempts: 3 })));
-        let out = stack.call("k", 1, &mut |_| Sample {
+        let out = stack.call("k", &mut |_| Sample {
             value: 0,
             valid: true,
             score: 1.0,

@@ -20,7 +20,7 @@ pub struct Bulkhead {
 
 impl Bulkhead {
     /// No cap: every evaluation gets a permit.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         Bulkhead {
             cap: None,
             in_flight: 0,
@@ -28,7 +28,7 @@ impl Bulkhead {
     }
 
     /// At most `cap` (≥ 1) evaluations in flight.
-    pub fn with_cap(cap: u32) -> Self {
+    pub(crate) fn with_cap(cap: u32) -> Self {
         Bulkhead {
             cap: Some(cap.max(1)),
             in_flight: 0,
@@ -43,12 +43,8 @@ impl Bulkhead {
         }
     }
 
-    pub fn cap(&self) -> Option<u32> {
-        self.cap
-    }
-
     /// Take a permit if one is free.
-    pub fn try_acquire(&mut self) -> bool {
+    pub(crate) fn try_acquire(&mut self) -> bool {
         match self.cap {
             Some(cap) if self.in_flight >= cap => false,
             _ => {
@@ -59,7 +55,7 @@ impl Bulkhead {
     }
 
     /// Return a permit.
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
     }
 
@@ -143,7 +139,7 @@ mod tests {
         let mut saturated = Bulkhead::with_cap(1);
         assert!(saturated.try_acquire());
         let mut stack: Stack<u32> = Stack::new().layer(saturated);
-        let out = stack.call("k", 0, &mut |_| Sample {
+        let out = stack.call("k", &mut |_| Sample {
             value: 0,
             valid: true,
             score: 1.0,
@@ -156,7 +152,7 @@ mod tests {
     fn layer_releases_its_permit() {
         let mut stack: Stack<u32> = Stack::new().layer(Bulkhead::with_cap(1));
         for i in 0..3 {
-            let out = stack.call("k", i, &mut |_| Sample {
+            let out = stack.call("k", &mut |_| Sample {
                 value: 0,
                 valid: true,
                 score: 1.0,

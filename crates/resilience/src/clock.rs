@@ -8,21 +8,21 @@ use simkit::time::{SimDuration, SimTime};
 /// retry layer by each backoff delay, so a [`crate::Timeout`] budget is
 /// checked against *simulated* elapsed time — no wall clock anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyClock {
+pub(crate) struct PolicyClock {
     now: SimTime,
 }
 
 impl PolicyClock {
-    pub fn new(start: SimTime) -> Self {
+    pub(crate) fn new(start: SimTime) -> Self {
         PolicyClock { now: start }
     }
 
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Advance by `d`, saturating at [`SimTime::MAX`].
-    pub fn advance(&mut self, d: SimDuration) {
+    pub(crate) fn advance(&mut self, d: SimDuration) {
         self.now = self.now.checked_add(d).unwrap_or(SimTime::MAX);
     }
 }

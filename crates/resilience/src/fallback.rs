@@ -41,11 +41,6 @@ impl<T> Fallback<T> {
             best: None,
         }
     }
-
-    /// The best valid sample seen so far, if degradation is enabled.
-    pub fn best(&self) -> Option<&Sample<T>> {
-        self.best.as_ref()
-    }
 }
 
 impl<T: Clone + StateCodec> Policy<T> for Fallback<T> {
@@ -146,10 +141,10 @@ mod tests {
     #[test]
     fn degrades_to_best_known_on_failure() {
         let mut stack: Stack<u32> = Stack::new().layer(Fallback::new(true));
-        assert!(stack.call("k", 0, &mut |_| sample(7, true, 3.0)).is_ok());
-        assert!(stack.call("k", 1, &mut |_| sample(9, true, 5.0)).is_ok());
-        assert!(stack.call("k", 2, &mut |_| sample(1, true, 4.0)).is_ok());
-        let out = stack.call("k", 3, &mut |_| sample(0, false, 0.0));
+        assert!(stack.call("k", &mut |_| sample(7, true, 3.0)).is_ok());
+        assert!(stack.call("k", &mut |_| sample(9, true, 5.0)).is_ok());
+        assert!(stack.call("k", &mut |_| sample(1, true, 4.0)).is_ok());
+        let out = stack.call("k", &mut |_| sample(0, false, 0.0));
         let Outcome::Degraded(d) = out else {
             panic!("expected degradation, got {out:?}");
         };
@@ -172,7 +167,7 @@ mod tests {
     fn without_history_failures_pass_through() {
         let mut stack: Stack<u32> = Stack::new().layer(Fallback::new(true));
         assert!(matches!(
-            stack.call("k", 0, &mut |_| sample(0, false, 0.0)),
+            stack.call("k", &mut |_| sample(0, false, 0.0)),
             Outcome::Invalid(_)
         ));
     }
@@ -180,8 +175,8 @@ mod tests {
     #[test]
     fn disabled_fallback_is_identity_with_no_state() {
         let mut stack: Stack<u32> = Stack::new().layer(Fallback::new(false));
-        assert!(stack.call("k", 0, &mut |_| sample(7, true, 3.0)).is_ok());
-        let out = stack.call("k", 1, &mut |_| sample(0, false, 0.0));
+        assert!(stack.call("k", &mut |_| sample(7, true, 3.0)).is_ok());
+        let out = stack.call("k", &mut |_| sample(0, false, 0.0));
         assert!(matches!(out, Outcome::Invalid(_)), "no degradation");
         let layer = Fallback::<u32>::new(false);
         assert_eq!(Policy::<u32>::save_state(&layer), State::Null);
@@ -190,12 +185,12 @@ mod tests {
     #[test]
     fn best_sample_survives_state_roundtrip() {
         let mut stack: Stack<u32> = Stack::new().layer(Fallback::new(true));
-        assert!(stack.call("k", 0, &mut |_| sample(9, true, 5.0)).is_ok());
+        assert!(stack.call("k", &mut |_| sample(9, true, 5.0)).is_ok());
         let saved = stack.save_state();
         let mut fresh: Stack<u32> = Stack::new().layer(Fallback::new(true));
         fresh.restore_state(&saved).unwrap();
         assert_eq!(fresh.save_state(), saved, "bit-exact");
-        let out = fresh.call("k", 1, &mut |_| sample(0, false, 0.0));
+        let out = fresh.call("k", &mut |_| sample(0, false, 0.0));
         assert!(matches!(out, Outcome::Degraded(d) if d.sample.value == 9));
     }
 
@@ -204,13 +199,13 @@ mod tests {
         let mut stack: Stack<u32> = Stack::new()
             .layer(Fallback::new(true))
             .layer(crate::Breaker::new(crate::CircuitBreaker::new(1)));
-        assert!(stack.call("k", 0, &mut |_| sample(3, true, 2.0)).is_ok());
+        assert!(stack.call("k", &mut |_| sample(3, true, 2.0)).is_ok());
         assert!(matches!(
-            stack.call("k", 1, &mut |_| sample(0, false, 0.0)),
+            stack.call("k", &mut |_| sample(0, false, 0.0)),
             Outcome::Degraded(_)
         ));
         // Breaker now open: the rejection also degrades.
-        let out = stack.call("k", 2, &mut |_| sample(0, true, 9.0));
+        let out = stack.call("k", &mut |_| sample(0, true, 9.0));
         let Outcome::Degraded(d) = out else {
             panic!("expected degradation, got {out:?}");
         };
@@ -222,7 +217,7 @@ mod tests {
         assert!(exhausted.try_acquire());
         let mut bare: Stack<u32> = Stack::new().layer(Fallback::new(true)).layer(exhausted);
         assert!(matches!(
-            bare.call("k", 0, &mut |_| sample(0, true, 1.0)),
+            bare.call("k", &mut |_| sample(0, true, 1.0)),
             Outcome::Rejected(RejectReason::BulkheadFull)
         ));
     }

@@ -3,11 +3,11 @@
 //! The recovery machinery a tuning session wraps around each fallible
 //! evaluation, factored into middleware-style layers over a closure:
 //!
-//! * [`policy::Policy`] — one layer: it receives the evaluation context
+//! * `policy::Policy` — one layer: it receives the evaluation context
 //!   and a `next` continuation, and may short-circuit, retry, or rewrite
 //!   the [`policy::Outcome`] flowing back up;
 //! * [`policy::Stack`] — an explicit composition of layers (outermost
-//!   first) plus the session's [`clock::PolicyClock`] and the ordered
+//!   first) plus the session's `clock::PolicyClock` and the ordered
 //!   [`policy::Event`] log of everything the layers did;
 //! * [`retry::Retry`] — bounded attempts with [`retry::Backoff`] and
 //!   seeded [`retry::Jitter`] (all delays are simulated time);
@@ -38,22 +38,19 @@
 // CI enforces this with a dedicated clippy step.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod breaker;
-pub mod bulkhead;
-pub mod clock;
-pub mod fallback;
-pub mod outlier;
-pub mod policy;
-pub mod retry;
-pub mod timeout;
+pub(crate) mod breaker;
+pub(crate) mod bulkhead;
+pub(crate) mod clock;
+pub(crate) mod fallback;
+pub(crate) mod outlier;
+pub(crate) mod policy;
+pub(crate) mod retry;
+pub(crate) mod timeout;
 
-pub use breaker::{Breaker, BreakerState, CircuitBreaker};
+pub use breaker::{Breaker, CircuitBreaker};
 pub use bulkhead::Bulkhead;
-pub use clock::PolicyClock;
 pub use fallback::{Fallback, StateCodec};
 pub use outlier::OutlierGate;
-pub use policy::{
-    Ctx, DegradeReason, Degraded, Event, Outcome, Policy, RejectReason, Sample, Stack,
-};
+pub use policy::{Ctx, Event, Outcome, Sample, Stack};
 pub use retry::{Backoff, Jitter, Retry, RetryPolicy};
 pub use timeout::Timeout;

@@ -6,7 +6,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlierGate {
     /// Maximum acceptable `ci_half / wips` ratio.
-    pub max_rel_half_width: f64,
+    pub(crate) max_rel_half_width: f64,
     /// Re-measurement budget per sample.
     pub max_remeasures: u32,
 }

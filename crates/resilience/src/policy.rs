@@ -51,7 +51,7 @@ impl DegradeReason {
 pub struct Degraded<T> {
     pub sample: Sample<T>,
     pub measured: Option<Sample<T>>,
-    pub reason: DegradeReason,
+    pub(crate) reason: DegradeReason,
 }
 
 /// What flows back up through the layers after one [`Stack::call`].
@@ -69,17 +69,8 @@ pub enum Outcome<T> {
 }
 
 impl<T> Outcome<T> {
-    /// The measured sample, if any attempt ran (the failed measurement
-    /// for degraded outcomes).
-    pub fn measured(&self) -> Option<&Sample<T>> {
-        match self {
-            Outcome::Ok(s) | Outcome::Invalid(s) => Some(s),
-            Outcome::Degraded(d) => d.measured.as_ref(),
-            Outcome::Rejected(_) => None,
-        }
-    }
-
-    pub fn is_ok(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_ok(&self) -> bool {
         matches!(self, Outcome::Ok(_))
     }
 }
@@ -121,8 +112,7 @@ pub enum Event {
 /// evaluated, the current attempt number, the simulated clock, and the
 /// event log.
 pub struct Ctx<'a> {
-    pub key: &'a str,
-    pub iteration: u32,
+    pub(crate) key: &'a str,
     /// 1-indexed attempt number, maintained by [`crate::Retry`].
     pub attempt: u32,
     clock: &'a mut PolicyClock,
@@ -131,7 +121,7 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.clock.now()
     }
 
@@ -204,12 +194,14 @@ impl<T> Stack<T> {
     }
 
     /// Builder: start the simulated clock at `t`.
-    pub fn starting_at(mut self, t: SimTime) -> Self {
+    #[cfg(test)]
+    fn starting_at(mut self, t: SimTime) -> Self {
         self.clock = PolicyClock::new(t);
         self
     }
 
-    pub fn clock(&self) -> &PolicyClock {
+    #[cfg(test)]
+    pub(crate) fn clock(&self) -> &PolicyClock {
         &self.clock
     }
 
@@ -218,13 +210,11 @@ impl<T> Stack<T> {
     pub fn call(
         &mut self,
         key: &str,
-        iteration: u32,
         eval: &mut dyn for<'a> FnMut(&mut Ctx<'a>) -> Sample<T>,
     ) -> Outcome<T> {
         self.events.clear();
         let mut ctx = Ctx {
             key,
-            iteration,
             attempt: 1,
             clock: &mut self.clock,
             events: &mut self.events,
@@ -233,7 +223,8 @@ impl<T> Stack<T> {
     }
 
     /// The events of the most recent call, in order.
-    pub fn events(&self) -> &[Event] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[Event] {
         &self.events
     }
 
@@ -320,9 +311,9 @@ mod tests {
     #[test]
     fn empty_stack_passes_through() {
         let mut stack: Stack<u32> = Stack::new();
-        let out = stack.call("k", 0, &mut |_| sample(true, 2.0));
+        let out = stack.call("k", &mut |_| sample(true, 2.0));
         assert!(matches!(out, Outcome::Ok(s) if s.score == 2.0));
-        let out = stack.call("k", 0, &mut |_| sample(false, 0.0));
+        let out = stack.call("k", &mut |_| sample(false, 0.0));
         assert!(matches!(out, Outcome::Invalid(_)));
         assert!(stack.events().is_empty());
     }
@@ -330,9 +321,8 @@ mod tests {
     #[test]
     fn closure_sees_clock_and_event_log() {
         let mut stack: Stack<u32> = Stack::new().starting_at(SimTime::from_secs(5));
-        let out = stack.call("k", 3, &mut |ctx| {
+        let out = stack.call("k", &mut |ctx| {
             assert_eq!(ctx.now(), SimTime::from_secs(5));
-            assert_eq!(ctx.iteration, 3);
             ctx.advance(SimDuration::from_secs(30));
             ctx.push(Event::Remeasure {
                 attempt: 1,
@@ -355,7 +345,7 @@ mod tests {
     #[test]
     fn stack_state_roundtrip_restores_clock() {
         let mut stack: Stack<u32> = Stack::new();
-        stack.call("k", 0, &mut |ctx| {
+        stack.call("k", &mut |ctx| {
             ctx.advance(SimDuration::from_secs(7));
             sample(true, 1.0)
         });

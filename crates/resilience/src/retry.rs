@@ -23,7 +23,7 @@ pub enum Backoff {
 impl Backoff {
     /// The un-jittered delay before attempt `attempt` (1-indexed;
     /// attempt 0 is treated as 1).
-    pub fn delay(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn delay(&self, attempt: u32) -> SimDuration {
         let attempt = attempt.max(1);
         match *self {
             Backoff::Constant(d) => d,
@@ -52,7 +52,7 @@ pub enum Jitter {
 }
 
 impl Jitter {
-    pub fn apply(&self, delay: SimDuration, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn apply(&self, delay: SimDuration, rng: &mut SimRng) -> SimDuration {
         let us = delay.as_micros();
         if us == 0 {
             return delay;
@@ -92,12 +92,12 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Whether attempt `attempt` (1-indexed) is allowed.
-    pub fn allows(&self, attempt: u32) -> bool {
+    pub(crate) fn allows(&self, attempt: u32) -> bool {
         attempt <= self.max_attempts
     }
 
     /// The jittered delay to wait before retrying after attempt `attempt`.
-    pub fn delay(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
         self.jitter.apply(self.backoff.delay(attempt), rng)
     }
 }
@@ -108,7 +108,7 @@ impl RetryPolicy {
 /// [`Event::Retry`] carrying the failed sample's score.
 #[derive(Debug, Clone)]
 pub struct Retry {
-    pub policy: RetryPolicy,
+    pub(crate) policy: RetryPolicy,
     rng: SimRng,
 }
 
@@ -269,7 +269,7 @@ mod tests {
 
     fn failing_stack(seed: u64) -> (Stack<u32>, Vec<Event>) {
         let mut stack: Stack<u32> = Stack::new().layer(Retry::new(RetryPolicy::default(), seed));
-        let out = stack.call("k", 0, &mut |ctx| Sample {
+        let out = stack.call("k", &mut |ctx| Sample {
             value: ctx.attempt,
             valid: false,
             score: 0.0,
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn retry_stops_on_first_success_and_advances_clock() {
         let mut stack: Stack<u32> = Stack::new().layer(Retry::new(RetryPolicy::default(), 7));
-        let out = stack.call("k", 0, &mut |ctx| Sample {
+        let out = stack.call("k", &mut |ctx| Sample {
             value: ctx.attempt,
             valid: ctx.attempt >= 2,
             score: ctx.attempt as f64,

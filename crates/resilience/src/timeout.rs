@@ -12,7 +12,7 @@ use simkit::time::SimDuration;
 /// `budget: None` is the identity layer — it never measures or rewrites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeout {
-    pub budget: Option<SimDuration>,
+    pub(crate) budget: Option<SimDuration>,
 }
 
 impl Timeout {
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn no_budget_is_identity() {
         let mut stack: Stack<u32> = Stack::new().layer(Timeout::new(None));
-        let out = stack.call("k", 0, &mut |ctx| {
+        let out = stack.call("k", &mut |ctx| {
             ctx.advance(SimDuration::from_secs(1_000_000));
             sample(true, 1.0)
         });
@@ -85,7 +85,7 @@ mod tests {
     fn over_budget_attempt_is_invalidated() {
         let mut stack: Stack<u32> =
             Stack::new().layer(Timeout::new(Some(SimDuration::from_secs(30))));
-        let out = stack.call("k", 0, &mut |ctx| {
+        let out = stack.call("k", &mut |ctx| {
             ctx.advance(SimDuration::from_secs(45));
             sample(true, 9.0)
         });
@@ -111,7 +111,7 @@ mod tests {
         let mut stack: Stack<u32> = Stack::new()
             .layer(Retry::new(RetryPolicy::default(), 11))
             .layer(Timeout::new(Some(SimDuration::from_secs(60))));
-        let out = stack.call("k", 0, &mut |ctx| {
+        let out = stack.call("k", &mut |ctx| {
             let stalled = ctx.attempt == 1;
             ctx.advance(SimDuration::from_secs(if stalled { 90 } else { 25 }));
             sample(true, 4.0)
@@ -131,7 +131,7 @@ mod tests {
         let mut stack: Stack<u32> = Stack::new()
             .layer(Retry::new(RetryPolicy::default(), 1))
             .layer(Timeout::new(Some(SimDuration::from_secs(60))));
-        let out = stack.call("k", 0, &mut |ctx| {
+        let out = stack.call("k", &mut |ctx| {
             ctx.advance(SimDuration::from_secs(40));
             sample(ctx.attempt == 3, 1.0)
         });

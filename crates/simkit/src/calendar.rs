@@ -68,12 +68,6 @@ impl<E> EventCalendar<E> {
         self.sift_up(self.keys.len() - 1);
     }
 
-    /// Time of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| key_time(k))
-    }
-
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.keys.is_empty() {
@@ -93,13 +87,6 @@ impl<E> EventCalendar<E> {
 
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
-    }
-
-    /// Drop every pending event (used between tuning iterations when the
-    /// world is rebuilt).
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.events.clear();
     }
 
     /// Move the entry at `i` up to its heap position. The key rides in a
@@ -188,25 +175,6 @@ mod tests {
         assert_eq!(c.pop(), Some((SimTime::from_secs(2), 2)));
         assert_eq!(c.pop(), Some((SimTime::from_secs(5), 5)));
         assert!(c.pop().is_none());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut c = EventCalendar::new();
-        c.schedule(SimTime::from_secs(9), ());
-        assert_eq!(c.peek_time(), Some(SimTime::from_secs(9)));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = EventCalendar::new();
-        for i in 0..10 {
-            c.schedule(SimTime::from_secs(i), i);
-        }
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.peek_time(), None);
     }
 
     /// The 4-ary heap must order exactly like a reference sort on

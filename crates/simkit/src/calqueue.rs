@@ -166,7 +166,7 @@ impl<E> CalendarQueue<E> {
 
     /// Time of the earliest pending event (amortised O(1); the located
     /// position is cached for the following `pop`).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.locate_front()
             .map(|(_, key)| SimTime::from_micros(key_time(key)))
     }
@@ -183,16 +183,6 @@ impl<E> CalendarQueue<E> {
             self.resize(self.buckets.len() / 2);
         }
         Some((SimTime::from_micros(key_time(key)), event))
-    }
-
-    /// Drop every pending event (the world is rebuilt between iterations).
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-        self.front = None;
-        self.cursor_slot = 0;
     }
 
     /// Rebuild with `new_days` buckets, re-deriving the day width from the
@@ -236,13 +226,15 @@ impl<E> CalendarQueue<E> {
         self.front = None;
     }
 
-    /// Current bucket count (diagnostics and resize tests).
-    pub fn days(&self) -> usize {
+    /// Current bucket count (resize tests).
+    #[cfg(test)]
+    fn days(&self) -> usize {
         self.buckets.len()
     }
 
     /// Current day width in microseconds (always a power of two).
-    pub fn day_width_micros(&self) -> u64 {
+    #[cfg(test)]
+    fn day_width_micros(&self) -> u64 {
         1 << self.width_shift
     }
 }
@@ -449,18 +441,5 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(20)));
         assert_eq!(q.pop(), Some((SimTime::from_micros(20), "early")));
         assert_eq!(q.pop(), Some((SimTime::from_micros(500), "late")));
-    }
-
-    #[test]
-    fn clear_empties_and_reuses() {
-        let mut q = CalendarQueue::new();
-        for i in 0..100u64 {
-            q.schedule(SimTime::from_micros(i), i);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_micros(9), 9);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(9), 9)));
     }
 }

@@ -1,14 +1,12 @@
 //! Confidence intervals for simulation output analysis.
 //!
-//! Two classic tools: Student-t confidence intervals over independent
-//! replications (seeds), and the batch-means method for a single long
-//! steady-state run whose samples are autocorrelated.
+//! Student-t confidence intervals over independent replications (seeds).
 
 use crate::stats::Welford;
 
 /// Two-sided Student-t critical value for the given degrees of freedom at
 /// 95% confidence (table for small df, normal approximation beyond).
-pub fn t_critical_95(df: u64) -> f64 {
+pub(crate) fn t_critical_95(df: u64) -> f64 {
     const TABLE: [f64; 30] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
         2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
@@ -33,24 +31,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    pub fn lower(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    pub fn upper(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Does the interval contain `x`?
-    pub fn contains(&self, x: f64) -> bool {
-        (self.lower()..=self.upper()).contains(&x)
-    }
-
-    /// Do two intervals overlap? (A quick no-significant-difference test.)
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lower() <= other.upper() && other.lower() <= self.upper()
-    }
-
     /// Relative half-width (precision of the estimate).
     ///
     /// A near-zero mean is degenerate for a *relative* measure, so it is
@@ -98,28 +78,6 @@ pub fn replication_ci(samples: &[f64]) -> ConfidenceInterval {
     }
 }
 
-/// Batch-means 95% CI for an autocorrelated steady-state series: split
-/// into `batches` contiguous batches, treat batch means as independent.
-/// Trailing samples that do not fill a batch are dropped.
-pub fn batch_means_ci(series: &[f64], batches: usize) -> ConfidenceInterval {
-    assert!(batches >= 2, "need at least two batches");
-    let batch_len = series.len() / batches;
-    if batch_len == 0 {
-        return ConfidenceInterval {
-            mean: series.iter().sum::<f64>() / series.len().max(1) as f64,
-            half_width: f64::INFINITY,
-            samples: series.len() as u64,
-        };
-    }
-    let means: Vec<f64> = (0..batches)
-        .map(|b| {
-            let chunk = &series[b * batch_len..(b + 1) * batch_len];
-            chunk.iter().sum::<f64>() / batch_len as f64
-        })
-        .collect();
-    replication_ci(&means)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,57 +105,12 @@ mod tests {
         assert!((ci.mean - 3.0).abs() < 1e-12);
         let expected = 2.776 * (2.5f64).sqrt() / (5f64).sqrt();
         assert!((ci.half_width - expected).abs() < 1e-9);
-        assert!(ci.contains(3.0));
-        assert!(!ci.contains(10.0));
     }
 
     #[test]
     fn single_sample_is_unbounded() {
         let ci = replication_ci(&[7.0]);
         assert_eq!(ci.mean, 7.0);
-        assert!(ci.half_width.is_infinite());
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = ConfidenceInterval {
-            mean: 10.0,
-            half_width: 2.0,
-            samples: 5,
-        };
-        let b = ConfidenceInterval {
-            mean: 13.0,
-            half_width: 2.0,
-            samples: 5,
-        };
-        let c = ConfidenceInterval {
-            mean: 20.0,
-            half_width: 1.0,
-            samples: 5,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
-    }
-
-    #[test]
-    fn batch_means_tightens_with_signal_stability() {
-        // A flat series gives a near-zero half-width.
-        let flat = vec![5.0; 100];
-        let ci = batch_means_ci(&flat, 10);
-        assert!((ci.mean - 5.0).abs() < 1e-12);
-        assert!(ci.half_width < 1e-9);
-        // An alternating series has wide batch variance at odd batch sizes.
-        let noisy: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 0.0 } else { 10.0 })
-            .collect();
-        let ci2 = batch_means_ci(&noisy, 10);
-        assert!((ci2.mean - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_means_short_series_is_unbounded() {
-        let ci = batch_means_ci(&[1.0], 2);
         assert!(ci.half_width.is_infinite());
     }
 

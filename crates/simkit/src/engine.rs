@@ -73,25 +73,10 @@ impl<E> Scheduler<E> {
 
     /// Schedule `event` at an absolute time. Panics (debug) if in the past.
     #[inline]
-    pub fn at(&mut self, time: SimTime, event: E) {
+    pub(crate) fn at(&mut self, time: SimTime, event: E) {
         debug_assert!(time >= self.now, "scheduling into the past");
         self.calendar.schedule(time.max(self.now), event);
         self.note_depth();
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.calendar.len()
-    }
-
-    /// Total events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.events_executed
-    }
-
-    /// High-water mark of the calendar depth since the start.
-    pub fn max_pending(&self) -> usize {
-        self.max_pending
     }
 }
 
@@ -151,11 +136,6 @@ impl<M: Model> Simulation<M> {
         self.sched.events_executed
     }
 
-    /// High-water mark of the calendar depth since the start.
-    pub fn max_pending(&self) -> usize {
-        self.sched.max_pending
-    }
-
     /// Publish engine counters into `registry` under `prefix` (e.g.
     /// `prefix = "sim"` yields `sim.events`, `sim.calendar_depth_max`).
     /// Call once per run; the events counter accumulates across calls so a
@@ -178,7 +158,7 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Execute exactly one event, if any. Returns the event time.
-    pub fn step(&mut self) -> Option<SimTime> {
+    pub(crate) fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.sched.calendar.pop()?;
         debug_assert!(time >= self.sched.now, "calendar regressed");
         self.sched.now = time;
@@ -208,12 +188,6 @@ impl<M: Model> Simulation<M> {
                 }
             }
         }
-    }
-
-    /// Run for `span` more simulated time.
-    pub fn run_for(&mut self, span: SimDuration) -> StopReason {
-        let horizon = self.now() + span;
-        self.run_until(horizon)
     }
 }
 
@@ -275,16 +249,6 @@ mod tests {
         let reason = sim.run_until(SimTime::from_secs(3));
         assert_eq!(reason, StopReason::HorizonReached);
         assert_eq!(sim.model().fired_at.len(), 4);
-    }
-
-    #[test]
-    fn run_for_advances_relative() {
-        let mut sim = ticker(100);
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-        sim.run_for(SimDuration::from_secs(3));
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert_eq!(sim.model().fired_at.len(), 6); // t=0..=5
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `BuildHasher` for [`FxHasher64`]; plug into `HashMap::with_hasher`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// A `HashMap` using [`FxHasher64`] (drop-in alias).
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;

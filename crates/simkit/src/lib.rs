@@ -81,14 +81,8 @@ pub mod time;
 
 /// One-stop imports for model authors.
 pub mod prelude {
-    pub use crate::calendar::EventCalendar;
-    pub use crate::ci::{batch_means_ci, replication_ci, ConfidenceInterval};
-    pub use crate::engine::{Model, Scheduler, Simulation, StopReason};
-    pub use crate::queue::{BoundedQueue, Offer};
-    pub use crate::resource::{Admission, Dispatched, MultiServer};
+    pub use crate::engine::{Model, Scheduler, Simulation};
+    pub use crate::resource::{Admission, MultiServer};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{
-        DurationHistogram, ThroughputCounter, TimeWeighted, UtilizationTracker, Welford,
-    };
     pub use crate::time::{SimDuration, SimTime};
 }

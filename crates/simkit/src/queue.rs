@@ -11,25 +11,21 @@ pub enum Offer<T> {
     Rejected(T),
 }
 
-/// A FIFO queue with an optional capacity bound and drop statistics.
+/// A FIFO queue with an optional capacity bound and a rejection count.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: Option<usize>,
-    accepted: u64,
     rejected: u64,
-    peak_len: usize,
 }
 
 impl<T> BoundedQueue<T> {
     /// Unbounded queue.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         BoundedQueue {
             items: VecDeque::new(),
             capacity: None,
-            accepted: 0,
             rejected: 0,
-            peak_len: 0,
         }
     }
 
@@ -38,21 +34,15 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity: Some(capacity),
-            accepted: 0,
             rejected: 0,
-            peak_len: 0,
         }
     }
 
     /// Change the capacity bound in place (used when a tuner adjusts an
     /// accept-queue parameter). Existing queued items are never dropped,
     /// even if the new bound is below the current length.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity;
-    }
-
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Offer an item; rejects when full.
@@ -64,10 +54,6 @@ impl<T> BoundedQueue<T> {
             }
         }
         self.items.push_back(item);
-        self.accepted += 1;
-        if self.items.len() > self.peak_len {
-            self.peak_len = self.items.len();
-        }
         Offer::Accepted
     }
 
@@ -84,29 +70,8 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Drain all items and reset counters.
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.accepted = 0;
-        self.rejected = 0;
-        self.peak_len = 0;
-    }
-
-    /// Iterate items front (oldest) to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
     }
 }
 
@@ -130,7 +95,6 @@ mod tests {
         assert_eq!(q.offer('a'), Offer::Accepted);
         assert_eq!(q.offer('b'), Offer::Accepted);
         assert_eq!(q.offer('c'), Offer::Rejected('c'));
-        assert_eq!(q.accepted(), 2);
         assert_eq!(q.rejected(), 1);
     }
 
@@ -154,32 +118,5 @@ mod tests {
         q.take();
         q.take();
         assert_eq!(q.offer(9), Offer::Accepted);
-    }
-
-    #[test]
-    fn peak_len_tracks_high_water() {
-        let mut q = BoundedQueue::unbounded();
-        for i in 0..7 {
-            q.offer(i);
-        }
-        for _ in 0..7 {
-            q.take();
-        }
-        q.offer(1);
-        assert_eq!(q.peak_len(), 7);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut q = BoundedQueue::bounded(3);
-        q.offer(1);
-        q.offer(2);
-        q.offer(3);
-        q.offer(4);
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.accepted(), 0);
-        assert_eq!(q.rejected(), 0);
-        assert_eq!(q.peak_len(), 0);
     }
 }

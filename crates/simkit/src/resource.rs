@@ -47,7 +47,6 @@ pub struct MultiServer<T> {
     busy: u32,
     queue: BoundedQueue<Waiting<T>>,
     util: UtilizationTracker,
-    started: u64,
     completed: u64,
 }
 
@@ -64,7 +63,6 @@ impl<T> MultiServer<T> {
                 None => BoundedQueue::unbounded(),
             },
             util: UtilizationTracker::new(start, servers as f64),
-            started: 0,
             completed: 0,
         }
     }
@@ -74,7 +72,6 @@ impl<T> MultiServer<T> {
         if self.busy < self.servers {
             self.busy += 1;
             self.util.set_busy(now, self.busy as f64);
-            self.started += 1;
             Admission::Started
         } else {
             match self.queue.offer(Waiting { job, demand }) {
@@ -92,7 +89,6 @@ impl<T> MultiServer<T> {
         self.completed += 1;
         if let Some(w) = self.queue.take() {
             // Server goes straight to the next job; busy count unchanged.
-            self.started += 1;
             Some(Dispatched {
                 job: w.job,
                 demand: w.demand,
@@ -102,34 +98,6 @@ impl<T> MultiServer<T> {
             self.util.set_busy(now, self.busy as f64);
             None
         }
-    }
-
-    /// Resize the station (tuner changed a thread-pool parameter). Running
-    /// jobs are unaffected; if servers shrink below the busy count the
-    /// excess drains as jobs complete. Growing dispatches queued jobs — the
-    /// returned vector holds jobs the caller must now schedule completions
-    /// for.
-    pub fn set_servers(&mut self, now: SimTime, servers: u32) -> Vec<Dispatched<T>> {
-        assert!(servers >= 1);
-        self.servers = servers;
-        self.util.set_capacity(now, servers as f64);
-        self.util.set_busy(now, self.busy.min(self.servers) as f64);
-        let mut dispatched = Vec::new();
-        while self.busy < self.servers {
-            match self.queue.take() {
-                Some(w) => {
-                    self.busy += 1;
-                    self.started += 1;
-                    dispatched.push(Dispatched {
-                        job: w.job,
-                        demand: w.demand,
-                    });
-                }
-                None => break,
-            }
-        }
-        self.util.set_busy(now, self.busy as f64);
-        dispatched
     }
 
     /// Change the queue bound (tuner changed an accept-count parameter).
@@ -145,19 +113,15 @@ impl<T> MultiServer<T> {
         self.busy
     }
 
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.queue.rejected()
     }
 
-    pub fn started(&self) -> u64 {
-        self.started
-    }
-
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.completed
     }
 
@@ -242,35 +206,5 @@ mod tests {
         m.complete(S(10));
         let u = m.utilization(S(10));
         assert!((u - 0.5).abs() < 1e-9, "u = {u}");
-    }
-
-    #[test]
-    fn grow_dispatches_queued_jobs() {
-        let mut m: MultiServer<u32> = MultiServer::new(SimTime::ZERO, 1, None);
-        m.offer(S(0), 1, D(5));
-        m.offer(S(0), 2, D(5));
-        m.offer(S(0), 3, D(5));
-        let dispatched = m.set_servers(S(2), 3);
-        assert_eq!(dispatched.len(), 2);
-        assert_eq!(dispatched[0].job, 2);
-        assert_eq!(dispatched[1].job, 3);
-        assert_eq!(m.busy(), 3);
-        assert_eq!(m.queue_len(), 0);
-    }
-
-    #[test]
-    fn shrink_drains_gracefully() {
-        let mut m: MultiServer<u32> = MultiServer::new(SimTime::ZERO, 3, None);
-        for j in 0..3 {
-            m.offer(S(0), j, D(10));
-        }
-        let dispatched = m.set_servers(S(1), 1);
-        assert!(dispatched.is_empty());
-        assert_eq!(m.busy(), 3); // over-busy until completions drain
-        m.complete(S(2));
-        m.complete(S(3));
-        assert_eq!(m.busy(), 1);
-        // Now a new offer must queue: only 1 server and it is busy.
-        assert_eq!(m.offer(S(4), 9, D(1)), Admission::Enqueued);
     }
 }

@@ -179,7 +179,7 @@ impl SimRng {
 
     /// Standard normal via Box–Muller (one value per call; simple and
     /// branch-free enough for our volumes).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

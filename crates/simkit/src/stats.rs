@@ -102,10 +102,6 @@ impl Welford {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    pub fn reset(&mut self) {
-        *self = Welford::new();
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal (queue lengths,
@@ -116,7 +112,6 @@ pub struct TimeWeighted {
     last_value: f64,
     area: f64,
     start: SimTime,
-    peak: f64,
 }
 
 impl TimeWeighted {
@@ -126,7 +121,6 @@ impl TimeWeighted {
             last_value: initial,
             area: 0.0,
             start,
-            peak: initial,
         }
     }
 
@@ -136,23 +130,6 @@ impl TimeWeighted {
         self.area += self.last_value * dt;
         self.last_time = now;
         self.last_value = value;
-        if value > self.peak {
-            self.peak = value;
-        }
-    }
-
-    /// Add `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.last_value + delta;
-        self.set(now, v);
-    }
-
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 
     /// Time-average over `[start, now]`.
@@ -166,7 +143,7 @@ impl TimeWeighted {
     }
 
     /// Restart the averaging window at `now`, keeping the current value.
-    pub fn reset_window(&mut self, now: SimTime) {
+    pub(crate) fn reset_window(&mut self, now: SimTime) {
         let v = self.last_value;
         *self = TimeWeighted::new(now, v);
     }
@@ -175,47 +152,29 @@ impl TimeWeighted {
 /// Busy-time tracker for a resource with a fixed capacity: utilization is
 /// (integral of busy servers) / (capacity * window).
 #[derive(Debug, Clone)]
-pub struct UtilizationTracker {
+pub(crate) struct UtilizationTracker {
     busy: TimeWeighted,
     capacity: f64,
 }
 
 impl UtilizationTracker {
-    pub fn new(start: SimTime, capacity: f64) -> Self {
+    pub(crate) fn new(start: SimTime, capacity: f64) -> Self {
         UtilizationTracker {
             busy: TimeWeighted::new(start, 0.0),
             capacity: capacity.max(1e-9),
         }
     }
 
-    pub fn set_busy(&mut self, now: SimTime, busy: f64) {
+    pub(crate) fn set_busy(&mut self, now: SimTime, busy: f64) {
         self.busy.set(now, busy);
     }
 
-    pub fn add_busy(&mut self, now: SimTime, delta: f64) {
-        self.busy.add(now, delta);
-    }
-
-    pub fn busy_now(&self) -> f64 {
-        self.busy.current()
-    }
-
     /// Utilization in [0, ~1] over the current window.
-    pub fn utilization(&self, now: SimTime) -> f64 {
+    pub(crate) fn utilization(&self, now: SimTime) -> f64 {
         (self.busy.average(now) / self.capacity).max(0.0)
     }
 
-    pub fn reset_window(&mut self, now: SimTime) {
-        self.busy.reset_window(now);
-    }
-
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Change the capacity (e.g. node reconfigured); restarts the window.
-    pub fn set_capacity(&mut self, now: SimTime, capacity: f64) {
-        self.capacity = capacity.max(1e-9);
+    pub(crate) fn reset_window(&mut self, now: SimTime) {
         self.busy.reset_window(now);
     }
 }
@@ -225,9 +184,7 @@ impl UtilizationTracker {
 pub struct DurationHistogram {
     bin_width: SimDuration,
     bins: Vec<u64>,
-    overflow: u64,
     count: u64,
-    sum_micros: u128,
 }
 
 impl DurationHistogram {
@@ -237,33 +194,16 @@ impl DurationHistogram {
         DurationHistogram {
             bin_width,
             bins: vec![0; num_bins],
-            overflow: 0,
             count: 0,
-            sum_micros: 0,
         }
     }
 
     pub fn record(&mut self, d: SimDuration) {
         let idx = (d.as_micros() / self.bin_width.as_micros()) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(bin) = self.bins.get_mut(idx) {
+            *bin += 1;
         }
         self.count += 1;
-        self.sum_micros += d.as_micros() as u128;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros((self.sum_micros / self.count as u128) as u64)
-        }
     }
 
     /// Approximate percentile (`q` in `[0, 1]`): upper edge of the bin holding
@@ -283,60 +223,6 @@ impl DurationHistogram {
             }
         }
         SimDuration::from_micros(self.bin_width.as_micros() * self.bins.len() as u64)
-    }
-
-    pub fn reset(&mut self) {
-        self.bins.iter_mut().for_each(|b| *b = 0);
-        self.overflow = 0;
-        self.count = 0;
-        self.sum_micros = 0;
-    }
-
-    pub fn overflow_count(&self) -> u64 {
-        self.overflow
-    }
-}
-
-/// A windowed throughput counter: events per second over a window.
-#[derive(Debug, Clone)]
-pub struct ThroughputCounter {
-    window_start: SimTime,
-    events: u64,
-}
-
-impl ThroughputCounter {
-    pub fn new(start: SimTime) -> Self {
-        ThroughputCounter {
-            window_start: start,
-            events: 0,
-        }
-    }
-
-    pub fn record(&mut self) {
-        self.events += 1;
-    }
-
-    pub fn record_n(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per second of simulated time since the window start.
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let span = now.since(self.window_start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / span
-        }
-    }
-
-    pub fn reset(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.events = 0;
     }
 }
 
@@ -390,8 +276,6 @@ mod tests {
                                              // 2 for 10s -> query at t=30
         let avg = tw.average(SimTime::from_secs(30));
         assert!((avg - (0.0 * 10.0 + 4.0 * 10.0 + 2.0 * 10.0) / 30.0).abs() < 1e-9);
-        assert_eq!(tw.peak(), 4.0);
-        assert_eq!(tw.current(), 2.0);
     }
 
     #[test]
@@ -399,7 +283,6 @@ mod tests {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
         tw.set(SimTime::from_secs(5), 3.0);
         tw.reset_window(SimTime::from_secs(10));
-        assert_eq!(tw.current(), 3.0);
         let avg = tw.average(SimTime::from_secs(20));
         assert!((avg - 3.0).abs() < 1e-9);
     }
@@ -407,12 +290,11 @@ mod tests {
     #[test]
     fn utilization_tracker_basic() {
         let mut u = UtilizationTracker::new(SimTime::ZERO, 2.0);
-        u.add_busy(SimTime::ZERO, 2.0); // both servers busy from t=0
-        u.add_busy(SimTime::from_secs(5), -1.0); // one frees at t=5
+        u.set_busy(SimTime::ZERO, 2.0); // both servers busy from t=0
+        u.set_busy(SimTime::from_secs(5), 1.0); // one frees at t=5
         let util = u.utilization(SimTime::from_secs(10));
         // busy-integral = 2*5 + 1*5 = 15; capacity*window = 20.
         assert!((util - 0.75).abs() < 1e-9);
-        assert_eq!(u.busy_now(), 1.0);
     }
 
     #[test]
@@ -421,7 +303,6 @@ mod tests {
         for ms in 1..=100u64 {
             h.record(SimDuration::from_millis(ms) - SimDuration::from_micros(1));
         }
-        assert_eq!(h.count(), 100);
         let p50 = h.percentile(0.5);
         assert_eq!(p50, SimDuration::from_millis(50));
         let p99 = h.percentile(0.99);
@@ -429,24 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_overflow_and_reset() {
+    fn histogram_overflow_reports_upper_bound() {
         let mut h = DurationHistogram::new(SimDuration::from_millis(1), 10);
-        h.record(SimDuration::from_secs(5));
-        assert_eq!(h.overflow_count(), 1);
-        assert_eq!(h.count(), 1);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.overflow_count(), 0);
         assert_eq!(h.percentile(0.5), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn throughput_counter_rate() {
-        let mut t = ThroughputCounter::new(SimTime::ZERO);
-        t.record_n(500);
-        assert!((t.rate(SimTime::from_secs(10)) - 50.0).abs() < 1e-9);
-        t.reset(SimTime::from_secs(10));
-        assert_eq!(t.events(), 0);
-        assert_eq!(t.rate(SimTime::from_secs(10)), 0.0);
+        h.record(SimDuration::from_secs(5));
+        assert_eq!(h.percentile(0.5), SimDuration::from_millis(10));
     }
 }

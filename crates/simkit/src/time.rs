@@ -17,8 +17,8 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
-pub const MICROS_PER_MILLI: u64 = 1_000;
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_MILLI: u64 = 1_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// Round a non-negative finite `x < 2^64` to the nearest integer, halves
 /// away from zero — bit-identical to `x.round() as u64` on that domain.
@@ -141,7 +141,7 @@ impl SimDuration {
     }
 
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -164,12 +164,6 @@ impl SimDuration {
         } else {
             SimDuration(round_nonneg(v))
         }
-    }
-
-    /// Integer division of durations (how many times `other` fits).
-    #[inline]
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        self.0.checked_div(other.0).unwrap_or(0)
     }
 }
 
@@ -336,13 +330,6 @@ mod tests {
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
         assert_eq!(d.mul_f64(-2.0), SimDuration::ZERO);
         assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn div_duration_handles_zero() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.div_duration(SimDuration::from_secs(3)), 3);
-        assert_eq!(d.div_duration(SimDuration::ZERO), 0);
     }
 
     #[test]

@@ -52,18 +52,8 @@ impl BrowserPool {
         BrowserPool { config, rngs }
     }
 
-    pub fn population(&self) -> u32 {
-        self.config.population
-    }
-
     pub fn config(&self) -> &BrowserConfig {
         &self.config
-    }
-
-    /// Sample the think time before browser `id`'s next request.
-    pub fn sample_think(&mut self, id: BrowserId) -> SimDuration {
-        let mean = self.config.think_mean;
-        self.rngs[id as usize].exp_duration(mean)
     }
 
     /// Sample the interaction browser `id` requests next, given the mix.
@@ -86,11 +76,17 @@ mod tests {
         BrowserPool::new(BrowserConfig::hpdc04(n), &SimRng::new(42))
     }
 
+    /// Draw browser `id`'s next think time the way the cluster model does.
+    fn think(p: &mut BrowserPool, id: BrowserId) -> SimDuration {
+        let mean = p.config().think_mean;
+        p.rng(id).exp_duration(mean)
+    }
+
     #[test]
     fn think_times_average_to_mean() {
         let mut p = pool(4);
         let n = 20_000;
-        let total: u64 = (0..n).map(|_| p.sample_think(1).as_micros()).sum();
+        let total: u64 = (0..n).map(|_| think(&mut p, 1).as_micros()).sum();
         let avg = total as f64 / n as f64 / 1e6;
         assert!((6.6..7.4).contains(&avg), "avg think {avg}");
     }
@@ -101,11 +97,11 @@ mod tests {
         let mut p2 = pool(2);
         // Same browser in two identically-seeded pools: identical sequence.
         for _ in 0..100 {
-            assert_eq!(p1.sample_think(0), p2.sample_think(0));
+            assert_eq!(think(&mut p1, 0), think(&mut p2, 0));
         }
         // Different browsers: different sequences.
         let same = (0..100)
-            .filter(|_| p1.sample_think(0) == p1.sample_think(1))
+            .filter(|_| think(&mut p1, 0) == think(&mut p1, 1))
             .count();
         assert!(same < 3);
     }
@@ -116,11 +112,11 @@ mod tests {
         let mut b = pool(2);
         // Drain browser 1 heavily in pool a only.
         for _ in 0..500 {
-            a.sample_think(1);
+            think(&mut a, 1);
         }
         // Browser 0 must still match between pools.
         for _ in 0..50 {
-            assert_eq!(a.sample_think(0), b.sample_think(0));
+            assert_eq!(think(&mut a, 0), think(&mut b, 0));
         }
     }
 

@@ -53,14 +53,6 @@ impl LoadModel {
             LoadModel::Cohort { .. } => "cohort",
         }
     }
-
-    /// Bin count, if this is the cohort model.
-    pub fn bins(&self) -> Option<u32> {
-        match self {
-            LoadModel::PerBrowser => None,
-            LoadModel::Cohort { bins } => Some(*bins),
-        }
-    }
 }
 
 impl std::fmt::Display for LoadModel {
@@ -77,14 +69,14 @@ impl std::fmt::Display for LoadModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CohortPlan {
     /// The browser population the tokens stand for.
-    pub population: u32,
+    pub(crate) population: u32,
     /// Number of circulating tokens (`<= bins × Interaction::COUNT`).
     pub tokens: u32,
     /// Browsers per token; the last token may carry a remainder (see
     /// [`CohortPlan::token_weight`]). Weights sum to `population`.
     pub weight: u32,
     /// Width of one think-time slot.
-    pub bin_width: SimDuration,
+    pub(crate) bin_width: SimDuration,
 }
 
 impl CohortPlan {
@@ -212,7 +204,6 @@ mod tests {
         assert_eq!(LoadModel::PerBrowser.name(), "per-browser");
         assert_eq!(LoadModel::Cohort { bins: 64 }.name(), "cohort");
         assert_eq!(LoadModel::default(), LoadModel::PerBrowser);
-        assert_eq!(LoadModel::Cohort { bins: 8 }.bins(), Some(8));
         assert_eq!(format!("{}", LoadModel::Cohort { bins: 8 }), "cohort(8)");
     }
 }

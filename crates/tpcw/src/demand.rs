@@ -214,18 +214,18 @@ pub fn profile(ix: Interaction) -> DemandProfile {
     }
 }
 
-/// Mix-weighted expectation of a profile field over a workload mix.
-pub fn weighted_mean(mix: &crate::mix::Mix, f: impl Fn(&DemandProfile) -> f64) -> f64 {
-    Interaction::ALL
-        .iter()
-        .map(|&ix| mix.probability(ix) * f(&profile(ix)))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mix::Workload;
+
+    /// Mix-weighted expectation of a profile field over a workload mix.
+    fn weighted_mean(mix: &crate::mix::Mix, f: impl Fn(&DemandProfile) -> f64) -> f64 {
+        Interaction::ALL
+            .iter()
+            .map(|&ix| mix.probability(ix) * f(&profile(ix)))
+            .sum()
+    }
 
     #[test]
     fn profiles_are_sane() {

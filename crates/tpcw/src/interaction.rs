@@ -36,7 +36,7 @@ pub enum InteractionClass {
 
 impl Interaction {
     /// All fourteen interactions, in Table 1 order.
-    pub const ALL: [Interaction; 14] = [
+    pub(crate) const ALL: [Interaction; 14] = [
         Interaction::Home,
         Interaction::NewProducts,
         Interaction::BestSellers,
@@ -54,11 +54,11 @@ impl Interaction {
     ];
 
     /// Number of distinct interactions.
-    pub const COUNT: usize = 14;
+    pub(crate) const COUNT: usize = 14;
 
     /// Stable dense index (Table 1 order), usable for array-indexed stats.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             Interaction::Home => 0,
             Interaction::NewProducts => 1,
@@ -77,13 +77,13 @@ impl Interaction {
         }
     }
 
-    /// Inverse of [`Interaction::index`].
+    /// Inverse of `Interaction::index`.
     pub fn from_index(i: usize) -> Option<Interaction> {
         Interaction::ALL.get(i).copied()
     }
 
     /// Browse/Order classification per Table 1.
-    pub fn class(self) -> InteractionClass {
+    pub(crate) fn class(self) -> InteractionClass {
         match self {
             Interaction::Home
             | Interaction::NewProducts
@@ -103,7 +103,7 @@ impl Interaction {
     }
 
     /// Human-readable name (matches Table 1 row labels).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Interaction::Home => "Home",
             Interaction::NewProducts => "New Products",

@@ -39,11 +39,3 @@ pub mod metrics;
 pub mod mix;
 pub mod navigation;
 pub mod scale;
-
-pub use browser::{BrowserConfig, BrowserId, BrowserPool};
-pub use cohort::{CohortPlan, LoadModel, DEFAULT_COHORT_BINS};
-pub use demand::{profile, DemandProfile};
-pub use interaction::{Interaction, InteractionClass};
-pub use metrics::{IntervalPlan, IterationMetrics, MetricsCollector, Phase};
-pub use mix::{Mix, Workload, BROWSING_MIX, ORDERING_MIX, SHOPPING_MIX};
-pub use scale::CatalogScale;

@@ -144,21 +144,11 @@ impl MetricsCollector {
         }
     }
 
-    /// Record an interaction that failed (timeout, connection reset).
-    pub fn record_error(&mut self, now: SimTime) {
-        self.record_error_weighted(now, 1);
-    }
-
     /// Record `weight` failed interactions (cohort token weight).
     pub fn record_error_weighted(&mut self, now: SimTime, weight: u64) {
         if self.in_measure_window(now) {
             self.errors += weight;
         }
-    }
-
-    /// Record a request dropped at admission (full accept queue).
-    pub fn record_drop(&mut self, now: SimTime) {
-        self.record_drop_weighted(now, 1);
     }
 
     /// Record `weight` admission drops (cohort token weight).
@@ -173,26 +163,13 @@ impl MetricsCollector {
         self.completed.iter().sum()
     }
 
-    /// Completions of one interaction.
-    pub fn completed(&self, ix: Interaction) -> u64 {
-        self.completed[ix.index()]
-    }
-
     /// Completions of one class.
-    pub fn completed_class(&self, class: InteractionClass) -> u64 {
+    pub(crate) fn completed_class(&self, class: InteractionClass) -> u64 {
         Interaction::ALL
             .iter()
             .filter(|i| i.class() == class)
             .map(|i| self.completed[i.index()])
             .sum()
-    }
-
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     pub fn outside_window(&self) -> u64 {
@@ -210,13 +187,8 @@ impl MetricsCollector {
     }
 
     /// Mean response time (seconds) of counted interactions.
-    pub fn mean_response_secs(&self) -> f64 {
+    pub(crate) fn mean_response_secs(&self) -> f64 {
         self.response.mean()
-    }
-
-    /// Mean response time (seconds) of one interaction (0 if never seen).
-    pub fn mean_response_of(&self, ix: Interaction) -> f64 {
-        self.per_interaction_response[ix.index()].mean()
     }
 
     /// Completion-weighted mean response time of one class.
@@ -231,7 +203,7 @@ impl MetricsCollector {
     }
 
     /// Approximate response-time percentile.
-    pub fn response_percentile(&self, q: f64) -> SimDuration {
+    pub(crate) fn response_percentile(&self, q: f64) -> SimDuration {
         self.response_hist.percentile(q)
     }
 
@@ -295,7 +267,7 @@ mod tests {
         m.record_completion(SimTime::from_secs(136), Interaction::Home, r); // cooldown
         assert_eq!(m.total_completed(), 2);
         assert_eq!(m.outside_window(), 2);
-        assert_eq!(m.completed(Interaction::Home), 1);
+        assert_eq!(m.completed[Interaction::Home.index()], 1);
         assert_eq!(m.completed_class(InteractionClass::Order), 1);
     }
 
@@ -316,12 +288,12 @@ mod tests {
     #[test]
     fn errors_and_drops_count_only_in_window() {
         let mut m = collector();
-        m.record_error(SimTime::from_secs(101)); // warmup — ignored
-        m.record_error(SimTime::from_secs(120));
-        m.record_drop(SimTime::from_secs(120));
-        m.record_drop(SimTime::from_secs(139)); // cooldown — ignored
-        assert_eq!(m.errors(), 1);
-        assert_eq!(m.dropped(), 1);
+        m.record_error_weighted(SimTime::from_secs(101), 1); // warmup — ignored
+        m.record_error_weighted(SimTime::from_secs(120), 1);
+        m.record_drop_weighted(SimTime::from_secs(120), 1);
+        m.record_drop_weighted(SimTime::from_secs(139), 1); // cooldown — ignored
+        assert_eq!(m.errors, 1);
+        assert_eq!(m.dropped, 1);
     }
 
     #[test]
@@ -332,8 +304,8 @@ mod tests {
         m.record_error_weighted(inside, 5);
         m.record_drop_weighted(inside, 7);
         assert_eq!(m.total_completed(), 12);
-        assert_eq!(m.errors(), 5);
-        assert_eq!(m.dropped(), 7);
+        assert_eq!(m.errors, 5);
+        assert_eq!(m.dropped, 7);
         // One response sample for the whole cohort token.
         assert!((m.mean_response_secs() - 0.05).abs() < 1e-9);
         // Outside the window the full weight lands in outside_window.
@@ -357,9 +329,14 @@ mod tests {
             Interaction::BuyConfirm,
             SimDuration::from_millis(400),
         );
-        assert!((m.mean_response_of(Interaction::Home) - 0.1).abs() < 1e-9);
-        assert!((m.mean_response_of(Interaction::BuyConfirm) - 0.4).abs() < 1e-9);
-        assert_eq!(m.mean_response_of(Interaction::SearchRequest), 0.0);
+        assert!((m.per_interaction_response[Interaction::Home.index()].mean() - 0.1).abs() < 1e-9);
+        assert!(
+            (m.per_interaction_response[Interaction::BuyConfirm.index()].mean() - 0.4).abs() < 1e-9
+        );
+        assert_eq!(
+            m.per_interaction_response[Interaction::SearchRequest.index()].mean(),
+            0.0
+        );
         assert!((m.mean_response_of_class(InteractionClass::Browse) - 0.1).abs() < 1e-9);
         assert!((m.mean_response_of_class(InteractionClass::Order) - 0.4).abs() < 1e-9);
     }

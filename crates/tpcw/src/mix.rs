@@ -31,15 +31,6 @@ impl Workload {
         }
     }
 
-    /// The TPC-W metric label for this interval.
-    pub fn metric_label(self) -> &'static str {
-        match self {
-            Workload::Browsing => "WIPSb",
-            Workload::Shopping => "WIPS",
-            Workload::Ordering => "WIPSo",
-        }
-    }
-
     /// The interaction mix for this workload.
     pub fn mix(self) -> &'static Mix {
         match self {
@@ -64,34 +55,13 @@ pub struct Mix {
 }
 
 impl Mix {
-    /// Build a mix from `(interaction, percent)` pairs. Every interaction
-    /// must appear exactly once and the percentages must sum to 100 (within
-    /// 1e-6).
-    pub fn new(entries: [(Interaction, f64); Interaction::COUNT]) -> Result<Mix, MixError> {
-        let mut weights = [f64::NAN; Interaction::COUNT];
-        for (ix, pct) in entries {
-            if pct < 0.0 {
-                return Err(MixError::NegativeWeight(ix));
-            }
-            if !weights[ix.index()].is_nan() {
-                return Err(MixError::DuplicateInteraction(ix));
-            }
-            weights[ix.index()] = pct;
-        }
-        let total: f64 = weights.iter().sum();
-        if (total - 100.0).abs() > 1e-6 {
-            return Err(MixError::BadTotal(total));
-        }
-        Ok(Mix { weights })
-    }
-
     /// Percent weight of one interaction.
     pub fn percent(&self, ix: Interaction) -> f64 {
         self.weights[ix.index()]
     }
 
     /// Probability (0..1) of one interaction.
-    pub fn probability(&self, ix: Interaction) -> f64 {
+    pub(crate) fn probability(&self, ix: Interaction) -> f64 {
         self.weights[ix.index()] / 100.0
     }
 
@@ -115,32 +85,7 @@ impl Mix {
         // which has exactly `Interaction::COUNT` entries.
         Interaction::ALL[idx.min(Interaction::COUNT - 1)]
     }
-
-    /// The raw weight array (for property tests and reporting).
-    pub fn weights(&self) -> &[f64; Interaction::COUNT] {
-        &self.weights
-    }
 }
-
-/// Mix construction failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MixError {
-    NegativeWeight(Interaction),
-    DuplicateInteraction(Interaction),
-    BadTotal(f64),
-}
-
-impl fmt::Display for MixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MixError::NegativeWeight(ix) => write!(f, "negative weight for {ix}"),
-            MixError::DuplicateInteraction(ix) => write!(f, "duplicate entry for {ix}"),
-            MixError::BadTotal(t) => write!(f, "mix weights sum to {t}, expected 100"),
-        }
-    }
-}
-
-impl std::error::Error for MixError {}
 
 macro_rules! static_mix {
     ($(($ix:ident, $pct:expr)),+ $(,)?) => {{
@@ -151,7 +96,7 @@ macro_rules! static_mix {
 }
 
 /// Table 1, Browsing column (WIPSb): 95% browse / 5% order.
-pub static BROWSING_MIX: Mix = static_mix![
+pub(crate) static BROWSING_MIX: Mix = static_mix![
     (Home, 29.00),
     (NewProducts, 11.00),
     (BestSellers, 11.00),
@@ -169,7 +114,7 @@ pub static BROWSING_MIX: Mix = static_mix![
 ];
 
 /// Table 1, Shopping column (WIPS): 80% browse / 20% order.
-pub static SHOPPING_MIX: Mix = static_mix![
+pub(crate) static SHOPPING_MIX: Mix = static_mix![
     (Home, 16.00),
     (NewProducts, 5.00),
     (BestSellers, 5.00),
@@ -187,7 +132,7 @@ pub static SHOPPING_MIX: Mix = static_mix![
 ];
 
 /// Table 1, Ordering column (WIPSo): 50% browse / 50% order.
-pub static ORDERING_MIX: Mix = static_mix![
+pub(crate) static ORDERING_MIX: Mix = static_mix![
     (Home, 9.12),
     (NewProducts, 0.46),
     (BestSellers, 0.46),
@@ -211,7 +156,7 @@ mod tests {
     #[test]
     fn table1_totals_are_100_percent() {
         for w in Workload::ALL {
-            let total: f64 = w.mix().weights().iter().sum();
+            let total: f64 = w.mix().weights.iter().sum();
             assert!((total - 100.0).abs() < 1e-9, "{w} mix sums to {total}");
         }
     }
@@ -239,11 +184,29 @@ mod tests {
 
     #[test]
     fn table1_spot_values() {
-        assert_eq!(BROWSING_MIX.percent(Interaction::Home), 29.00);
         assert_eq!(SHOPPING_MIX.percent(Interaction::ShoppingCart), 11.60);
         assert_eq!(ORDERING_MIX.percent(Interaction::BuyConfirm), 10.18);
         assert_eq!(ORDERING_MIX.percent(Interaction::AdminConfirm), 0.11);
-        assert_eq!(BROWSING_MIX.percent(Interaction::SearchRequest), 12.00);
+        // The whole Browsing column.
+        let browsing = [
+            (Interaction::Home, 29.00),
+            (Interaction::NewProducts, 11.00),
+            (Interaction::BestSellers, 11.00),
+            (Interaction::ProductDetail, 21.00),
+            (Interaction::SearchRequest, 12.00),
+            (Interaction::SearchResults, 11.00),
+            (Interaction::ShoppingCart, 2.00),
+            (Interaction::CustomerRegistration, 0.82),
+            (Interaction::BuyRequest, 0.75),
+            (Interaction::BuyConfirm, 0.69),
+            (Interaction::OrderInquiry, 0.30),
+            (Interaction::OrderDisplay, 0.25),
+            (Interaction::AdminRequest, 0.10),
+            (Interaction::AdminConfirm, 0.09),
+        ];
+        for (ix, pct) in browsing {
+            assert_eq!(BROWSING_MIX.percent(ix), pct, "{ix}");
+        }
     }
 
     #[test]
@@ -263,56 +226,5 @@ mod tests {
                 "{ix}: expected {expected:.4}, got {got:.4}"
             );
         }
-    }
-
-    #[test]
-    fn mix_new_validates() {
-        // Valid reconstruction of the browsing mix.
-        let entries = [
-            (Interaction::Home, 29.00),
-            (Interaction::NewProducts, 11.00),
-            (Interaction::BestSellers, 11.00),
-            (Interaction::ProductDetail, 21.00),
-            (Interaction::SearchRequest, 12.00),
-            (Interaction::SearchResults, 11.00),
-            (Interaction::ShoppingCart, 2.00),
-            (Interaction::CustomerRegistration, 0.82),
-            (Interaction::BuyRequest, 0.75),
-            (Interaction::BuyConfirm, 0.69),
-            (Interaction::OrderInquiry, 0.30),
-            (Interaction::OrderDisplay, 0.25),
-            (Interaction::AdminRequest, 0.10),
-            (Interaction::AdminConfirm, 0.09),
-        ];
-        let mix = Mix::new(entries).unwrap();
-        assert_eq!(&mix, &BROWSING_MIX);
-
-        // Bad total.
-        let mut bad = entries;
-        bad[0].1 = 10.0;
-        assert!(matches!(Mix::new(bad), Err(MixError::BadTotal(_))));
-
-        // Duplicate.
-        let mut dup = entries;
-        dup[1].0 = Interaction::Home;
-        assert!(matches!(
-            Mix::new(dup),
-            Err(MixError::DuplicateInteraction(Interaction::Home))
-        ));
-
-        // Negative.
-        let mut neg = entries;
-        neg[2].1 = -1.0;
-        assert!(matches!(
-            Mix::new(neg),
-            Err(MixError::NegativeWeight(Interaction::BestSellers))
-        ));
-    }
-
-    #[test]
-    fn metric_labels() {
-        assert_eq!(Workload::Browsing.metric_label(), "WIPSb");
-        assert_eq!(Workload::Shopping.metric_label(), "WIPS");
-        assert_eq!(Workload::Ordering.metric_label(), "WIPSo");
     }
 }

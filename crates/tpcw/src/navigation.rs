@@ -79,10 +79,8 @@ fn adjacency() -> [[bool; N]; N] {
 pub struct NavigationModel {
     /// Row-stochastic transition matrix.
     rows: Vec<[f64; N]>,
-    /// Fitted stationary distribution (diagnostics).
+    /// Fitted stationary distribution (session entry pages).
     stationary: [f64; N],
-    /// Worst relative error of the fit vs the target mix.
-    fit_error: f64,
 }
 
 impl NavigationModel {
@@ -133,20 +131,11 @@ impl NavigationModel {
             }
         }
         stationary = stationary_of(&p, &stationary);
-        let fit_error = (0..N)
-            .map(|j| (stationary[j] / target[j] - 1.0).abs())
-            .fold(0.0, f64::max);
 
         NavigationModel {
             rows: p,
             stationary,
-            fit_error,
         }
-    }
-
-    /// Transition probability `from → to`.
-    pub fn probability(&self, from: Interaction, to: Interaction) -> f64 {
-        self.rows[from.index()][to.index()]
     }
 
     /// Sample the next page of a session.
@@ -161,17 +150,6 @@ impl NavigationModel {
     pub fn entry(&self, rng: &mut SimRng) -> Interaction {
         let idx = rng.weighted_index(&self.stationary);
         Interaction::ALL[idx.min(Interaction::COUNT - 1)]
-    }
-
-    /// The fitted stationary distribution.
-    pub fn stationary(&self) -> &[f64; N] {
-        &self.stationary
-    }
-
-    /// Worst relative deviation of the fitted stationary distribution
-    /// from the target mix.
-    pub fn fit_error(&self) -> f64 {
-        self.fit_error
     }
 }
 
@@ -241,7 +219,7 @@ mod tests {
             for i in 0..N {
                 let row_sum: f64 = Interaction::ALL
                     .iter()
-                    .map(|to| m.probability(Interaction::from_index(i).unwrap(), *to))
+                    .map(|to| m.rows[Interaction::from_index(i).unwrap().index()][to.index()])
                     .sum();
                 assert!((row_sum - 1.0).abs() < 1e-9, "{w} row {i} sums {row_sum}");
             }
@@ -252,14 +230,17 @@ mod tests {
     fn stationary_matches_table1_for_all_workloads() {
         for w in Workload::ALL {
             let m = NavigationModel::fit(w.mix());
-            assert!(
-                m.fit_error() < 0.02,
-                "{w}: fit error {:.4} too large",
-                m.fit_error()
-            );
+            // Worst relative deviation of the fit from the target mix.
+            let fit_error = Interaction::ALL
+                .iter()
+                .map(|&ix| {
+                    (m.stationary[ix.index()] / w.mix().probability(ix).max(1e-9) - 1.0).abs()
+                })
+                .fold(0.0, f64::max);
+            assert!(fit_error < 0.02, "{w}: fit error {fit_error:.4} too large");
             for ix in Interaction::ALL {
                 let target = w.mix().probability(ix);
-                let got = m.stationary()[ix.index()];
+                let got = m.stationary[ix.index()];
                 assert!(
                     (got - target).abs() < 0.004,
                     "{w}/{ix}: stationary {got:.4} vs target {target:.4}"
@@ -295,14 +276,14 @@ mod tests {
         let m = NavigationModel::fit(Workload::Ordering.mix());
         // You cannot jump into Buy Confirm from Home.
         assert_eq!(
-            m.probability(Interaction::Home, Interaction::BuyConfirm),
+            m.rows[Interaction::Home.index()][Interaction::BuyConfirm.index()],
             0.0
         );
         // But you can from Buy Request.
-        assert!(m.probability(Interaction::BuyRequest, Interaction::BuyConfirm) > 0.0);
+        assert!(m.rows[Interaction::BuyRequest.index()][Interaction::BuyConfirm.index()] > 0.0);
         // Search results only follow a search request or a refinement.
         assert_eq!(
-            m.probability(Interaction::ProductDetail, Interaction::SearchResults),
+            m.rows[Interaction::ProductDetail.index()][Interaction::SearchResults.index()],
             0.0
         );
     }

@@ -10,7 +10,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CatalogScale {
     /// Number of items the store sells (paper: 10,000).
-    pub items: u64,
+    pub(crate) items: u64,
     /// Zipf-like skew of object popularity in [0,1). Web object popularity
     /// is classically Zipf with theta around 0.7–0.8.
     pub popularity_theta: f64,
@@ -21,14 +21,6 @@ impl CatalogScale {
     pub fn hpdc04() -> Self {
         CatalogScale {
             items: 10_000,
-            popularity_theta: 0.75,
-        }
-    }
-
-    /// A reduced scale for fast tests.
-    pub fn tiny() -> Self {
-        CatalogScale {
-            items: 100,
             popularity_theta: 0.75,
         }
     }
@@ -83,7 +75,10 @@ mod tests {
 
     #[test]
     fn hot_table_slots_scale_with_items() {
-        let small = CatalogScale::tiny();
+        let small = CatalogScale {
+            items: 100,
+            ..CatalogScale::hpdc04()
+        };
         let big = CatalogScale::hpdc04();
         assert!(big.hot_table_slots() > small.hot_table_slots());
         // Paper's table_cache tuned to ~760-900 from default 64 — our hot

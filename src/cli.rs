@@ -274,6 +274,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
                     return Err("--checkpoint-every requires --checkpoint-dir".into());
                 }
             }
+            if iterations == 0 {
+                return Err("--iterations must be at least 1".into());
+            }
             if sim.checkpoint_every == Some(0) {
                 return Err("--checkpoint-every must be at least 1".into());
             }
@@ -325,6 +328,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
                     }
                     other => return Err(format!("unknown argument '{other}'")),
                 }
+            }
+            if from == 0 {
+                return Err("--from must be at least 1".into());
             }
             if step == 0 || from > to {
                 return Err("sweep needs --from <= --to and --step > 0".into());
@@ -444,6 +450,9 @@ fn parse_sim(args: &[String]) -> Result<(SimArgs, Vec<String>), String> {
                 i += 1;
             }
         }
+    }
+    if sim.population == 0 {
+        return Err("--population must be at least 1".into());
     }
     if sim.fault_seed.is_some() && sim.faults.is_none() {
         return Err("--fault-seed requires --faults".into());
@@ -961,6 +970,35 @@ mod tests {
         // Either alone is fine.
         assert!(parse(argv(&["simulate", "--markov"])).is_ok());
         assert!(parse(argv(&["simulate", "--load-model", "cohort"])).is_ok());
+    }
+
+    #[test]
+    fn zero_population_is_refused_by_every_subcommand() {
+        for args in [
+            &["simulate", "--population", "0"][..],
+            &["tune", "--population", "0"],
+            &["tune", "--population", "0", "--detector"],
+            &["tune", "--population", "0", "--load-model", "cohort"],
+            &["reconfig", "--population", "0"],
+            &["sweep", "--population", "0"],
+        ] {
+            let err = parse(argv(args)).unwrap_err();
+            assert_eq!(err, "--population must be at least 1", "{args:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_from_zero_is_refused() {
+        let err = parse(argv(&["sweep", "--from", "0"])).unwrap_err();
+        assert_eq!(err, "--from must be at least 1");
+        assert!(parse(argv(&["sweep", "--from", "1", "--to", "1"])).is_ok());
+    }
+
+    #[test]
+    fn tune_zero_iterations_is_refused() {
+        let err = parse(argv(&["tune", "--iterations", "0"])).unwrap_err();
+        assert_eq!(err, "--iterations must be at least 1");
+        assert!(parse(argv(&["tune", "--iterations", "1"])).is_ok());
     }
 
     #[test]
