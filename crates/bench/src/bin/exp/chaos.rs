@@ -1,7 +1,7 @@
 //! EXP-CHAOS: the chaos conformance matrix — every registered tuner
 //! against every plan in the chaos library, under the fully hardened
-//! resilience policy stack (retry ∘ timeout ∘ breaker ∘ bulkhead with
-//! graceful degradation).
+//! resilient evaluation (breaker, retry and timeout, with graceful
+//! degradation).
 //!
 //! Prints one row per tuner × plan cell: throughput reached, how many
 //! iterations stayed usable, and which policies fired. Every cell must

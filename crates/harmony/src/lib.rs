@@ -19,17 +19,13 @@
 //! * [`strategy`]/[`workline`] — the §III.B cluster-scaling methods
 //!   (parameter duplication and work-line partitioning);
 //! * [`monitor`]/[`reconfig`] — the §IV automatic cluster reconfiguration
-//!   algorithm (thresholds, urgency, cost model);
-//! * resilience primitives (retry/backoff/jitter, the per-configuration
-//!   circuit breaker, the outlier re-measurement gate) live in the
-//!   `resilience` crate.
+//!   algorithm (thresholds, urgency, cost model).
 //!
-//! Tuning state is crash-safe: [`SimplexTuner`],
-//! [`HarmonyServer`](server::HarmonyServer) and
-//! [`CircuitBreaker`](resilience::CircuitBreaker) implement the
-//! `persist` crate's `Checkpointable` trait, exporting their full search
-//! state (simplex geometry, phase, pending proposals, best-seen records,
-//! failure counters) so an interrupted session resumes byte-identically.
+//! Tuning state is crash-safe: [`SimplexTuner`] and
+//! [`HarmonyServer`](server::HarmonyServer) implement the `persist`
+//! crate's `Checkpointable` trait, exporting their full search state
+//! (simplex geometry, phase, pending proposals, best-seen records) so an
+//! interrupted session resumes byte-identically.
 //! The server keeps no per-iteration log of its own, so its part of a
 //! snapshot does not grow with the session.
 //!
@@ -80,7 +76,6 @@ pub mod tuner;
 pub mod workline;
 
 pub use param::ParamDef;
-// Compatibility re-exports: these types moved to the `resilience` crate.
 pub use simplex::SimplexTuner;
 pub use space::ParamSpace;
 pub use tuner::Tuner;

@@ -232,13 +232,14 @@ impl BestTracker {
 }
 
 /// Serialise an RNG's full state (shared by the seeded tuners'
-/// checkpoint paths — resume must continue the exact random sequence).
-pub(crate) fn rng_state(rng: &simkit::rng::SimRng) -> State {
+/// checkpoint paths and the resilient session's retry jitter — resume
+/// must continue the exact random sequence).
+pub fn rng_state(rng: &simkit::rng::SimRng) -> State {
     State::List(rng.state().iter().map(|&w| State::U64(w)).collect())
 }
 
 /// Rebuild an RNG from [`rng_state`] output.
-pub(crate) fn rng_from_state(state: &State) -> Result<simkit::rng::SimRng, PersistError> {
+pub fn rng_from_state(state: &State) -> Result<simkit::rng::SimRng, PersistError> {
     let words = state
         .as_list()
         .ok_or_else(|| PersistError::Schema("rng state is not a list".into()))?;

@@ -462,7 +462,6 @@ fn recovery_action_name(name: &str) -> Result<&'static str, PersistError> {
         "breaker_skip" => "breaker_skip",
         "breaker_probe" => "breaker_probe",
         "timeout" => "timeout",
-        "bulkhead_skip" => "bulkhead_skip",
         "degraded" => "degraded",
         "reconfig" => "reconfig",
         other => return Err(schema(format!("unknown recovery action '{other}'"))),

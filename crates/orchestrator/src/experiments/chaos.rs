@@ -4,22 +4,23 @@
 //! operational question its §V leaves open: does the tuner *survive* a
 //! hostile cluster? Every registered tuning algorithm runs against every
 //! plan in the chaos library ([`faults::library`]) under the fully
-//! hardened policy stack (retry ∘ timeout ∘ breaker ∘ bulkhead with
+//! hardened resilient evaluation (breaker, retry and timeout, with
 //! graceful degradation). The contract per cell: finish or degrade —
 //! never panic, never hang, never report a non-finite throughput.
 //!
-//! The grid fans out across cores on the shared worker pool
-//! ([`crate::par::shared_pool`]); the same [`Bulkhead`] that caps
-//! in-flight evaluations inside the stack clamps the fan-out width, so
-//! one knob governs both layers of parallelism.
+//! The grid fans out over `GRID_WIDTH` workers of the shared pool
+//! ([`crate::par::shared_pool`]); each session runs one evaluation at a
+//! time.
 
 use super::{scale_pop, Effort};
 use crate::par::shared_pool;
 use crate::resilient::{run_resilient_session_observed, ResilienceSettings};
 use crate::session::{SessionConfig, SessionError, SessionObserver};
 use cluster::config::Topology;
-use resilience::Bulkhead;
 use tpcw::mix::Workload;
+
+/// Workers the chaos and detector grids fan out over.
+pub(crate) const GRID_WIDTH: usize = 4;
 
 /// One tuner × chaos-plan cell of the matrix.
 #[derive(Debug, Clone)]
@@ -90,13 +91,12 @@ pub(crate) fn topology() -> Topology {
 }
 
 /// The hardened policy profile the matrix runs under: every optional
-/// layer live, per-attempt budget of two windows.
+/// policy on, per-attempt budget of two windows.
 pub(crate) fn settings(effort: &Effort) -> ResilienceSettings {
     ResilienceSettings {
         breaker_threshold: 2,
         breaker_half_open_after: Some(2),
         timeout_s: Some(effort.plan.total().as_secs_f64() * 2.0),
-        bulkhead: Some(4),
         degrade_to_best: true,
         ..Default::default()
     }
@@ -114,11 +114,8 @@ pub fn run(effort: &Effort, seed: u64) -> Result<ChaosResult, SessionError> {
         .iter()
         .flat_map(|&t| plans.iter().map(move |p| (t, p.clone())))
         .collect();
-    // One knob for both layers of parallelism: the stack's bulkhead cap
-    // also clamps the grid fan-out (0 = one worker per core, clamped).
-    let threads = Bulkhead::new(settings.bulkhead).clamp_threads(0);
     let (effort, population) = (*effort, scale_pop(600, effort));
-    let outs = shared_pool().run_batch(grid, threads, move |&(tuner, ref chaos)| {
+    let outs = shared_pool().run_batch(grid, GRID_WIDTH, move |&(tuner, ref chaos)| {
         let cfg = SessionConfig::new(topology.clone(), Workload::Shopping, population)
             .plan(effort.plan)
             .base_seed(seed)
@@ -174,7 +171,7 @@ mod tests {
             assert!(c.conformant(), "{c:?}");
             assert_eq!(c.iterations, effort.iterations as usize, "{c:?}");
         }
-        // The library's storms must actually exercise the stack somewhere
+        // The library's storms must actually exercise the policies somewhere
         // in the matrix — a chaos suite that never triggers a policy is
         // not testing anything.
         assert!(r.cells.iter().any(|c| c.retries > 0), "no retries at all");

@@ -26,7 +26,6 @@ use crate::resilient::{run_resilient_session_observed, ResilienceSettings, Resil
 use crate::session::{SessionConfig, SessionError, SessionObserver};
 use detect::DetectorConfig;
 use faults::{library, FaultKind, FaultPlan};
-use resilience::Bulkhead;
 use tpcw::mix::Workload;
 
 /// The φ thresholds the sweep visits (the middle one is the default).
@@ -212,8 +211,7 @@ pub fn run(effort: &Effort, seed: u64) -> Result<DetectResult, SessionError> {
         .iter()
         .flat_map(|&phi| plans.iter().map(move |p| (phi, p.0, cfg_for(&p.1))))
         .collect();
-    let threads = Bulkhead::new(chaos::settings(&effort).bulkhead).clamp_threads(0);
-    let outs = shared_pool().run_batch(grid, threads, move |&(phi, name, ref cfg)| {
+    let outs = shared_pool().run_batch(grid, chaos::GRID_WIDTH, move |&(phi, name, ref cfg)| {
         run_resilient_session_observed(
             cfg,
             &settings(&effort, phi),

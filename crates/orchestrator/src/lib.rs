@@ -13,7 +13,8 @@
 //!   controller (Figure 7);
 //! * [`resilient`] — fault-tolerant sessions: retry/backoff,
 //!   re-measurement, circuit breaking, failure detection and
-//!   failure-driven reconfiguration;
+//!   failure-driven reconfiguration, with `policy` holding the circuit
+//!   breaker, the retry schedule and the outlier gate they apply;
 //! * [`checkpoint`] — crash-safe session persistence: write-ahead
 //!   journal, periodic snapshots, and deterministic resume;
 //! * [`eval`] — the evaluation engine: parallel prefetch of a tuner's
@@ -60,6 +61,7 @@ pub mod eval;
 pub mod experiments;
 pub mod export;
 pub mod par;
+mod policy;
 pub mod reconfigure;
 pub mod report;
 pub mod resilient;

@@ -1,7 +1,12 @@
-//! Per-key circuit breaking: closed → open → half-open → closed.
+//! The policies a resilient evaluation applies, in the order
+//! [`crate::resilient`] asks them: the per-configuration
+//! [`CircuitBreaker`], the bounded [`RetryPolicy`] with seeded jitter,
+//! and the [`OutlierGate`] that sends noise-spiked samples back for
+//! re-measurement. All delays are simulated time.
 
-use crate::policy::{Ctx, Event, Outcome, Policy, RejectReason};
 use persist::{Checkpointable, PersistError, State};
+use simkit::rng::SimRng;
+use simkit::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Where one key's circuit stands (what the unit tests assert on).
@@ -47,9 +52,11 @@ pub(crate) enum Gate {
 /// original blacklist semantics.
 ///
 /// Keys are opaque configuration summaries; `BTreeMap`s keep iteration
-/// order deterministic.
+/// order deterministic. Only the table (failure counts and open
+/// circuits) is checkpointed: the threshold and the probe cadence are
+/// settings, and the session fingerprint covers them.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     threshold: u32,
     half_open_after: Option<u32>,
     failures: BTreeMap<String, u32>,
@@ -57,26 +64,13 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(threshold: u32) -> Self {
+    pub(crate) fn new(threshold: u32, half_open_after: Option<u32>) -> Self {
         CircuitBreaker {
             threshold: threshold.max(1),
-            half_open_after: None,
+            half_open_after,
             failures: BTreeMap::new(),
             open: BTreeMap::new(),
         }
-    }
-
-    /// Builder: probe an open circuit after `n` refused evaluations
-    /// (`None`: never — open circuits stay open).
-    pub fn half_open_after(mut self, n: Option<u32>) -> Self {
-        self.half_open_after = n;
-        self
-    }
-
-    /// Is the configuration blacklisted (open, not currently probing)?
-    #[cfg(test)]
-    fn is_open(&self, key: &str) -> bool {
-        self.open.get(key).map(|e| !e.probing).unwrap_or(false)
     }
 
     /// Where `key`'s circuit stands.
@@ -112,29 +106,23 @@ impl CircuitBreaker {
     /// the breaker (newly opened). A failed half-open probe re-opens the
     /// circuit without counting as a new trip.
     pub(crate) fn record_failure(&mut self, key: &str) -> bool {
+        let opened = OpenEntry {
+            skips: 0,
+            probing: false,
+        };
         if let Some(entry) = self.open.get_mut(key) {
             // Open or probing: a failure (re-)opens, never re-trips.
-            *entry = OpenEntry {
-                skips: 0,
-                probing: false,
-            };
+            *entry = opened;
             return false;
         }
         let count = self.failures.entry(key.to_string()).or_insert(0);
         *count += 1;
-        if *count >= self.threshold {
-            self.failures.remove(key);
-            self.open.insert(
-                key.to_string(),
-                OpenEntry {
-                    skips: 0,
-                    probing: false,
-                },
-            );
-            true
-        } else {
-            false
+        if *count < self.threshold {
+            return false;
         }
+        self.failures.remove(key);
+        self.open.insert(key.to_string(), opened);
+        true
     }
 
     /// Record a successful evaluation: resets the failure count and
@@ -143,25 +131,11 @@ impl CircuitBreaker {
         self.failures.remove(key);
         self.open.remove(key);
     }
-
-    /// Number of currently blacklisted configurations.
-    #[cfg(test)]
-    fn open_count(&self) -> usize {
-        self.open.len()
-    }
 }
 
 impl Checkpointable for CircuitBreaker {
     fn save_state(&self) -> State {
         State::map()
-            .with("threshold", State::U64(self.threshold as u64))
-            .with(
-                "half_open_after",
-                match self.half_open_after {
-                    None => State::Null,
-                    Some(n) => State::U64(n as u64),
-                },
-            )
             .with(
                 "failures",
                 State::Map(
@@ -188,13 +162,6 @@ impl Checkpointable for CircuitBreaker {
     }
 
     fn restore_state(&mut self, state: &State) -> Result<(), PersistError> {
-        self.threshold = (state.field_u64("threshold")? as u32).max(1);
-        self.half_open_after = match state.require("half_open_after")? {
-            State::Null => None,
-            s => Some(s.as_u64().ok_or_else(|| {
-                PersistError::Schema("breaker half_open_after is not a u64".into())
-            })? as u32),
-        };
         let State::Map(pairs) = state.require("failures")? else {
             return Err(PersistError::Schema("breaker failures is not a map".into()));
         };
@@ -223,63 +190,76 @@ impl Checkpointable for CircuitBreaker {
     }
 }
 
-/// The circuit-breaker layer: consults `CircuitBreaker::on_request`
-/// before evaluating, rejects when the circuit is open, and feeds the
-/// final outcome back as a success or failure. A trip logs
-/// [`Event::BreakerOpen`] carrying the number of attempts the failed
-/// evaluation actually used.
-#[derive(Debug, Clone)]
-pub struct Breaker {
-    breaker: CircuitBreaker,
+/// Bounded retry: at most `max_attempts` attempts per evaluation, the
+/// retries after an exponential backoff of `base · 2^(attempt-1)`,
+/// capped at `cap`, with equal jitter (uniform in `[delay/2, delay]`)
+/// drawn from the caller's seeded stream, so a failed evaluation replays
+/// identically under the same seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    pub(crate) max_attempts: u32,
+    pub(crate) base: SimDuration,
+    pub(crate) cap: SimDuration,
 }
 
-impl Breaker {
-    pub fn new(breaker: CircuitBreaker) -> Self {
-        Breaker { breaker }
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 3,
+            base: SimDuration::from_secs(5),
+            cap: SimDuration::from_secs(60),
+        }
     }
 }
 
-impl<T> Policy<T> for Breaker {
-    fn name(&self) -> &'static str {
-        "breaker"
+impl RetryPolicy {
+    /// The un-jittered delay after attempt `attempt` (1-indexed;
+    /// attempt 0 is treated as 1).
+    fn backoff(&self, attempt: u32) -> SimDuration {
+        let shift = (attempt.max(1) - 1).min(63);
+        let scaled = self.base.as_micros().saturating_mul(1u64 << shift);
+        SimDuration::from_micros(scaled.min(self.cap.as_micros()))
     }
 
-    fn call<'a>(
-        &mut self,
-        ctx: &mut Ctx<'a>,
-        next: &mut dyn FnMut(&mut Ctx<'a>) -> Outcome<T>,
-    ) -> Outcome<T> {
-        match self.breaker.on_request(ctx.key) {
-            Gate::Skip => {
-                ctx.push(Event::BreakerSkip);
-                return Outcome::Rejected(RejectReason::BreakerOpen);
-            }
-            Gate::Probe => ctx.push(Event::BreakerProbe),
-            Gate::Pass => {}
+    /// The jittered delay to wait before retrying after attempt
+    /// `attempt`. A zero delay draws nothing from `rng`.
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
+        let us = self.backoff(attempt).as_micros();
+        if us == 0 {
+            return SimDuration::ZERO;
         }
-        let out = next(ctx);
-        match &out {
-            Outcome::Ok(_) => self.breaker.record_success(ctx.key),
-            Outcome::Invalid(_) => {
-                if self.breaker.record_failure(ctx.key) {
-                    ctx.push(Event::BreakerOpen {
-                        attempts: ctx.attempt,
-                    });
-                }
-            }
-            // Rejections and degradations originate in other layers and
-            // are not evidence about this key.
-            Outcome::Rejected(_) | Outcome::Degraded(_) => {}
+        let half = us / 2;
+        SimDuration::from_micros(half + rng.next_below(us - half + 1))
+    }
+}
+
+/// Rejects samples whose confidence interval exploded (a noise spike or a
+/// mid-measurement fault): the sample is re-measured instead of being fed
+/// to the tuner, up to `max_remeasures` times.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OutlierGate {
+    /// Maximum acceptable `ci_half / wips` ratio.
+    pub(crate) max_rel_half_width: f64,
+    /// Re-measurement budget per sample.
+    pub(crate) max_remeasures: u32,
+}
+
+impl Default for OutlierGate {
+    fn default() -> Self {
+        OutlierGate {
+            max_rel_half_width: 0.25,
+            max_remeasures: 2,
         }
-        out
     }
+}
 
-    fn save_state(&self) -> State {
-        self.breaker.save_state()
-    }
-
-    fn restore_state(&mut self, state: &State) -> Result<(), PersistError> {
-        self.breaker.restore_state(state)
+impl OutlierGate {
+    /// Does the sample's confidence interval pass the gate?
+    pub(crate) fn accepts(&self, wips: f64, ci_half: f64) -> bool {
+        if wips <= 0.0 {
+            return ci_half <= 0.0;
+        }
+        ci_half / wips <= self.max_rel_half_width
     }
 }
 
@@ -289,27 +269,29 @@ mod tests {
 
     #[test]
     fn breaker_trips_at_threshold_and_resets_on_success() {
-        let mut b = CircuitBreaker::new(2);
+        let mut b = CircuitBreaker::new(2, None);
         assert!(!b.record_failure("cfg-a"), "first failure tolerated");
-        assert!(!b.is_open("cfg-a"));
+        assert_eq!(b.state_of("cfg-a"), BreakerState::Closed);
         assert!(b.record_failure("cfg-a"), "second failure trips");
-        assert!(b.is_open("cfg-a"));
+        assert_eq!(b.state_of("cfg-a"), BreakerState::Open);
         assert!(
             !b.record_failure("cfg-a"),
             "already open, not newly tripped"
         );
-        assert_eq!(b.open_count(), 1);
-        assert!(!b.is_open("cfg-b"), "keys independent");
+        assert_eq!(
+            b.state_of("cfg-b"),
+            BreakerState::Closed,
+            "keys independent"
+        );
         b.record_success("cfg-a");
-        assert!(!b.is_open("cfg-a"));
-        assert_eq!(b.open_count(), 0);
+        assert_eq!(b.state_of("cfg-a"), BreakerState::Closed);
     }
 
     #[test]
     fn transition_table_closed_open_half_open_closed() {
-        // Property: the full closed→open→half-open→closed cycle, plus
-        // the failed-probe edge back to open.
-        let mut b = CircuitBreaker::new(2).half_open_after(Some(2));
+        // The full closed→open→half-open→closed cycle, plus the
+        // failed-probe edge back to open.
+        let mut b = CircuitBreaker::new(2, Some(2));
         assert_eq!(b.state_of("k"), BreakerState::Closed);
         assert_eq!(b.on_request("k"), Gate::Pass);
         b.record_failure("k");
@@ -320,7 +302,6 @@ mod tests {
         assert_eq!(b.on_request("k"), Gate::Skip);
         assert_eq!(b.on_request("k"), Gate::Probe);
         assert_eq!(b.state_of("k"), BreakerState::HalfOpen);
-        assert!(!b.is_open("k"), "probing circuit admits the probe");
         // Probe fails: back to open, skip counter reset.
         b.record_failure("k");
         assert_eq!(b.state_of("k"), BreakerState::Open);
@@ -335,7 +316,7 @@ mod tests {
 
     #[test]
     fn without_half_open_an_open_circuit_stays_open() {
-        let mut b = CircuitBreaker::new(1);
+        let mut b = CircuitBreaker::new(1, None);
         b.record_failure("k");
         for _ in 0..100 {
             assert_eq!(b.on_request("k"), Gate::Skip);
@@ -345,50 +326,75 @@ mod tests {
 
     #[test]
     fn breaker_checkpoint_roundtrip_preserves_counts_and_open_set() {
-        let mut b = CircuitBreaker::new(2).half_open_after(Some(3));
+        let mut b = CircuitBreaker::new(2, Some(3));
         b.record_failure("cfg-a");
         b.record_failure("cfg-a");
         b.record_failure("cfg-b");
         assert_eq!(b.on_request("cfg-a"), Gate::Skip);
         let saved = b.save_state();
-        let mut restored = CircuitBreaker::new(1);
+        let mut restored = CircuitBreaker::new(2, Some(3));
         restored.restore_state(&saved).unwrap();
         assert_eq!(restored.save_state(), saved, "save→restore→save bit-exact");
-        assert!(restored.is_open("cfg-a"));
-        assert!(!restored.is_open("cfg-b"));
+        assert_eq!(restored.state_of("cfg-a"), BreakerState::Open);
+        assert_eq!(restored.state_of("cfg-b"), BreakerState::Closed);
+        // The skip count survives: two more skips, then the probe.
+        assert_eq!(restored.on_request("cfg-a"), Gate::Skip);
+        assert_eq!(restored.on_request("cfg-a"), Gate::Skip);
+        assert_eq!(restored.on_request("cfg-a"), Gate::Probe);
         // The in-flight failure count survives: one more failure trips.
         assert!(restored.record_failure("cfg-b"));
-        assert_eq!(restored.open_count(), 2);
         assert!(restored.restore_state(&State::Null).is_err());
     }
 
     #[test]
-    fn layer_rejects_when_open_and_reports_actual_attempts() {
-        use crate::policy::{Sample, Stack};
-        let mut stack: Stack<u32> = Stack::new()
-            .layer(Breaker::new(CircuitBreaker::new(1)))
-            .layer(crate::Retry::new(crate::RetryPolicy::default(), 3));
-        let out = stack.call("k", &mut |_| Sample {
-            value: 0,
-            valid: false,
-            score: 0.0,
-        });
-        assert!(matches!(out, Outcome::Invalid(_)));
-        // The trip event reports the attempts actually used (3), not a
-        // hardcoded policy maximum.
-        assert!(stack
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::BreakerOpen { attempts: 3 })));
-        let out = stack.call("k", &mut |_| Sample {
-            value: 0,
-            valid: true,
-            score: 1.0,
-        });
-        assert!(
-            matches!(out, Outcome::Rejected(RejectReason::BreakerOpen)),
-            "open circuit refuses without evaluating"
-        );
-        assert_eq!(stack.events(), &[Event::BreakerSkip]);
+    fn backoff_doubles_up_to_its_cap() {
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff(1), SimDuration::from_secs(5));
+        assert_eq!(p.backoff(2), SimDuration::from_secs(10));
+        assert_eq!(p.backoff(3), SimDuration::from_secs(20));
+        assert_eq!(p.backoff(10), SimDuration::from_secs(60), "capped");
+        assert_eq!(p.backoff(0), p.backoff(1), "attempt 0 treated as 1");
+        for attempt in 1..256 {
+            assert!(p.backoff(attempt) <= p.backoff(attempt + 1), "monotone");
+            assert!(p.backoff(attempt) <= p.cap);
+        }
+        let uncapped = RetryPolicy {
+            cap: SimDuration::MAX,
+            ..p
+        };
+        assert_eq!(uncapped.backoff(200), SimDuration::MAX, "saturates");
+    }
+
+    #[test]
+    fn jitter_stays_in_the_upper_half_and_replays_from_its_seed() {
+        let p = RetryPolicy::default();
+        let mut rng = SimRng::new(42);
+        for attempt in 1..100 {
+            let full = p.backoff(attempt);
+            let d = p.delay(attempt, &mut rng);
+            assert!(d >= SimDuration::from_micros(full.as_micros() / 2) && d <= full);
+        }
+        let draws = |seed| {
+            let mut rng = SimRng::new(seed);
+            (1..=3).map(|a| p.delay(a, &mut rng)).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(99), draws(99), "same seed, same delays");
+        assert_ne!(draws(99), draws(100), "different seed, different delays");
+        let zero = RetryPolicy {
+            base: SimDuration::ZERO,
+            ..p
+        };
+        let before = rng.state();
+        assert_eq!(zero.delay(1, &mut rng), SimDuration::ZERO);
+        assert_eq!(rng.state(), before, "a zero delay draws nothing");
+    }
+
+    #[test]
+    fn outlier_gate_rejects_wide_intervals() {
+        let g = OutlierGate::default();
+        assert!(g.accepts(100.0, 10.0));
+        assert!(!g.accepts(100.0, 40.0));
+        assert!(g.accepts(0.0, 0.0), "dead-but-certain sample passes");
+        assert!(!g.accepts(0.0, 5.0));
     }
 }

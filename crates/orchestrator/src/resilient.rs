@@ -1,5 +1,5 @@
-//! Fault-tolerant tuning sessions: a composable resilience policy stack
-//! (fallback ∘ breaker ∘ retry ∘ timeout ∘ bulkhead) plus
+//! Fault-tolerant tuning sessions: a straight-line resilient
+//! evaluation (breaker, retry, timeout, degradation) plus
 //! failure-driven reconfiguration.
 //!
 //! A resilient session is the one tuning loop
@@ -7,43 +7,47 @@
 //! `Resilience` part hardening it against the faults a
 //! [`faults::FaultPlan`] injects. Iteration `i` covers simulated
 //! time `[i·plan.total(), (i+1)·plan.total())` of the fault schedule
-//! ([`faults::FaultClock::window_of`]). Each iteration's evaluation runs
-//! through a [`resilience::Stack`]:
+//! ([`faults::FaultClock::window_of`]). Each iteration's evaluation
+//! (`Resilience::evaluate`) runs in this order:
 //!
 //! 1. faults landing in the window are traced (`fault` records) and
 //!    applied inside the DES via the scenario's health timeline;
-//! 2. a sample invalidated by a crash during the *measurement* phase (or
-//!    one that measured zero throughput) is retried by the
-//!    [`resilience::Retry`] layer with bounded, jittered backoff — the
-//!    retry sees the post-crash steady state, as a real re-measurement
-//!    would;
+//! 2. the per-configuration circuit breaker is asked first: a
+//!    blacklisted configuration is refused without re-measuring (and,
+//!    when `breaker_half_open_after` is set, periodically probed);
 //! 3. a sample whose measured WIPS deviates wildly from its completion
 //!    count (a measurement-noise spike) is re-measured through the
-//!    [`OutlierGate`] inside the evaluation closure;
-//! 4. an attempt whose simulated time (window plus any stalled seconds)
-//!    exceeds the optional [`resilience::Timeout`] budget is invalidated
-//!    and retried like any other bad sample;
-//! 5. a configuration that exhausts its retry budget is reported to
+//!    [`OutlierGate`];
+//! 4. an attempt whose own simulated cost (the window, plus any stalled
+//!    seconds on the first attempt) exceeds the optional timeout budget
+//!    is invalidated;
+//! 5. a sample invalidated by a crash during the *measurement* phase (or
+//!    one that measured zero throughput, or timed out) is retried under
+//!    the [`RetryPolicy`] with bounded, jittered backoff — the retry
+//!    sees the post-crash steady state, as a real re-measurement would;
+//! 6. a configuration that exhausts its retry budget is reported to
 //!    Harmony as worthless (0.0 — the proposal is always answered; a
 //!    valid sample is reported with its Poisson CI, as in every session)
-//!    and counted against the per-configuration [`CircuitBreaker`] layer; a
-//!    blacklisted configuration is rejected without re-measuring (and,
-//!    when `breaker_half_open_after` is set, periodically probed);
-//! 6. with `degrade_to_best`, an iteration that would otherwise fail
-//!    outright degrades to the best-known sample ([`resilience::Fallback`],
-//!    `degraded` trace records) instead;
-//! 7. a crash triggers the §IV `decide()` path over the *live* nodes; if
+//!    and counted against the breaker;
+//! 7. with `degrade_to_best`, an iteration that would otherwise fail
+//!    outright records the session's running best WIPS instead
+//!    (`degraded` trace records);
+//! 8. a crash triggers the §IV `decide()` path over the *live* nodes; if
 //!    the cost model declines, a spare node is pulled directly into the
 //!    wounded tier so the cluster heals anyway.
 //!
-//! Retry delays are simulated time (deterministic jitter from the fault
-//! seed); they are reported in `recovery` trace records but do not shift
-//! the window mapping, which stays iteration-indexed. The whole policy
-//! stack checkpoints bit-exactly (per-delta `policy` state), so a killed
-//! session resumes mid-policy without re-burning RNG draws. Its snapshot
-//! is the plain session's plus the resilient subtrees.
+//! Every `recovery` and `degraded` trace record, its counter and its
+//! [`RecoveryAction`] are written where the action happens. Retry delays
+//! are simulated time (deterministic jitter from the fault seed); they
+//! are reported in `recovery` trace records but do not shift the window
+//! mapping, which stays iteration-indexed. The breaker table and the
+//! jitter stream checkpoint bit-exactly (per-delta `policy` state), so a
+//! killed session resumes mid-policy without re-burning RNG draws. Its
+//! snapshot is the plain session's plus the resilient subtrees.
 
 use crate::checkpoint;
+use crate::policy::{CircuitBreaker, Gate};
+pub use crate::policy::{OutlierGate, RetryPolicy};
 use crate::reconfigure::{node_report, utilization, ReconfigEvent};
 use crate::session::{
     ckerr, config_summary, drive_tuning, scale_wips, IterationRecord, Parts, Sampled,
@@ -56,19 +60,15 @@ use detect::{Detector, DetectorConfig, NodeState, WindowReport};
 use faults::{FaultClock, FaultEvent, FaultInjector, FaultPlan, HealthTimeline, WindowFaults};
 use harmony::reconfig::{decide, CostModel, NodeReport, Thresholds};
 use harmony::strategy::TuningMethod;
-use harmony::tuner::Measurement;
-use obs::Registry;
+use harmony::tuner::{rng_from_state, rng_state, Measurement};
 use persist::snapshot::Fields;
 use persist::{Checkpointable, PersistError, State};
-use resilience::{
-    Breaker, Bulkhead, CircuitBreaker, Ctx, Event, Fallback, Outcome, OutlierGate, Retry,
-    RetryPolicy, Sample, Stack, StateCodec, Timeout,
-};
+use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
 
-/// Policy knobs of a resilient session. The defaults reduce the optional
-/// layers (timeout, bulkhead, half-open probing, degradation) to the
-/// identity, reproducing the original retry+breaker behavior exactly.
+/// Policy knobs of a resilient session. The defaults leave the optional
+/// policies (timeout, half-open probing, degradation) off, reproducing
+/// the original retry+breaker behavior exactly.
 #[derive(Debug, Clone)]
 pub struct ResilienceSettings {
     /// Bounded retry with backoff for invalid samples.
@@ -84,14 +84,9 @@ pub struct ResilienceSettings {
     /// An attempt is charged the measurement window plus any stalled
     /// seconds the fault plan injects into it.
     pub timeout_s: Option<f64>,
-    /// Cap on concurrently in-flight evaluations (`None`: unbounded).
-    /// The chaos and detector experiments also clamp their fan-out of
-    /// independent sessions to it via [`Bulkhead::clamp_threads`].
-    /// Resilient sessions never prefetch, so the session itself runs
-    /// one evaluation at a time.
-    pub bulkhead: Option<u32>,
-    /// Substitute the best-known sample when an iteration fails outright
-    /// (emits `degraded` trace records; the tuner still sees 0.0).
+    /// Record the session's running best WIPS when an iteration fails
+    /// outright (emits `degraded` trace records; the tuner still sees
+    /// 0.0).
     pub degrade_to_best: bool,
     /// Pull a spare node into a tier that lost one to a crash.
     pub reconfigure_on_crash: bool,
@@ -114,7 +109,6 @@ impl Default for ResilienceSettings {
             breaker_threshold: 3,
             breaker_half_open_after: None,
             timeout_s: None,
-            bulkhead: None,
             degrade_to_best: false,
             reconfigure_on_crash: true,
             detector: None,
@@ -130,11 +124,11 @@ impl Default for ResilienceSettings {
 pub struct RecoveryAction {
     pub iteration: u32,
     /// `retry`, `remeasure`, `timeout`, `breaker_open`, `breaker_skip`,
-    /// `breaker_probe`, `bulkhead_skip`, `degraded`, `reconfig`.
+    /// `breaker_probe`, `degraded`, `reconfig`.
     pub action: &'static str,
     pub attempt: u32,
-    /// Simulated delay, seconds (backoff for retries, elapsed budget
-    /// overrun for timeouts, 0 otherwise).
+    /// Simulated seconds (the backoff for retries, the attempt's cost
+    /// for timeouts, 0 otherwise).
     pub delay_s: f64,
     /// WIPS of the sample that triggered or resolved the action.
     pub wips: f64,
@@ -248,31 +242,6 @@ impl ResilientRun {
     }
 }
 
-/// The domain value flowing through the policy stack: the configuration
-/// under test and its measured outcome. Round-trips through
-/// [`persist::State`] so the fallback's best-known sample survives
-/// kill-and-resume bit-exactly.
-#[derive(Debug, Clone)]
-struct EvalSample {
-    config: ClusterConfig,
-    out: IterationOutcome,
-}
-
-impl StateCodec for EvalSample {
-    fn to_state(&self) -> State {
-        State::map()
-            .with("config", checkpoint::config_state(&self.config))
-            .with("outcome", crate::eval::outcome_state(&self.out))
-    }
-
-    fn from_state(state: &State) -> Result<Self, PersistError> {
-        Ok(EvalSample {
-            config: checkpoint::config_from_state(state.require("config")?)?,
-            out: crate::eval::outcome_from_state(state.require("outcome")?)?,
-        })
-    }
-}
-
 /// Run a resilient duplication-tuning session under a fault plan, with
 /// trace/metrics observation: `iteration` and `tuner` records as usual,
 /// plus `fault`, `recovery`, `degraded`, `reconfig` and (in detector
@@ -303,15 +272,18 @@ pub fn run_resilient_session_observed(
 }
 
 /// The resilience part of the one tuning loop
-/// ([`crate::session::drive_tuning`]): the policy stack, the fault
-/// injector and the failure detector, with the logs of what they did.
-/// The loop calls it before proposing ([`Resilience::before`]), as the
-/// evaluation ([`Resilience::evaluate`]), after the iteration
-/// ([`Resilience::after`]), and when it journals, snapshots, restores
-/// and replays.
+/// ([`crate::session::drive_tuning`]): the breaker and the retry jitter
+/// stream, the fault injector and the failure detector, with the logs of
+/// what they did. The loop calls it before proposing
+/// ([`Resilience::before`]), as the evaluation ([`Resilience::evaluate`]),
+/// after the iteration ([`Resilience::after`]), and when it journals,
+/// snapshots, restores and replays.
 pub(crate) struct Resilience {
     settings: ResilienceSettings,
-    stack: Stack<EvalSample>,
+    breaker: CircuitBreaker,
+    /// Draws the retry backoff's jitter. Seeded from the fault seed, so
+    /// fault-plan sessions keep their historical delay sequences.
+    jitter: SimRng,
     /// One injector for the whole session: the fault schedule is a pure
     /// function of (plan, seed). Node count never changes across
     /// reassigns. Without a fault plan it injects the empty plan, so
@@ -334,28 +306,17 @@ pub(crate) struct Resilience {
 
 impl Resilience {
     fn new(base: &SessionConfig, settings: &ResilienceSettings) -> Resilience {
-        // The policy composition, outermost first: fallback ∘ breaker ∘
-        // retry ∘ timeout ∘ bulkhead. The retry jitter stream is seeded
-        // from the fault seed, so fault-plan sessions keep their
-        // historical delay sequences.
-        let stack = Stack::new()
-            .layer(Fallback::new(settings.degrade_to_best))
-            .layer(Breaker::new(
-                CircuitBreaker::new(settings.breaker_threshold)
-                    .half_open_after(settings.breaker_half_open_after),
-            ))
-            .layer(Retry::new(settings.retry, base.fault_seed ^ 0xBACC_0FF5))
-            .layer(Timeout::new(
-                settings.timeout_s.map(SimDuration::from_secs_f64),
-            ))
-            .layer(Bulkhead::new(settings.bulkhead));
         let injector = FaultInjector::new(
             base.fault_plan.as_ref().unwrap_or(&FaultPlan::new()),
             base.fault_seed,
         );
         Resilience {
             settings: settings.clone(),
-            stack,
+            breaker: CircuitBreaker::new(
+                settings.breaker_threshold,
+                settings.breaker_half_open_after,
+            ),
+            jitter: SimRng::new(base.fault_seed ^ 0xBACC_0FF5),
             window: injector.window(SimTime::ZERO, SimTime::ZERO, base.topology.len()),
             injector,
             detector: settings
@@ -373,10 +334,12 @@ impl Resilience {
 
     /// Kind string of the session fingerprint. Journal deltas carry
     /// `completed` and snapshots are the plain snapshot plus the
-    /// resilient subtrees; the `tune+` prefix makes the fingerprint
-    /// check refuse checkpoints written in the older format.
+    /// resilient subtrees; the `tune+` prefix refuses checkpoints of the
+    /// older loop, and `resilient2` those whose `policy` field holds the
+    /// layers of a policy stack instead of the breaker table and the
+    /// jitter stream.
     pub(crate) fn fingerprint_kind(&self) -> String {
-        format!("tune+resilient/{:?}", self.settings)
+        format!("tune+resilient2/{:?}", self.settings)
     }
 
     /// Before proposing: trace every fault landing in iteration `i`'s
@@ -475,71 +438,209 @@ impl Resilience {
         self.report = Some(report);
     }
 
-    /// The evaluation: one call through the policy stack. Valid samples
-    /// report their measurement with its Poisson CI, as every session
-    /// does; an invalid, rejected or degraded sample tells the tuner the
-    /// proposal was worthless (0.0 — the proposal is always answered).
-    /// A degraded iteration records the substituted best-known WIPS.
+    /// The evaluation, in straight-line order: ask the breaker; run
+    /// attempts until one is valid or the retry budget is spent; report
+    /// the result to the breaker; and, with `degrade_to_best`, fall back
+    /// to `best`, the session's running best WIPS (`-inf` before its
+    /// first valid sample). A valid sample is reported with its Poisson
+    /// CI, as every session does; an invalid, refused or degraded one
+    /// tells the tuner the proposal was worthless (0.0 — the proposal is
+    /// always answered).
     pub(crate) fn evaluate(
         &mut self,
         cfg: &SessionConfig,
         config: &ClusterConfig,
         scenario: &ClusterScenario,
         i: u32,
+        best: f64,
         observer: &mut SessionObserver,
     ) -> Sampled {
         let key = config_summary(config);
-        let registry = observer.registry();
-        let outcome = self.stack.call(&key, &mut |ctx| {
-            evaluate_attempt(
-                cfg,
-                &self.settings,
-                config,
-                scenario,
-                i,
-                &self.window,
-                &self.injector,
-                registry,
-                ctx,
-            )
-        });
-        let events = self.stack.take_events();
-        apply_events(&events, i, &key, observer, &mut self.recoveries);
-        let worthless = Measurement::point(0.0);
-        match outcome {
-            // Blacklisted configuration (or no bulkhead permit): answer
-            // the proposal without re-measuring.
-            Outcome::Rejected(_) => Sampled {
-                out: None,
-                wips: 0.0,
-                measurement: worthless,
-                valid: false,
-            },
-            Outcome::Ok(sample) | Outcome::Invalid(sample) => {
-                let out = sample.value.out;
-                let (wips, measurement) = if sample.valid {
-                    let wips = out.metrics.wips;
-                    (wips, cfg.measurement_from(wips, out.metrics.completed))
-                } else {
-                    (0.0, worthless)
-                };
-                Sampled {
+        let gate = self.breaker.on_request(&key);
+        let measured = if gate == Gate::Skip {
+            // Blacklisted: answer the proposal without re-measuring.
+            self.recover(observer, i, &key, "breaker_skip", 0, 0.0, 0.0);
+            None
+        } else {
+            if gate == Gate::Probe {
+                self.recover(observer, i, &key, "breaker_probe", 0, 0.0, 0.0);
+            }
+            let mut attempt = 1;
+            let (mut out, mut valid) =
+                self.attempt(cfg, config, scenario, i, attempt, &key, observer);
+            while !valid && attempt < self.settings.retry.max_attempts {
+                let delay = self.settings.retry.delay(attempt, &mut self.jitter);
+                attempt += 1;
+                let (delay_s, wips) = (delay.as_secs_f64(), out.metrics.wips);
+                self.recover(observer, i, &key, "retry", attempt, delay_s, wips);
+                (out, valid) = self.attempt(cfg, config, scenario, i, attempt, &key, observer);
+            }
+            if valid {
+                self.breaker.record_success(&key);
+                let wips = out.metrics.wips;
+                return Sampled {
+                    measurement: cfg.measurement_from(wips, out.metrics.completed),
                     out: Some(out),
                     wips,
-                    measurement,
-                    valid: sample.valid,
-                }
+                    valid: true,
+                };
             }
-            // Graceful degradation: the tuner still learns the proposal
-            // was worthless, but downstream consumers see the substituted
-            // best-known WIPS and the running best is left untouched.
-            Outcome::Degraded(d) => Sampled {
-                out: d.measured.map(|m| m.value.out),
-                wips: d.sample.score,
-                measurement: worthless,
-                valid: false,
-            },
+            if self.breaker.record_failure(&key) {
+                self.recover(observer, i, &key, "breaker_open", attempt, 0.0, 0.0);
+            }
+            Some(out)
+        };
+        // Graceful degradation: the tuner still learns the proposal was
+        // worthless, but the record holds the running best, which the
+        // loop leaves untouched. Nothing degrades before the session has
+        // a valid sample to degrade to.
+        let mut wips = 0.0;
+        if self.settings.degrade_to_best && best > f64::NEG_INFINITY {
+            let reason = if measured.is_some() {
+                "invalid"
+            } else {
+                "rejected"
+            };
+            observer.record_degraded(i, reason, &key, best);
+            if let Some(reg) = observer.registry() {
+                reg.counter("resilience.degraded").inc();
+            }
+            self.recoveries.push(RecoveryAction {
+                iteration: i,
+                action: "degraded",
+                attempt: 0,
+                delay_s: 0.0,
+                wips: best,
+            });
+            wips = best;
         }
+        Sampled {
+            out: measured,
+            wips,
+            measurement: Measurement::point(0.0),
+            valid: false,
+        }
+    }
+
+    /// One attempt. The first is the primary measurement, re-measured
+    /// while a noise spike makes its WIPS disagree with its completion
+    /// count; a retry sees the post-crash steady state, like a real
+    /// re-measurement scheduled after the failure. An attempt whose own
+    /// simulated cost is over the timeout budget is invalid, whatever it
+    /// measured. Returns the outcome and whether it is valid.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt(
+        &mut self,
+        cfg: &SessionConfig,
+        config: &ClusterConfig,
+        scenario: &ClusterScenario,
+        iteration: u32,
+        attempt: u32,
+        key: &str,
+        observer: &mut SessionObserver,
+    ) -> (IterationOutcome, bool) {
+        let (out, valid, cost) = if attempt <= 1 {
+            let mut out = cfg.measure(scenario, iteration, observer.registry());
+
+            // A crash inside the measurement phase invalidates the sample
+            // (the paper's fixed-interval measurement assumes a stable
+            // cluster).
+            let crashed_mid_measure = self
+                .window
+                .crash_in(cfg.plan.warmup, cfg.plan.warmup + cfg.plan.measure)
+                .is_some();
+            let mut valid = !crashed_mid_measure && out.metrics.wips > 0.0;
+
+            // Noise-spike re-measurement: the sample passes only if
+            // measured WIPS is consistent with its own completion count.
+            let noise = self.window.noise;
+            let measure_secs = cfg.plan.measure.as_secs_f64();
+            if valid && noise > 1.0 && measure_secs > 0.0 {
+                let (start, _) = FaultClock::window_of(cfg.plan.total(), iteration);
+                let mut remeasures = 0;
+                while remeasures < self.settings.gate.max_remeasures {
+                    let predicted = out.metrics.completed as f64 / measure_secs;
+                    let deviation = (out.metrics.wips - predicted).abs();
+                    if self.settings.gate.accepts(predicted, deviation) {
+                        break;
+                    }
+                    remeasures += 1;
+                    let wips = out.metrics.wips;
+                    self.recover(observer, iteration, key, "remeasure", remeasures, 0.0, wips);
+                    // Re-run the window and draw the next noise value (a
+                    // re-measurement happens at a later session time).
+                    let retry_cfg = cfg
+                        .clone()
+                        .base_seed(cfg.base_seed ^ remeasure_salt(remeasures));
+                    out = retry_cfg.eval.run(
+                        &retry_cfg.scenario(config.clone(), iteration),
+                        observer.registry(),
+                    );
+                    let shifted = start + SimDuration::from_micros(remeasures as u64);
+                    scale_wips(&mut out, self.injector.wips_noise(shifted, noise));
+                }
+                valid = out.metrics.wips > 0.0;
+            }
+
+            // The primary attempt holds the cluster for the full window,
+            // plus any stalled seconds the fault plan injected into it.
+            let stall = SimDuration::from_secs_f64(self.window.stall_s);
+            (out, valid, cfg.plan.total().saturating_add(stall))
+        } else {
+            let retry_cfg = cfg
+                .clone()
+                .base_seed(cfg.base_seed ^ remeasure_salt(attempt));
+            let mut scenario = retry_cfg.scenario(config.clone(), iteration);
+            scenario.faults = steady_state_timeline(&self.injector, cfg, iteration);
+            let out = cfg.eval.run(&scenario, observer.registry());
+            // A retry holds the cluster for one more window but sees no
+            // further stalls.
+            let valid = out.metrics.wips > 0.0;
+            (out, valid, cfg.plan.total())
+        };
+        match self.settings.timeout_s.map(SimDuration::from_secs_f64) {
+            Some(budget) if cost > budget => {
+                let wips = out.metrics.wips;
+                let cost_s = cost.as_secs_f64();
+                self.recover(observer, iteration, key, "timeout", attempt, cost_s, wips);
+                (out, false)
+            }
+            _ => (out, valid),
+        }
+    }
+
+    /// Write one `recovery` action where it happens: its trace record,
+    /// its counter and its [`RecoveryAction`].
+    #[allow(clippy::too_many_arguments)]
+    fn recover(
+        &mut self,
+        observer: &mut SessionObserver,
+        iteration: u32,
+        key: &str,
+        action: &'static str,
+        attempt: u32,
+        delay_s: f64,
+        wips: f64,
+    ) {
+        observer.record_recovery(iteration, action, attempt, delay_s, key, wips);
+        if let Some(reg) = observer.registry() {
+            let counter = match action {
+                "retry" => "retries",
+                "remeasure" => "remeasures",
+                "timeout" => "timeouts",
+                "breaker_skip" => "breaker_skips",
+                "breaker_probe" => "breaker_probes",
+                other => other,
+            };
+            reg.counter(&format!("resilience.{counter}")).inc();
+        }
+        self.recoveries.push(RecoveryAction {
+            iteration,
+            action,
+            attempt,
+            delay_s,
+            wips,
+        });
     }
 
     /// After a measured iteration: failure-driven reconfiguration. A
@@ -605,15 +706,29 @@ impl Resilience {
         }
     }
 
+    /// The `policy` field of journal deltas and snapshots: the breaker
+    /// table and the position of the jitter stream. The loop's running
+    /// best, which degradation reads, is checkpointed by the loop.
+    fn policy_state(&self) -> State {
+        State::map()
+            .with("breaker", self.breaker.save_state())
+            .with("jitter", rng_state(&self.jitter))
+    }
+
+    fn restore_policy(&mut self, state: &State) -> Result<(), PersistError> {
+        self.breaker.restore_state(state.require("breaker")?)?;
+        self.jitter = rng_from_state(state.require("jitter")?)?;
+        Ok(())
+    }
+
     /// Add the current iteration's resilient fields to its journal
-    /// delta: whether the tuner saw the sample, the whole policy stack
-    /// (breaker counts, retry RNG position, the fallback's best sample,
-    /// the simulated clock), the iteration's recoveries, node move and
-    /// detections, and the detector.
+    /// delta: whether the tuner saw the sample, the policy state, the
+    /// iteration's recoveries, node move and detections, and the
+    /// detector.
     pub(crate) fn journal_into(&self, delta: &mut State, valid: bool) {
         let [recoveries, reconfigs, detections] = self.marks;
         delta.set("valid", State::Bool(valid));
-        delta.set("policy", self.stack.save_state());
+        delta.set("policy", self.policy_state());
         delta.set(
             "recoveries",
             checkpoint::recoveries_state(&self.recoveries[recoveries..]),
@@ -635,10 +750,10 @@ impl Resilience {
     }
 
     /// Add the resilient fields to a snapshot: the topology, the policy
-    /// stack, the logs and (in detector mode) the detector.
+    /// state, the logs and (in detector mode) the detector.
     pub(crate) fn save_into(&self, snap: &mut Fields, topology: &Topology) {
         snap.state("topology", &checkpoint::topology_state(topology));
-        snap.state("policy", &self.stack.save_state());
+        snap.state("policy", &self.policy_state());
         snap.state(
             "recoveries",
             &checkpoint::recoveries_state(&self.recoveries),
@@ -656,7 +771,7 @@ impl Resilience {
     /// Restore the resilient subtrees of a snapshot; returns the
     /// snapshot's topology.
     pub(crate) fn restore(&mut self, snap: &State) -> Result<Topology, PersistError> {
-        self.stack.restore_state(snap.require("policy")?)?;
+        self.restore_policy(snap.require("policy")?)?;
         self.recoveries = checkpoint::recoveries_from_state(snap.require("recoveries")?)?;
         self.reconfigs = checkpoint::reconfigs_from_state(snap.require("reconfigs")?)?;
         // Detector mode is part of the fingerprint, so a detector-mode
@@ -668,8 +783,8 @@ impl Resilience {
         checkpoint::topology_from_state(snap.require("topology")?)
     }
 
-    /// Replay one journal delta's resilient fields: the policy stack
-    /// restores bit-exactly from the journaled state, and recoveries,
+    /// Replay one journal delta's resilient fields: the breaker and the
+    /// jitter stream restore bit-exactly from the journaled state, and recoveries,
     /// node moves and detections come from the journal — nothing is
     /// re-simulated, nothing is re-traced, and no RNG draw is ever
     /// re-burned. Returns whether the tuner saw the sample.
@@ -679,8 +794,7 @@ impl Resilience {
         topology: &mut Topology,
     ) -> Result<bool, SessionError> {
         let valid = delta.field_bool("valid").map_err(ckerr)?;
-        self.stack
-            .restore_state(delta.require("policy").map_err(ckerr)?)
+        self.restore_policy(delta.require("policy").map_err(ckerr)?)
             .map_err(ckerr)?;
         self.recoveries.extend(
             checkpoint::recoveries_from_state(delta.require("recoveries").map_err(ckerr)?)
@@ -715,148 +829,6 @@ impl Resilience {
                 self.faults.push((i, *e));
             }
         }
-    }
-}
-
-/// Map one stack call's event log onto `recovery`/`degraded` trace
-/// records, `resilience.*` counters, and [`RecoveryAction`]s — in the
-/// exact order the layers acted.
-fn apply_events(
-    events: &[Event],
-    iteration: u32,
-    key: &str,
-    observer: &mut SessionObserver,
-    recoveries: &mut Vec<RecoveryAction>,
-) {
-    for e in events {
-        let (action, counter, attempt, delay_s, wips) = match *e {
-            Event::Retry {
-                attempt,
-                delay,
-                score,
-            } => ("retry", "retries", attempt, delay.as_secs_f64(), score),
-            Event::Remeasure { attempt, score } => ("remeasure", "remeasures", attempt, 0.0, score),
-            Event::Timeout {
-                attempt,
-                elapsed,
-                score,
-                ..
-            } => ("timeout", "timeouts", attempt, elapsed.as_secs_f64(), score),
-            Event::BreakerOpen { attempts } => ("breaker_open", "breaker_open", attempts, 0.0, 0.0),
-            Event::BreakerSkip => ("breaker_skip", "breaker_skips", 0, 0.0, 0.0),
-            Event::BreakerProbe => ("breaker_probe", "breaker_probes", 0, 0.0, 0.0),
-            Event::BulkheadFull => ("bulkhead_skip", "bulkhead_skips", 0, 0.0, 0.0),
-            Event::Degraded { score, .. } => ("degraded", "degraded", 0, 0.0, score),
-        };
-        match *e {
-            Event::Degraded { reason, .. } => {
-                observer.record_degraded(iteration, reason.name(), key, wips)
-            }
-            _ => observer.record_recovery(iteration, action, attempt, delay_s, key, wips),
-        }
-        if let Some(reg) = observer.registry() {
-            reg.counter(&format!("resilience.{counter}")).inc();
-        }
-        recoveries.push(RecoveryAction {
-            iteration,
-            action,
-            attempt,
-            delay_s,
-            wips,
-        });
-    }
-}
-
-/// One evaluation attempt, run by the policy stack. The first attempt is
-/// the primary measurement (with outlier re-measurement when the window
-/// is noise-spiked); retries see the post-crash steady state, like a real
-/// re-measurement scheduled after the failure. Every attempt advances the
-/// policy clock by the simulated time it consumed, which is what the
-/// timeout layer budgets against.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_attempt(
-    cfg: &SessionConfig,
-    settings: &ResilienceSettings,
-    config: &ClusterConfig,
-    scenario: &ClusterScenario,
-    iteration: u32,
-    wf: &WindowFaults,
-    injector: &FaultInjector,
-    registry: Option<&Registry>,
-    ctx: &mut Ctx<'_>,
-) -> Sample<EvalSample> {
-    let (out, valid) = if ctx.attempt <= 1 {
-        let mut out = cfg.measure(scenario, iteration, registry);
-
-        // A crash inside the measurement phase invalidates the sample (the
-        // paper's fixed-interval measurement assumes a stable cluster).
-        let crashed_mid_measure = wf
-            .crash_in(cfg.plan.warmup, cfg.plan.warmup + cfg.plan.measure)
-            .is_some();
-        let mut valid = !crashed_mid_measure && out.metrics.wips > 0.0;
-
-        // Noise-spike re-measurement: the sample passes only if measured
-        // WIPS is consistent with its own completion count.
-        if valid && wf.noise > 1.0 {
-            let measure_secs = cfg.plan.measure.as_secs_f64();
-            if measure_secs > 0.0 {
-                let (start, _) = FaultClock::window_of(cfg.plan.total(), iteration);
-                let mut remeasures = 0;
-                while remeasures < settings.gate.max_remeasures {
-                    let predicted = out.metrics.completed as f64 / measure_secs;
-                    let deviation = (out.metrics.wips - predicted).abs();
-                    if settings.gate.accepts(predicted, deviation) {
-                        break;
-                    }
-                    remeasures += 1;
-                    ctx.push(Event::Remeasure {
-                        attempt: remeasures,
-                        score: out.metrics.wips,
-                    });
-                    // Re-run the window and draw the next noise value (a
-                    // re-measurement happens at a later session time).
-                    let retry_cfg = cfg
-                        .clone()
-                        .base_seed(cfg.base_seed ^ remeasure_salt(remeasures));
-                    out = retry_cfg
-                        .eval
-                        .run(&retry_cfg.scenario(config.clone(), iteration), registry);
-                    let shifted = start + SimDuration::from_micros(remeasures as u64);
-                    scale_wips(&mut out, injector.wips_noise(shifted, wf.noise));
-                }
-                valid = out.metrics.wips > 0.0;
-            }
-        }
-
-        // The primary attempt holds the cluster for the full window, plus
-        // any stalled seconds the fault plan injected into it.
-        ctx.advance(
-            cfg.plan
-                .total()
-                .saturating_add(SimDuration::from_secs_f64(wf.stall_s)),
-        );
-        (out, valid)
-    } else {
-        let retry_cfg = cfg
-            .clone()
-            .base_seed(cfg.base_seed ^ remeasure_salt(ctx.attempt));
-        let mut scenario = retry_cfg.scenario(config.clone(), iteration);
-        scenario.faults = steady_state_timeline(injector, cfg, iteration);
-        let out = cfg.eval.run(&scenario, registry);
-        // A retry re-measures in the post-crash steady state; it holds the
-        // cluster for one more window but sees no further stalls.
-        ctx.advance(cfg.plan.total());
-        let valid = out.metrics.wips > 0.0;
-        (out, valid)
-    };
-    let score = out.metrics.wips;
-    Sample {
-        value: EvalSample {
-            config: config.clone(),
-            out,
-        },
-        valid,
-        score,
     }
 }
 
@@ -980,6 +952,237 @@ mod tests {
         series.iter().map(|w| w.to_bits()).collect()
     }
 
+    fn window_s() -> f64 {
+        IntervalPlan::tiny().total().as_secs_f64()
+    }
+
+    /// The only proxy node crashes early in iteration 0's window: every
+    /// attempt of every iteration measures zero.
+    fn blackout() -> SessionConfig {
+        base(Topology::tiers(1, 1, 1).unwrap(), 150)
+            .pin_seed(true)
+            .fault_plan(FaultPlan::new().crash(0.5, 0))
+    }
+
+    /// One evaluation as the loop runs it: iteration `i`'s window first,
+    /// then the default configuration, with `best` as the session's
+    /// running best. Returns the sample and the actions it logged.
+    fn evaluate_once(
+        r: &mut Resilience,
+        cfg: &SessionConfig,
+        i: u32,
+        best: f64,
+        observer: &mut SessionObserver,
+    ) -> (Sampled, Vec<(&'static str, u32)>) {
+        let config = ClusterConfig::defaults(&cfg.topology);
+        let from = r.recoveries.len();
+        r.before(cfg, i, observer);
+        let scenario = cfg.scenario(config.clone(), i);
+        let sample = r.evaluate(cfg, &config, &scenario, i, best, observer);
+        let actions = r.recoveries[from..]
+            .iter()
+            .map(|a| (a.action, a.attempt))
+            .collect();
+        (sample, actions)
+    }
+
+    #[test]
+    fn the_policy_state_roundtrips_without_reburning_jitter_draws() {
+        // Burn two draws and trip a breaker, save, draw once more: a
+        // session restored from the save (whatever its own seed) draws
+        // that same delay next, without replaying the first two.
+        let settings = ResilienceSettings::default();
+        let retry = settings.retry;
+        let mut live = Resilience::new(&blackout(), &settings);
+        retry.delay(1, &mut live.jitter);
+        retry.delay(2, &mut live.jitter);
+        live.breaker.record_failure("k");
+        let saved = live.policy_state();
+        let next = retry.delay(1, &mut live.jitter);
+        let mut restored = Resilience::new(&blackout().fault_seed(99), &settings);
+        restored.restore_policy(&saved).unwrap();
+        assert_eq!(
+            restored.policy_state(),
+            saved,
+            "save→restore→save bit-exact"
+        );
+        assert_eq!(retry.delay(1, &mut restored.jitter), next);
+        assert!(restored.restore_policy(&State::Null).is_err());
+    }
+
+    #[test]
+    fn an_evaluation_writes_its_records_in_the_order_it_acts() {
+        // Every attempt overruns a budget of half a window. The first
+        // call times out on each attempt, retries, trips the breaker and
+        // degrades; the next probes the open circuit, and its failed
+        // probe re-opens it without a new trip (so a probe and a trip
+        // never share a call).
+        let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
+        let settings = ResilienceSettings {
+            breaker_threshold: 1,
+            breaker_half_open_after: Some(0),
+            timeout_s: Some(window_s() * 0.5),
+            degrade_to_best: true,
+            ..Default::default()
+        };
+        let mut r = Resilience::new(&cfg, &settings);
+        let mut sink = obs::MemorySink::new();
+        let mut observer = SessionObserver::with_sink(&mut sink);
+        let (tripped, _) = evaluate_once(&mut r, &cfg, 0, 42.0, &mut observer);
+        let (probed, _) = evaluate_once(&mut r, &cfg, 1, 42.0, &mut observer);
+        let written: Vec<String> = sink
+            .records()
+            .iter()
+            .filter_map(|rec| {
+                let what = rec.get("action").or(rec.get("reason"))?.to_csv_cell();
+                let attempt = rec.get("attempt").map(|a| a.to_csv_cell());
+                Some(format!(
+                    "{} {what} {}",
+                    rec.kind(),
+                    attempt.unwrap_or_default()
+                ))
+            })
+            .collect();
+        assert_eq!(
+            written,
+            [
+                "recovery timeout 1",
+                "recovery retry 2",
+                "recovery timeout 2",
+                "recovery retry 3",
+                "recovery timeout 3",
+                "recovery breaker_open 3",
+                "degraded invalid ",
+                "recovery breaker_probe 0",
+                "recovery timeout 1",
+                "recovery retry 2",
+                "recovery timeout 2",
+                "recovery retry 3",
+                "recovery timeout 3",
+                "degraded invalid ",
+            ]
+        );
+        // The action log mirrors the trace record for record.
+        assert_eq!(r.recoveries.len(), written.len());
+        for sample in [tripped, probed] {
+            assert_eq!(sample.wips, 42.0, "degraded to the running best");
+            assert!(!sample.valid && sample.out.is_some());
+            assert_eq!(sample.measurement.mean, 0.0, "the tuner sees 0.0");
+        }
+    }
+
+    #[test]
+    fn the_timeout_budget_applies_to_each_attempt_not_to_the_call() {
+        // Three attempts of one window each, with backoff between them,
+        // hold the cluster for well over 1.05 windows in all; each
+        // attempt alone does not, so none times out. A budget under one
+        // window times out every attempt.
+        for (budget, timeouts) in [(1.05, 0), (0.95, 3)] {
+            let settings = ResilienceSettings {
+                timeout_s: Some(window_s() * budget),
+                ..Default::default()
+            };
+            let cfg = blackout();
+            let mut r = Resilience::new(&cfg, &settings);
+            let (_, actions) = evaluate_once(
+                &mut r,
+                &cfg,
+                0,
+                f64::NEG_INFINITY,
+                &mut SessionObserver::none(),
+            );
+            let count = |a: &str| actions.iter().filter(|(x, _)| *x == a).count();
+            assert_eq!(count("timeout"), timeouts, "{budget}: {actions:?}");
+            assert_eq!(count("retry"), 2, "{budget}: {actions:?}");
+        }
+    }
+
+    #[test]
+    fn nothing_degrades_before_the_session_has_a_valid_sample() {
+        let settings = ResilienceSettings {
+            degrade_to_best: true,
+            ..Default::default()
+        };
+        let cfg = blackout();
+        let mut r = Resilience::new(&cfg, &settings);
+        let mut none = SessionObserver::none();
+        let (first, actions) = evaluate_once(&mut r, &cfg, 0, f64::NEG_INFINITY, &mut none);
+        assert_eq!(first.wips, 0.0);
+        assert!(!first.valid && first.out.is_some());
+        assert!(actions.iter().all(|(a, _)| *a != "degraded"), "{actions:?}");
+        // Once the loop has a running best, the same failure degrades.
+        let (later, actions) = evaluate_once(&mut r, &cfg, 1, 7.5, &mut none);
+        assert_eq!(later.wips, 7.5);
+        assert_eq!(actions.last(), Some(&("degraded", 0)), "{actions:?}");
+    }
+
+    #[test]
+    fn a_refused_configuration_degrades_as_rejected_without_an_outcome() {
+        let settings = ResilienceSettings {
+            breaker_threshold: 1,
+            degrade_to_best: true,
+            ..Default::default()
+        };
+        let cfg = blackout();
+        let mut r = Resilience::new(&cfg, &settings);
+        let mut sink = obs::MemorySink::new();
+        let mut observer = SessionObserver::with_sink(&mut sink);
+        let (_, tripped) = evaluate_once(&mut r, &cfg, 0, 9.0, &mut observer);
+        assert!(tripped.contains(&("breaker_open", 3)), "{tripped:?}");
+        let (refused, actions) = evaluate_once(&mut r, &cfg, 1, 9.0, &mut observer);
+        assert_eq!(actions, [("breaker_skip", 0), ("degraded", 0)]);
+        assert!(refused.out.is_none(), "nothing was measured");
+        assert!(!refused.valid);
+        assert_eq!(refused.wips, 9.0);
+        let reasons: Vec<String> = sink
+            .records()
+            .iter()
+            .filter(|rec| rec.kind() == "degraded")
+            .filter_map(|rec| Some(rec.get("reason")?.to_csv_cell()))
+            .collect();
+        assert_eq!(reasons, ["invalid", "rejected"]);
+    }
+
+    #[test]
+    fn a_half_open_probe_closes_the_circuit_on_success_and_reopens_it_on_failure() {
+        // The proxy is down from iteration 0 until early in iteration 3.
+        let w = window_s();
+        let cfg = base(Topology::tiers(1, 1, 1).unwrap(), 150)
+            .pin_seed(true)
+            .fault_plan(FaultPlan::new().crash(0.5, 0).restart(3.0 * w + 1.0, 0));
+        let settings = ResilienceSettings {
+            breaker_threshold: 1,
+            breaker_half_open_after: Some(1),
+            ..Default::default()
+        };
+        let mut r = Resilience::new(&cfg, &settings);
+        let mut none = SessionObserver::none();
+        let mut calls = Vec::new();
+        for i in 0..6 {
+            let (sample, actions) = evaluate_once(&mut r, &cfg, i, f64::NEG_INFINITY, &mut none);
+            calls.push((sample.valid, actions));
+        }
+        let expected: [(bool, &[(&str, u32)]); 6] = [
+            (false, &[("retry", 2), ("retry", 3), ("breaker_open", 3)]),
+            (false, &[("breaker_skip", 0)]),
+            // The failed probe re-opens the circuit: one more refusal
+            // before the next probe.
+            (false, &[("breaker_probe", 0), ("retry", 2), ("retry", 3)]),
+            (false, &[("breaker_skip", 0)]),
+            // The proxy is back: the probe succeeds and closes the
+            // circuit, so the next evaluation passes unguarded.
+            (true, &[("breaker_probe", 0)]),
+            (true, &[]),
+        ];
+        for (i, ((valid, actions), (want_valid, want))) in calls.iter().zip(expected).enumerate() {
+            assert_eq!(
+                (*valid, actions.as_slice()),
+                (want_valid, want),
+                "iteration {i}"
+            );
+        }
+    }
+
     #[test]
     fn fault_free_resilient_session_behaves_like_tuning() {
         // With no faults and the default (identity) policies, a resilient
@@ -1038,22 +1241,29 @@ mod tests {
 
     #[test]
     fn checkpoints_of_the_older_resilient_format_are_refused() {
-        let dir = std::env::temp_dir().join(format!("resilient-old-kind-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let settings = ResilienceSettings::default();
         let cfg = base(Topology::tiers(1, 2, 1).unwrap(), 300).pin_seed(true);
-        // A journal as the older loop wrote it: its fingerprint used the
-        // bare `resilient/...` kind.
-        let old = checkpoint::session_fingerprint(&cfg, &format!("resilient/{settings:?}"), 4, 4);
-        let policy = crate::checkpoint::CheckpointPolicy::new(&dir).every(2);
-        let (mut ck, _) = checkpoint::Checkpointer::open(&policy, old).expect("old journal");
-        ck.append(State::map().with("iteration", State::U64(0)))
-            .expect("append");
-        drop(ck);
-        let resumed = cfg.clone().checkpoint(policy.resume(true));
-        let err = run_resilient_session(&resumed, &settings, 4).unwrap_err();
-        assert!(matches!(err, SessionError::Checkpoint(_)), "{err:?}");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+        // Journals as the older loops wrote them: the bare `resilient/`
+        // kind, and `tune+resilient/`, whose `policy` field held the
+        // layers of a policy stack.
+        for kind in ["resilient", "tune+resilient"] {
+            let dir = std::env::temp_dir()
+                .join(format!("resilient-old-kind-{}-{kind}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let old = checkpoint::session_fingerprint(&cfg, &format!("{kind}/{settings:?}"), 4, 4);
+            let policy = crate::checkpoint::CheckpointPolicy::new(&dir).every(2);
+            let (mut ck, _) = checkpoint::Checkpointer::open(&policy, old).expect("old journal");
+            ck.append(State::map().with("iteration", State::U64(0)))
+                .expect("append");
+            drop(ck);
+            let resumed = cfg.clone().checkpoint(policy.resume(true));
+            let err = run_resilient_session(&resumed, &settings, 4).unwrap_err();
+            assert!(
+                matches!(&err, SessionError::Checkpoint(msg) if msg.contains("fingerprint")),
+                "{kind}: {err:?}"
+            );
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]

@@ -1290,8 +1290,8 @@ pub(crate) struct Parts<'a> {
     /// §IV reconfiguration (Fig. 7), after each iteration.
     pub(crate) reconfig: Option<&'a mut Reconfigurer>,
     /// Fault tolerance: faults and the detector before proposing, the
-    /// policy stack as the evaluation, crash healing after the
-    /// iteration, and its own journal and snapshot subtrees.
+    /// resilient evaluation, crash healing after the iteration, and its
+    /// own journal and snapshot subtrees.
     pub(crate) resilience: Option<&'a mut Resilience>,
 }
 
@@ -1485,7 +1485,7 @@ pub(crate) fn drive_tuning(
             }
         }
         let sample = match parts.resilience.as_deref_mut() {
-            Some(r) => r.evaluate(&cfg, &config, &scenario, i, observer),
+            Some(r) => r.evaluate(&cfg, &config, &scenario, i, best.wips, observer),
             None => {
                 let out = cfg.measure(&scenario, i, observer.registry());
                 Sampled {

@@ -127,16 +127,26 @@ USAGE:
   ah-webtune reconfig [options]        tuning + automatic reconfiguration
   ah-webtune sweep    [options]        sweep browser populations
 
-OPTIONS (all subcommands):
+OPTIONS (every subcommand):
   --workload browsing|shopping|ordering   (default shopping)
   --topology PxAxD   e.g. 2x2x1           (default 1x1x1)
-  --population N                          (default 1000)
   --seed N                                (default 42)
   --markov           walk TPC-W sessions instead of i.i.d. sampling
   --plan tiny|fast|paper                  measurement intervals (default fast)
+  --faults PATH      JSON fault plan to inject (crashes, stalls, slowdowns, noise)
+  --load-model per-browser|cohort   how the population is realised
+                     (default per-browser). cohort bins think times and
+                     simulates weighted browser tokens, so million-user
+                     populations cost O(tokens) events, not O(browsers)
+  --cohort-bins N    think-time bins per mean for the cohort model
+                     (default 64, N >= 1; requires --load-model cohort)
+
+OPTIONS (simulate, tune, reconfig; sweep steps the population itself):
+  --population N                          (default 1000)
   --trace PATH       write one JSONL trace record per iteration
   --metrics          print engine/resource metrics at the end of the run
-  --faults PATH      JSON fault plan to inject (crashes, stalls, slowdowns, noise)
+
+OPTIONS (tune, reconfig):
   --fault-seed N     seed for fault noise/jitter draws (default 0xFA17;
                      requires --faults)
   --eval-threads N   worker threads for evaluating queued trials ahead
@@ -149,15 +159,12 @@ OPTIONS (all subcommands):
                      cache only holds prefetched trials until they are
                      measured; without it nothing is prefetched, and at
                      --eval-threads 1 the trace has no eval record
-  --replication-threads N   worker width for measurement replications
-                     (default 1 = sequential; 0 = auto, one per core);
-                     any width produces bit-identical statistics
-  --load-model per-browser|cohort   how the population is realised
-                     (default per-browser). cohort bins think times and
-                     simulates weighted browser tokens, so million-user
-                     populations cost O(tokens) events, not O(browsers)
-  --cohort-bins N    think-time bins per mean for the cohort model
-                     (default 64, N >= 1; requires --load-model cohort)
+
+OPTIONS (tune without --detector or --health-oracle):
+  --replication-threads N   worker width for measuring the default
+                     configuration before tuning (default 1 =
+                     sequential; 0 = auto, one per core); any width
+                     produces bit-identical statistics
 
 TUNE:
   --method default|duplication|partitioning|hybrid  (default default)
@@ -197,10 +204,10 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
     let rest: Vec<String> = it.collect();
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "simulate" => Ok(Command::Simulate(parse_sim_exact(&rest)?)),
-        "reconfig" => Ok(Command::Reconfig(parse_sim_exact(&rest)?)),
+        "simulate" => parse_sim_exact(&rest, "simulate", SIMULATE_UNREAD).map(Command::Simulate),
+        "reconfig" => parse_sim_exact(&rest, "reconfig", RECONFIG_UNREAD).map(Command::Reconfig),
         "tune" => {
-            let (mut sim, leftover) = parse_sim(&rest)?;
+            let (mut sim, leftover) = parse_sim(&rest, "tune", &[])?;
             let mut method = TuningMethod::Default;
             let mut iterations = 50;
             let mut tuner = None;
@@ -297,6 +304,18 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
             if phi_threshold.is_some_and(|p: f64| !p.is_finite() || p <= 0.0) {
                 return Err("--phi-threshold must be a positive number".into());
             }
+            // Only a plain session measures the default configuration
+            // first, the CLI's one replicated measurement.
+            if sim.replication_threads.is_some() && (detector || health_oracle) {
+                let mode = if detector {
+                    "--detector"
+                } else {
+                    "--health-oracle"
+                };
+                return Err(format!(
+                    "'--replication-threads' is not read by tune {mode}"
+                ));
+            }
             Ok(Command::Tune(TuneArgs {
                 sim,
                 method,
@@ -309,7 +328,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
             }))
         }
         "sweep" => {
-            let (sim, leftover) = parse_sim(&rest)?;
+            let (sim, leftover) = parse_sim(&rest, "sweep", SWEEP_UNREAD)?;
             let (mut from, mut to, mut step) = (400u32, 2_000u32, 400u32);
             let mut i = 0;
             while i < leftover.len() {
@@ -346,24 +365,59 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
     }
 }
 
+/// Common options `simulate` does not read: it runs one DES iteration
+/// directly, past the eval engine and the fault noise.
+const SIMULATE_UNREAD: &[&str] = &[
+    "--fault-seed",
+    "--eval-threads",
+    "--no-eval-cache",
+    "--replication-threads",
+];
+
+/// Common options `reconfig` does not read: it measures no default
+/// configuration, the CLI's one replicated measurement.
+const RECONFIG_UNREAD: &[&str] = &["--replication-threads"];
+
+/// Common options `sweep` does not read: each step runs one DES
+/// iteration directly at its own population, and nothing is traced.
+const SWEEP_UNREAD: &[&str] = &[
+    "--population",
+    "--trace",
+    "--metrics",
+    "--fault-seed",
+    "--eval-threads",
+    "--no-eval-cache",
+    "--replication-threads",
+];
+
 /// Parse the common options for subcommands with no flags of their own,
 /// rejecting anything unconsumed.
-fn parse_sim_exact(args: &[String]) -> Result<SimArgs, String> {
-    let (sim, leftover) = parse_sim(args)?;
+fn parse_sim_exact(args: &[String], sub: &str, unread: &[&str]) -> Result<SimArgs, String> {
+    let (sim, leftover) = parse_sim(args, sub, unread)?;
     match leftover.first() {
         None => Ok(sim),
         Some(other) => Err(format!("unknown argument '{other}'")),
     }
 }
 
-/// Parse the common options, returning unconsumed arguments.
-fn parse_sim(args: &[String]) -> Result<(SimArgs, Vec<String>), String> {
+/// Parse the common options, returning unconsumed arguments. A common
+/// option in `unread`, which subcommand `sub` would ignore, is refused
+/// once the given options are otherwise valid.
+fn parse_sim(
+    args: &[String],
+    sub: &str,
+    unread: &[&str],
+) -> Result<(SimArgs, Vec<String>), String> {
     let mut sim = SimArgs::default();
     let mut leftover = Vec::new();
     let mut cohort = false;
     let mut cohort_bins: Option<u32> = None;
+    let mut ignored = None;
     let mut i = 0;
     while i < args.len() {
+        if ignored.is_none() && unread.contains(&args[i].as_str()) {
+            ignored = Some(args[i].as_str());
+        }
         match args[i].as_str() {
             "--load-model" => {
                 let v = args.get(i + 1).ok_or("--load-model needs a value")?;
@@ -472,6 +526,9 @@ fn parse_sim(args: &[String]) -> Result<(SimArgs, Vec<String>), String> {
                     (cohort tokens batch i.i.d. think draws; a Markov \
                     session walk is per-browser state)"
             .into());
+    }
+    if let Some(flag) = ignored {
+        return Err(format!("'{flag}' is not read by {sub}"));
     }
     Ok((sim, leftover))
 }
@@ -819,8 +876,8 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // 0 = one thread per core.
-        match parse(argv(&["simulate", "--eval-threads", "0"])).unwrap() {
-            Command::Simulate(sim) => {
+        match parse(argv(&["reconfig", "--eval-threads", "0"])).unwrap() {
+            Command::Reconfig(sim) => {
                 assert_eq!(sim.eval_threads, Some(0));
                 assert!(!sim.no_eval_cache);
             }
@@ -859,8 +916,8 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // 0 = one worker per core, same convention as --eval-threads.
-        match parse(argv(&["simulate", "--replication-threads", "0"])).unwrap() {
-            Command::Simulate(sim) => assert_eq!(sim.replication_threads, Some(0)),
+        match parse(argv(&["tune", "--replication-threads", "0"])).unwrap() {
+            Command::Tune(t) => assert_eq!(t.sim.replication_threads, Some(0)),
             other => panic!("{other:?}"),
         }
         match parse(argv(&["sweep"])).unwrap() {
@@ -870,6 +927,78 @@ mod tests {
         assert!(parse(argv(&["tune", "--replication-threads"])).is_err());
         assert!(parse(argv(&["tune", "--replication-threads", "-1"])).is_err());
         assert!(parse(argv(&["tune", "--replication-threads", "many"])).is_err());
+    }
+
+    /// `args` is refused with a message that names `flag` and `by`.
+    fn assert_not_read(args: &[&str], flag: &str, by: &str) {
+        let err = parse(argv(args)).unwrap_err();
+        assert_eq!(err, format!("'{flag}' is not read by {by}"), "{args:?}");
+    }
+
+    #[test]
+    fn sweep_refuses_the_options_it_does_not_read() {
+        for flags in [
+            &["--population", "5000"][..],
+            &["--trace", "t.jsonl"],
+            &["--metrics"],
+            &["--faults", "p.json", "--fault-seed", "9"],
+            &["--eval-threads", "2"],
+            &["--no-eval-cache"],
+            &["--replication-threads", "2"],
+        ] {
+            let args: Vec<&str> = ["sweep", "--from", "400", "--to", "400"]
+                .into_iter()
+                .chain(flags.iter().copied())
+                .collect();
+            let flag = flags.iter().rev().find(|f| f.starts_with("--")).unwrap();
+            assert_not_read(&args, flag, "sweep");
+        }
+        // What it does read still parses.
+        assert!(parse(argv(&["sweep", "--faults", "p.json", "--plan", "tiny"])).is_ok());
+    }
+
+    #[test]
+    fn simulate_refuses_the_options_it_does_not_read() {
+        for flags in [
+            &["--faults", "p.json", "--fault-seed", "9"][..],
+            &["--eval-threads", "2"],
+            &["--no-eval-cache"],
+            &["--replication-threads", "2"],
+        ] {
+            let args: Vec<&str> = std::iter::once("simulate")
+                .chain(flags.iter().copied())
+                .collect();
+            let flag = flags.iter().rev().find(|f| f.starts_with("--")).unwrap();
+            assert_not_read(&args, flag, "simulate");
+        }
+    }
+
+    #[test]
+    fn reconfig_refuses_replication_threads() {
+        assert_not_read(
+            &["reconfig", "--replication-threads", "2"],
+            "--replication-threads",
+            "reconfig",
+        );
+        assert!(parse(argv(&[
+            "reconfig",
+            "--eval-threads",
+            "2",
+            "--no-eval-cache"
+        ]))
+        .is_ok());
+    }
+
+    #[test]
+    fn resilient_tune_refuses_replication_threads() {
+        for mode in ["--detector", "--health-oracle"] {
+            assert_not_read(
+                &["tune", mode, "--replication-threads", "2"],
+                "--replication-threads",
+                &format!("tune {mode}"),
+            );
+        }
+        assert!(parse(argv(&["tune", "--replication-threads", "2"])).is_ok());
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! * [`cluster`] — the simulated three-tier testbed;
 //! * [`harmony`] — the Active Harmony tuning system;
 //! * [`faults`] — deterministic fault plans and injection;
-//! * [`resilience`] — composable retry/timeout/breaker/bulkhead policies;
+//! * [`detect`] — heartbeat failure detection (φ-accrual, membership);
 //! * [`obs`] — metrics registry and structured trace sinks;
 //! * [`persist`] — crash-safe state: write-ahead journal + snapshots;
-//! * [`orchestrator`] — sessions, experiments, reports.
+//! * [`orchestrator`] — sessions (resilient ones included: breaker,
+//!   retry, timeout, degradation), experiments, reports.
 
 pub mod cli;
 
@@ -20,7 +21,6 @@ pub use harmony;
 pub use obs;
 pub use orchestrator;
 pub use persist;
-pub use resilience;
 pub use simkit;
 pub use tpcw;
 
@@ -56,13 +56,11 @@ pub mod prelude {
     pub use orchestrator::checkpoint::CheckpointPolicy;
     pub use orchestrator::eval::{EvalEngine, EvalSettings};
     pub use orchestrator::resilient::{
-        run_resilient_session_observed, DetectionEvent, ResilienceSettings, ResilientRun,
+        run_resilient_session_observed, DetectionEvent, OutlierGate, ResilienceSettings,
+        ResilientRun, RetryPolicy,
     };
     pub use orchestrator::session::{
         tune_observed, IterationRecord, SessionConfig, SessionError, SessionObserver, TuningRun,
-    };
-    pub use resilience::{
-        Backoff, Bulkhead, CircuitBreaker, Jitter, OutlierGate, RetryPolicy, Stack,
     };
     pub use tpcw::metrics::IntervalPlan;
     pub use tpcw::mix::Workload;

@@ -1,14 +1,14 @@
-//! Chaos conformance suite for the resilience policy stack.
+//! Chaos conformance suite for the resilient evaluation.
 //!
 //! Contract: every registered tuner, driven through every plan in the
 //! chaos library ([`faults::library`]), must **finish or degrade
 //! gracefully** — never panic, never hang, never produce a non-finite
 //! or negative throughput — and must do so deterministically. Killing a
 //! chaos session at a policy-transition boundary (an iteration where
-//! the stack retried, tripped, timed out, or degraded) and resuming it
-//! must reproduce the uninterrupted run byte-for-byte: the policy state
-//! (breaker counts, retry RNG position, fallback best, simulated clock)
-//! restores from the journal without re-burning a single RNG draw.
+//! the evaluation retried, tripped, timed out, or degraded) and resuming
+//! it must reproduce the uninterrupted run byte-for-byte: the policy
+//! state (breaker table, retry jitter position) restores from the
+//! journal without re-burning a single RNG draw.
 
 use ah_webtune::faults::library;
 use ah_webtune::prelude::*;
@@ -49,7 +49,6 @@ fn chaos_settings() -> ResilienceSettings {
         breaker_threshold: 2,
         breaker_half_open_after: Some(2),
         timeout_s: Some(window_s() * 2.0),
-        bulkhead: Some(2),
         degrade_to_best: true,
         ..Default::default()
     }
@@ -173,7 +172,7 @@ fn run_killed<F: FnOnce()>(f: F) {
 }
 
 /// Kill each chaos plan's session right after every iteration on which
-/// the policy stack acted (a retry, trip, timeout, or degradation —
+/// the evaluation acted (a retry, trip, timeout, or degradation —
 /// i.e. at a policy-transition boundary) and resume: the spliced trace
 /// must be byte-identical to the uninterrupted one and the final state
 /// bit-equal. No jitter draw is ever re-burned on restore.
